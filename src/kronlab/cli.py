@@ -34,7 +34,7 @@ from .exact_arith import (DEFAULT_PRECISION, decimal_approx, parse_rational,
                           rational_to_csv, rational_to_json)
 from .greedy_triple import (Certificate, NotInAsymptoticRegime, TripleProblem,
                             greedy_en_certificate)
-from .oracle import (SpectrumProblem, alpha_grid_lower_bound, beta_exact,
+from .oracle import (SpectrumProblem, alpha_grid_lower_bound, binary_values,
                      candidate_budget, mu_exact)
 
 CSV_COLUMNS = ("a", "b", "n", "r", "R", "S", "alpha", "beta", "ln", "gap", "verified")
@@ -69,18 +69,27 @@ class SweepRow:
 
 
 def _row_checks(a: int, b: int, n: int) -> bool:
-    """Oracle agreement for one triple: case tables, binary constant, witness."""
+    """Oracle agreement for one triple: case tables, binary constant, witness.
+
+    Each distinct target goes to the oracle once per call: the case-table
+    and witness targets are looked up among the binary values first.
+    """
+    spectrum = (a, b, n)
+    known = binary_values(spectrum)
+    if max(known.values()) != beta_formula(a, b, n):
+        return False
+
+    def mu(t):
+        if t not in known:
+            known[t] = mu_exact(SpectrumProblem(spectrum, t)).value
+        return known[t]
+
     t1, t2 = canonical_binary_pair(a, b)
     for t3 in (Fraction(0), Fraction(1, 2)):
-        got = mu_exact(SpectrumProblem((a, b, n), (t1, t2, t3))).value
-        if got != binary_mu(a, b, n, t3):
+        if mu((t1, t2, t3)) != binary_mu(a, b, n, t3):
             return False
-    bval, _ = beta_exact((a, b, n))
-    if bval != beta_formula(a, b, n):
-        return False
-    witness = alpha_witness(a, b, n)
     expected = ln_value(a, b, n) if congruence_data(a, b, n).R == a else alpha_formula(a, b, n)
-    return mu_exact(SpectrumProblem((a, b, n), witness)).value == expected
+    return mu(alpha_witness(a, b, n)) == expected
 
 
 def evaluate_sweep_row(a: int, b: int, n: int, verify: bool) -> SweepRow:
@@ -299,10 +308,17 @@ def cmd_sweep(args) -> int:
     a, b = args.a, args.b
     if args.n_from > args.n_to:
         raise ValueError(f"--from {args.n_from} exceeds --to {args.n_to}")
+    jobs = args.jobs
+    if jobs is None:
+        env = os.environ.get("KRONLAB_JOBS", "1")
+        try:
+            jobs = int(env)
+        except ValueError:
+            raise ValueError(f"KRONLAB_JOBS must be an integer, got {env!r}") from None
     ns = list(range(args.n_from, args.n_to + 1))
     work = [(a, b, n, args.verify) for n in ns]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_row_worker, work, chunksize=1))
     else:
         rows = [evaluate_sweep_row(*w) for w in work]
@@ -460,7 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--verify", action="store_true",
                          help="oracle-verify every row")
     p_sweep.add_argument("--jobs", type=int,
-                         default=int(os.environ.get("KRONLAB_JOBS", "1")),
                          help="worker processes (default $KRONLAB_JOBS or 1)")
     _add_common(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)

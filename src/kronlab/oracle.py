@@ -12,10 +12,15 @@ components with opposite slopes (a balanced point).  Candidates:
     bound every monotone piece, so the scan stays correct even if the
     envelope analysis were upset by degenerate spectra).
 
-Everything is exact Fraction arithmetic; no tolerance anywhere.  This
-module deliberately shares no code with the closed forms or the greedy
-construction it is used to check (only the trivial binary toggle is
-reused, as a work-halving device whose validity is itself under test).
+All three families lie on one integer grid x = X/L, with
+L = lcm(target denominators) * lcm({n_i + n_j}, {2*n_j}): each family is
+an arithmetic progression of integers X in [0, L), and the distance
+<n_k*x - t_k> is min(r, L - r)/L for r = (n_k*X - t_k*L) mod L.  So the
+scan compares integers only, and converts the optimum to a Fraction once.
+It is exact, with no tolerance anywhere.  This module deliberately shares
+no code with the closed forms or the greedy construction it is used to
+check (only the trivial binary toggle is reused, as a work-halving device
+whose validity is itself under test).
 """
 from __future__ import annotations
 
@@ -27,13 +32,39 @@ from fractions import Fraction
 from typing import Sequence
 
 from .closed_form import toggle_reduce
-from .exact_arith import nearest_int, nearest_int_distance
+from .exact_arith import nearest_int
 
 HALF = Fraction(1, 2)
+
+#: mu_exact refuses spectra whose candidate_budget exceeds this, before it
+#: allocates anything: d = 3 admits n up to about 110000.
+MAX_CANDIDATE_BUDGET = 10**6
 
 
 class SpectrumTooLargeError(ValueError):
     """beta_exact refuses spectra beyond its 2^d enumeration cap."""
+
+
+def _checked_spectrum(spectrum: Sequence[int]) -> tuple[int, ...]:
+    """The spectrum as a tuple, if it is strictly increasing positive ints."""
+    spectrum = tuple(spectrum)
+    if any(isinstance(nj, bool) or not isinstance(nj, int) for nj in spectrum):
+        raise ValueError(f"frequencies must be integers: {spectrum!r}")
+    if len(spectrum) < 1:
+        raise ValueError("spectrum must be non-empty")
+    if spectrum[0] < 1 or any(x >= y for x, y in zip(spectrum, spectrum[1:])):
+        raise ValueError(f"spectrum must be strictly increasing positive: {spectrum}")
+    return spectrum
+
+
+def _checked_target(t) -> Fraction:
+    """An exact target: int, Fraction or a string Fraction parses ("1/10", "0.1").
+
+    Floats are refused: 0.1 would silently become 3602879701896397/2^55.
+    """
+    if isinstance(t, bool) or not isinstance(t, (int, Fraction, str)):
+        raise ValueError(f"targets must be int, Fraction or str, got {t!r}")
+    return Fraction(t)
 
 
 @dataclass(frozen=True)
@@ -44,14 +75,10 @@ class SpectrumProblem:
     targets: tuple[Fraction, ...]
 
     def __post_init__(self):
-        spectrum = tuple(int(nj) for nj in self.spectrum)
-        targets = tuple(Fraction(t) for t in self.targets)
-        if len(spectrum) < 1:
-            raise ValueError("spectrum must be non-empty")
+        spectrum = _checked_spectrum(self.spectrum)
+        targets = tuple(_checked_target(t) for t in self.targets)
         if len(spectrum) != len(targets):
             raise ValueError("spectrum and targets lengths differ")
-        if spectrum[0] < 1 or any(x >= y for x, y in zip(spectrum, spectrum[1:])):
-            raise ValueError(f"spectrum must be strictly increasing positive: {spectrum}")
         object.__setattr__(self, "spectrum", spectrum)
         object.__setattr__(self, "targets", targets)
 
@@ -64,23 +91,18 @@ class OracleResult:
     candidates_examined: int
 
 
-def _span(total: Fraction, offset: Fraction):
-    """Integers s with (offset + s)/total in [0, 1), i.e. s in [-offset, total-offset)."""
-    return range(math.ceil(-offset), math.ceil(total - offset))
-
-
-def _candidates(p: SpectrumProblem) -> list[Fraction]:
-    spectrum, targets = p.spectrum, p.targets
-    cands: set[Fraction] = set()
+def _grid_candidates(spectrum: tuple[int, ...], scaled: list[int], L: int) -> list[int]:
+    """Sorted distinct grid points X in [0, L) of the candidate families,
+    given scaled[j] = t_j*L.  Valleys and peaks of n_j together are the one
+    progression X = (t_j*L + k*L/2)/n_j, of step L/(2*n_j)."""
+    cands: set[int] = set()
     for i, j in itertools.combinations(range(len(spectrum)), 2):
         total = spectrum[i] + spectrum[j]
-        off = targets[i] + targets[j]
-        for s in _span(total, off):
-            cands.add(Fraction(off + s, total))
-    for nj, tj in zip(spectrum, targets):
-        for off in (tj, tj + HALF):
-            for k in _span(nj, off):
-                cands.add(Fraction(off + k, nj))
+        step = L // total
+        cands.update(range((scaled[i] + scaled[j]) // total % step, L, step))
+    for nj, tj in zip(spectrum, scaled):
+        step = L // (2 * nj)
+        cands.update(range(tj // nj % step, L, step))
     return sorted(cands)
 
 
@@ -88,28 +110,40 @@ def mu_exact(p: SpectrumProblem) -> OracleResult:
     """Exact minimum of x -> max_j <n_j*x - t_j> over x in [0, 1).
 
     Ties broken toward the smallest x_star, then the lexicographically
-    smallest k_star (nearest integers, halves rounding down).
+    smallest k_star (nearest integers, halves rounding down).  Raises
+    ValueError when candidate_budget(spectrum) exceeds MAX_CANDIDATE_BUDGET.
     """
-    cands = _candidates(p)
+    spectrum, targets = p.spectrum, p.targets
+    budget = candidate_budget(spectrum)
+    if budget > MAX_CANDIDATE_BUDGET:
+        raise ValueError(f"spectrum {spectrum} allows up to {budget} oracle candidates, "
+                         f"above the limit of {MAX_CANDIDATE_BUDGET}")
+    L = (math.lcm(*(t.denominator for t in targets))
+         * math.lcm(*(ni + nj for ni, nj in itertools.combinations(spectrum, 2)),
+                    *(2 * nj for nj in spectrum)))
+    scaled = [t.numerator * (L // t.denominator) for t in targets]
+    cands = _grid_candidates(spectrum, scaled, L)
     # Largest frequency first: it moves fastest, so partial maxima exceed
     # the incumbent early and most candidates are rejected after one term.
-    order = sorted(range(len(p.spectrum)), key=lambda i: -p.spectrum[i])
-    spectrum, targets = p.spectrum, p.targets
-    best_val = None
-    best_x = None
-    for x in cands:
-        worst = Fraction(0)
-        for i in order:
-            d = nearest_int_distance(spectrum[i] * x - targets[i])
-            if d > worst:
-                worst = d
-                if best_val is not None and worst >= best_val:
+    order = list(zip(spectrum, scaled))[::-1]
+    half = L // 2
+    best, best_X = L, None  # every distance is at most L/2, so the first candidate wins
+    for X in cands:
+        worst = 0
+        for nk, tk in order:
+            r = (nk * X - tk) % L
+            if r > half:
+                r = L - r
+            if r > worst:
+                worst = r
+                if worst >= best:
                     break
         else:
-            if best_val is None or worst < best_val:
-                best_val, best_x = worst, x
-    k_star = tuple(nearest_int(nj * best_x - tj) for nj, tj in zip(spectrum, targets))
-    return OracleResult(value=best_val, x_star=best_x, k_star=k_star,
+            if worst < best:
+                best, best_X = worst, X
+    x_star = Fraction(best_X, L)
+    k_star = tuple(nearest_int(nj * x_star - tj) for nj, tj in zip(spectrum, targets))
+    return OracleResult(value=Fraction(best, L), x_star=x_star, k_star=k_star,
                         candidates_examined=len(cands))
 
 
@@ -132,6 +166,15 @@ def _binary_targets(spectrum, use_toggle):
         yield bits
 
 
+def _mu_values(spectrum, targets, jobs):
+    """(target, mu_exact value) for each target, over ``jobs`` worker processes."""
+    work = [(spectrum, t) for t in targets]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(_mu_value_at, work, chunksize=8))
+    return [_mu_value_at(w) for w in work]
+
+
 def _mu_value_at(args):
     spectrum, t = args
     return t, mu_exact(SpectrumProblem(spectrum, t)).value
@@ -146,6 +189,19 @@ def _reduce_max(pairs):
     return best_v, best_t
 
 
+def binary_values(spectrum: Sequence[int], cap: int = 12, use_toggle: bool = True,
+                  jobs: int = 1) -> dict[tuple[Fraction, ...], Fraction]:
+    """mu_exact value at each binary target beta_exact reduces, keyed by target.
+
+    With use_toggle, only one representative of each toggling pair is a key.
+    """
+    spectrum = _checked_spectrum(spectrum)
+    if len(spectrum) > cap:
+        raise SpectrumTooLargeError(
+            f"|S| = {len(spectrum)} exceeds the cap of {cap}")
+    return dict(_mu_values(spectrum, _binary_targets(spectrum, use_toggle), jobs))
+
+
 def beta_exact(spectrum: Sequence[int], cap: int = 12, use_toggle: bool = True,
                jobs: int = 1) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Exhaustive binary Kronecker constant: max of mu_exact over {0, 1/2}^d.
@@ -154,17 +210,7 @@ def beta_exact(spectrum: Sequence[int], cap: int = 12, use_toggle: bool = True,
     cost-equivalence class.  Independent targets may be distributed over
     ``jobs`` worker processes; the reduction is order-independent.
     """
-    spectrum = tuple(int(nj) for nj in spectrum)
-    if len(spectrum) > cap:
-        raise SpectrumTooLargeError(
-            f"|S| = {len(spectrum)} exceeds the cap of {cap}")
-    work = [(spectrum, t) for t in _binary_targets(spectrum, use_toggle)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_mu_value_at, work, chunksize=8))
-    else:
-        results = [_mu_value_at(w) for w in work]
-    return _reduce_max(results)
+    return _reduce_max(binary_values(spectrum, cap, use_toggle, jobs).items())
 
 
 def alpha_grid_lower_bound(spectrum: Sequence[int], D: int, jobs: int = 1
@@ -176,15 +222,10 @@ def alpha_grid_lower_bound(spectrum: Sequence[int], D: int, jobs: int = 1
     certified lower bound, monotone under grid refinement D -> k*D; it is
     not claimed to attain the constant.
     """
-    spectrum = tuple(int(nj) for nj in spectrum)
+    spectrum = _checked_spectrum(spectrum)
     if D < 2:
         raise ValueError(f"grid resolution must be >= 2, got {D}")
     steps = [Fraction(i, D) for i in range(D)]
-    work = [(spectrum, (Fraction(0),) + rest)
-            for rest in itertools.product(steps, repeat=len(spectrum) - 1)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_mu_value_at, work, chunksize=8))
-    else:
-        results = [_mu_value_at(w) for w in work]
-    return _reduce_max(results)
+    targets = [(Fraction(0),) + rest
+               for rest in itertools.product(steps, repeat=len(spectrum) - 1)]
+    return _reduce_max(_mu_values(spectrum, targets, jobs))

@@ -1,10 +1,18 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import kronlab.cli as cli
+import kronlab.oracle as oracle
 from kronlab.cli import (CSV_COLUMNS, UNVERIFIED, VERIFIED_ORACLE,
                          VERIFIED_WITNESS, evaluate_sweep_row, main)
+from kronlab.closed_form import (alpha_formula, alpha_witness, beta_formula,
+                                 binary_mu, canonical_binary_pair,
+                                 congruence_data, ln_value)
 from kronlab.exact_arith import parse_rational
+from kronlab.oracle import SpectrumProblem, beta_exact, mu_exact
+
+ACCEPTANCE_PAIRS = [(1, 2), (1, 3), (2, 3), (2, 5), (3, 4), (3, 5), (4, 5)]
 
 
 def run(capsys, *argv):
@@ -92,6 +100,64 @@ def test_exit_code_2_on_in_regime_mismatch(capsys, monkeypatch):
     code, out, _ = run(capsys, "constants", "1", "2", "100", "--verify")
     assert code == 2
     assert f"verified: {UNVERIFIED}" in out
+
+
+def _row_checks_one_call_per_check(a, b, n):
+    """The row verdict as separate oracle calls: case tables, beta, witness."""
+    t1, t2 = canonical_binary_pair(a, b)
+    for t3 in (Fraction(0), Fraction(1, 2)):
+        if mu_exact(SpectrumProblem((a, b, n), (t1, t2, t3))).value != binary_mu(a, b, n, t3):
+            return False
+    if beta_exact((a, b, n))[0] != beta_formula(a, b, n):
+        return False
+    expected = ln_value(a, b, n) if congruence_data(a, b, n).R == a else alpha_formula(a, b, n)
+    return mu_exact(SpectrumProblem((a, b, n), alpha_witness(a, b, n))).value == expected
+
+
+def _row_triples():
+    """Every acceptance pair: small n (some rows fail there) and one full
+    congruence window near 60b (every R, including R = a)."""
+    for a, b in ACCEPTANCE_PAIRS:
+        for n in list(range(b + 1, b + 8)) + list(range(60 * b, 60 * b + a + b)):
+            yield a, b, n
+
+
+def test_row_checks_verdicts_and_single_evaluation(monkeypatch):
+    reference = {t: _row_checks_one_call_per_check(*t) for t in _row_triples()}
+    assert not all(reference.values()) and any(reference.values())
+    assert (2, 5, 6) in reference and not reference[(2, 5, 6)]
+
+    seen = Counter()
+
+    def counting_mu_exact(p):
+        seen[(p.spectrum, p.targets)] += 1
+        return mu_exact(p)
+
+    monkeypatch.setattr(oracle, "mu_exact", counting_mu_exact)
+    monkeypatch.setattr(cli, "mu_exact", counting_mu_exact)
+    r_equals_a = 0
+    for (a, b, n), verdict in reference.items():
+        seen.clear()
+        assert cli._row_checks(a, b, n) == verdict, (a, b, n)
+        assert seen and max(seen.values()) == 1, (a, b, n, seen)
+        r_equals_a += congruence_data(a, b, n).R == a
+    assert r_equals_a >= len(ACCEPTANCE_PAIRS)
+
+
+def test_bad_env_jobs_exits_1(capsys, monkeypatch):
+    monkeypatch.setenv("KRONLAB_JOBS", "abc")
+    code, _, err = run(capsys, "sweep", "1", "2", "--from", "50", "--to", "51")
+    assert code == 1 and "KRONLAB_JOBS" in err
+    code, out, _ = run(capsys, "constants", "2", "5", "300")
+    assert code == 0 and "alpha" in out
+    code, _, _ = run(capsys, "sweep", "1", "2", "--from", "50", "--to", "51",
+                     "--jobs", "1")
+    assert code == 0
+
+
+def test_mu_refuses_oversized_spectrum(capsys):
+    code, _, err = run(capsys, "mu", "--set", "1,2,1000000000", "--t", "0,0,0")
+    assert code == 1 and "limit" in err
 
 
 def test_exit_code_3_on_budget_breach(capsys, monkeypatch):

@@ -4,12 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_coprime_pair, rand_fraction
 from kronlab.exact_arith import nearest_int
-from kronlab.oracle import (OracleResult, SpectrumProblem,
-                            SpectrumTooLargeError, alpha_grid_lower_bound,
-                            beta_exact, candidate_budget, mu_exact)
+from kronlab.oracle import (MAX_CANDIDATE_BUDGET, OracleResult,
+                            SpectrumProblem, SpectrumTooLargeError,
+                            alpha_grid_lower_bound, beta_exact,
+                            binary_values, candidate_budget, mu_exact)
+from oracle_reference import mu_exact_reference
 
 HALF = Fraction(1, 2)
 
@@ -127,6 +131,35 @@ def test_negation_invariance():
         assert mu_exact(p).value == mu_exact(negated).value
 
 
+# Targets: binary entries, or rationals with denominators <= 60 in [-3, 3],
+# so negative targets and targets >= 1 occur.
+targets_st = st.one_of(st.sampled_from([Fraction(0), HALF]),
+                       st.fractions(min_value=-3, max_value=3, max_denominator=60))
+
+
+@st.composite
+def problems(draw):
+    d = draw(st.integers(1, 4))
+    spectrum = sorted(draw(st.sets(st.integers(1, 199), min_size=d, max_size=d)))
+    targets = draw(st.lists(targets_st, min_size=d, max_size=d))
+    return SpectrumProblem(tuple(spectrum), tuple(targets))
+
+
+@settings(max_examples=150, deadline=None)
+@given(problems())
+def test_mu_exact_equals_fraction_reference(p):
+    # value, x_star, k_star and candidates_examined, all of them exactly
+    assert mu_exact(p) == mu_exact_reference(p)
+
+
+def test_mu_exact_equals_reference_on_binary_targets():
+    for a, b in [(1, 2), (2, 5), (3, 4), (4, 5)]:
+        for n in (b + 1, 61, 119):
+            for t in itertools.product((Fraction(0), HALF), repeat=3):
+                p = SpectrumProblem((a, b, n), t)
+                assert mu_exact(p) == mu_exact_reference(p)
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         SpectrumProblem((), ())
@@ -136,6 +169,45 @@ def test_problem_validation():
         SpectrumProblem((3, 2), (Fraction(0), Fraction(0)))
     with pytest.raises(ValueError):
         SpectrumProblem((1, 2), (Fraction(0),))
+
+
+@pytest.mark.parametrize("spectrum, targets", [
+    ((1, 2.7), (Fraction(1, 10), 0)),   # float frequency
+    ((1, 2.0), (0, 0)),                 # integral float frequency
+    ((True, 2), (0, 0)),                # bool frequency
+    ((1, Fraction(2)), (0, 0)),         # Fraction frequency
+    ((1, "2"), (0, 0)),                 # str frequency
+    ((1, 2), (0.1, 0)),                 # float target
+    ((1, 2), (0, False)),               # bool target
+])
+def test_problem_rejects_inexact_inputs(spectrum, targets):
+    with pytest.raises(ValueError):
+        SpectrumProblem(spectrum, targets)
+
+
+def test_problem_accepts_int_fraction_and_str_targets():
+    p = SpectrumProblem((1, 2, 3), (1, Fraction(1, 3), "0.1"))
+    assert p.targets == (Fraction(1), Fraction(1, 3), Fraction(1, 10))
+    assert SpectrumProblem((1, 2), ("-1/2", "7/5")).targets == (-HALF, Fraction(7, 5))
+
+
+def test_beta_and_grid_reject_inexact_frequencies():
+    for spectrum in [(1, 2.5), (1, 2.0), (True, 2), (1, Fraction(3))]:
+        with pytest.raises(ValueError):
+            beta_exact(spectrum)
+        with pytest.raises(ValueError):
+            alpha_grid_lower_bound(spectrum, 2)
+    with pytest.raises(ValueError):
+        beta_exact((2, 1))
+
+
+def test_mu_exact_refuses_oversized_spectrum():
+    huge = SpectrumProblem((1, 2, 10**9), (0, 0, 0))
+    assert candidate_budget(huge.spectrum) > MAX_CANDIDATE_BUDGET
+    with pytest.raises(ValueError, match="limit"):
+        mu_exact(huge)
+    # the largest size the benchmarks use stays well inside the limit
+    assert 10 * candidate_budget((4, 5, 1100)) < MAX_CANDIDATE_BUDGET
 
 
 def test_beta_exact_examples():
@@ -154,6 +226,16 @@ def test_beta_exact_toggle_and_jobs_consistency():
         plain = beta_exact(spectrum, use_toggle=False)
         assert beta_exact(spectrum) == plain
     assert beta_exact((2, 3, 40), jobs=2) == beta_exact((2, 3, 40))
+
+
+def test_binary_values_are_what_beta_exact_reduces():
+    values = binary_values((2, 5, 40))
+    assert len(values) == 4  # one representative per toggling pair
+    for t, v in values.items():
+        assert mu_exact(SpectrumProblem((2, 5, 40), t)).value == v
+    value, argmax = beta_exact((2, 5, 40))
+    assert value == max(values.values()) == values[argmax]
+    assert len(binary_values((2, 5, 40), use_toggle=False)) == 8
 
 
 def test_beta_exact_cap():
