@@ -23,19 +23,19 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .closed_form import (alpha_formula, alpha_witness, beta_formula,
                           binary_mu, canonical_binary_pair, congruence_data,
                           in_asymptotic_regime, ln_value)
-from .exact_arith import (DEFAULT_PRECISION, decimal_approx, parse_rational,
+from .exact_arith import (DEFAULT_PRECISION, HALF, decimal_approx,
                           rational_to_csv, rational_to_json)
 from .greedy_triple import (Certificate, NotInAsymptoticRegime, TripleProblem,
                             greedy_en_certificate)
 from .oracle import (SpectrumProblem, alpha_grid_lower_bound, binary_values,
-                     candidate_budget, mu_exact)
+                     candidate_budget, mu_exact, parallel_map)
 
 CSV_COLUMNS = ("a", "b", "n", "r", "R", "S", "alpha", "beta", "ln", "gap", "verified")
 
@@ -68,6 +68,36 @@ class SweepRow:
     runtime_ms: int
 
 
+class Witness(NamedTuple):
+    """alpha_witness of a triple and the cost the closed forms give it:
+    L_n in the R = a gap case, alpha_formula otherwise."""
+
+    t: tuple[Fraction, Fraction, Fraction]
+    gap_case: bool
+    expected: Fraction
+
+    def to_json(self, precision: int) -> dict:
+        t1, t2, t3 = self.t
+        return {
+            "t1": rational_to_json(t1, precision),
+            "t2": rational_to_json(t2, precision),
+            "t3_raw": rational_to_json(t3, precision),
+            "t3_mod1": rational_to_json(t3 - math.floor(t3), precision),
+            "expected_mu": rational_to_json(self.expected, precision),
+        }
+
+    def text(self) -> str:
+        t1, t2, t3 = self.t
+        return (f"witness: t1={rational_to_csv(t1)} t2={rational_to_csv(t2)} "
+                f"t3={rational_to_csv(t3)} (mod 1: {rational_to_csv(t3 - math.floor(t3))})")
+
+
+def _witness(a: int, b: int, n: int) -> Witness:
+    gap_case = congruence_data(a, b, n).R == a
+    expected = ln_value(a, b, n) if gap_case else alpha_formula(a, b, n)
+    return Witness(alpha_witness(a, b, n), gap_case, expected)
+
+
 def _row_checks(a: int, b: int, n: int) -> bool:
     """Oracle agreement for one triple: case tables, binary constant, witness.
 
@@ -85,11 +115,11 @@ def _row_checks(a: int, b: int, n: int) -> bool:
         return known[t]
 
     t1, t2 = canonical_binary_pair(a, b)
-    for t3 in (Fraction(0), Fraction(1, 2)):
+    for t3 in (Fraction(0), HALF):
         if mu((t1, t2, t3)) != binary_mu(a, b, n, t3):
             return False
-    expected = ln_value(a, b, n) if congruence_data(a, b, n).R == a else alpha_formula(a, b, n)
-    return mu(alpha_witness(a, b, n)) == expected
+    witness = _witness(a, b, n)
+    return mu(witness.t) == witness.expected
 
 
 def evaluate_sweep_row(a: int, b: int, n: int, verify: bool) -> SweepRow:
@@ -106,16 +136,16 @@ def evaluate_sweep_row(a: int, b: int, n: int, verify: bool) -> SweepRow:
                     runtime_ms=int((time.perf_counter() - t0) * 1000))
 
 
-def _row_worker(args):
-    return evaluate_sweep_row(*args)
-
-
 def row_to_csv(row: SweepRow) -> str:
     return ",".join([
         str(row.a), str(row.b), str(row.n), str(row.r), str(row.R), str(row.S),
         rational_to_csv(row.alpha), rational_to_csv(row.beta),
         rational_to_csv(row.ln), "true" if row.gap else "false", row.verified,
     ])
+
+
+def rows_to_csv(rows) -> str:
+    return "\n".join([",".join(CSV_COLUMNS)] + [row_to_csv(row) for row in rows]) + "\n"
 
 
 def row_to_json(row: SweepRow, precision: int) -> dict:
@@ -158,21 +188,17 @@ def _parse_spectrum(text: str) -> tuple[int, ...]:
         raise ValueError(f"bad spectrum {text!r}: {exc}") from exc
 
 
-def _parse_targets(text: str) -> tuple[Fraction, ...]:
-    return tuple(parse_rational(part) for part in text.split(","))
-
-
 def cmd_mu(args) -> int:
     spectrum = _parse_spectrum(args.set)
-    targets = _parse_targets(args.t)
-    problem = SpectrumProblem(spectrum, targets)
+    problem = SpectrumProblem(spectrum, args.t.split(","))
+    targets = problem.targets
     result = mu_exact(problem)
     precision = args.precision
 
     cert: Certificate | None = None
     regime_note = None
     if args.greedy:
-        if len(spectrum) != 3 or math.gcd(spectrum[0], spectrum[1]) != 1:
+        if len(spectrum) != 3:
             raise ValueError("--greedy needs a 3-element spectrum with coprime a, b")
         triple = TripleProblem(*spectrum, *targets)
         try:
@@ -225,50 +251,31 @@ def cmd_mu(args) -> int:
 
 def cmd_constants(args) -> int:
     a, b, n = args.a, args.b, args.n
+    row = evaluate_sweep_row(a, b, n, args.verify)
+    verified = row.verified if args.verify else None
     cd = congruence_data(a, b, n)
-    alpha = alpha_formula(a, b, n)
-    beta = beta_formula(a, b, n)
-    ln = ln_value(a, b, n)
-    gap = beta < alpha
     regime = in_asymptotic_regime(a, b, n)
-    witness = alpha_witness(a, b, n)
-    t3_mod1 = witness[2] - math.floor(witness[2])
-    expected = ln if cd.R == a else alpha
+    witness = _witness(a, b, n)
     precision = args.precision
-
-    verified = None
-    if args.verify:
-        verified = (VERIFIED_WITNESS if cd.R == a else VERIFIED_ORACLE) \
-            if _row_checks(a, b, n) else UNVERIFIED
 
     grid = None
     if args.grid:
         grid = alpha_grid_lower_bound((a, b, n), args.grid)
 
     if args.csv:
-        row = SweepRow(a=a, b=b, n=n, r=cd.r, R=cd.R, S=cd.S, alpha=alpha,
-                       beta=beta, ln=ln, gap=gap,
-                       verified=verified if verified is not None else UNVERIFIED,
-                       runtime_ms=0)
-        _emit(",".join(CSV_COLUMNS) + "\n" + row_to_csv(row) + "\n", args.out)
+        _emit(rows_to_csv([row]), args.out)
     elif args.json:
         doc = {
             "a": a, "b": b, "n": n,
             "congruence": {"r": cd.r, "T": cd.T, "R": cd.R, "r2": cd.r2,
                            "S": cd.S, "g": cd.g, "h": cd.h,
                            "parity_case": cd.parity_case},
-            "alpha": rational_to_json(alpha, precision),
-            "beta": rational_to_json(beta, precision),
-            "ln": rational_to_json(ln, precision),
-            "gap": gap,
+            "alpha": rational_to_json(row.alpha, precision),
+            "beta": rational_to_json(row.beta, precision),
+            "ln": rational_to_json(row.ln, precision),
+            "gap": row.gap,
             "in_asymptotic_regime": regime,
-            "witness": {
-                "t1": rational_to_json(witness[0], precision),
-                "t2": rational_to_json(witness[1], precision),
-                "t3_raw": rational_to_json(witness[2], precision),
-                "t3_mod1": rational_to_json(t3_mod1, precision),
-                "expected_mu": rational_to_json(expected, precision),
-            },
+            "witness": witness.to_json(precision),
         }
         if verified is not None:
             doc["verified"] = verified
@@ -282,14 +289,12 @@ def cmd_constants(args) -> int:
             f"triple: a={a} b={b} n={n}",
             f"congruences: r={cd.r} T={cd.T} R={cd.R} r2={cd.r2} S={cd.S} "
             f"g={cd.g} h={cd.h} parity={cd.parity_case}",
-            f"alpha = {_fmt(alpha, precision)}",
-            f"beta  = {_fmt(beta, precision)}",
-            f"L_n   = {_fmt(ln, precision)}",
-            f"gap (alpha > beta) = {'true' if gap else 'false'}",
+            f"alpha = {_fmt(row.alpha, precision)}",
+            f"beta  = {_fmt(row.beta, precision)}",
+            f"L_n   = {_fmt(row.ln, precision)}",
+            f"gap (alpha > beta) = {'true' if row.gap else 'false'}",
             f"asymptotic regime = {'yes' if regime else 'no (small n)'}",
-            f"witness: t1={rational_to_csv(witness[0])} t2={rational_to_csv(witness[1])} "
-            f"t3={rational_to_csv(witness[2])} (mod 1: {rational_to_csv(t3_mod1)}), "
-            f"expected mu = {rational_to_csv(expected)}",
+            f"{witness.text()}, expected mu = {rational_to_csv(witness.expected)}",
         ]
         if verified is not None:
             lines.append(f"verified: {verified}")
@@ -315,22 +320,15 @@ def cmd_sweep(args) -> int:
             jobs = int(env)
         except ValueError:
             raise ValueError(f"KRONLAB_JOBS must be an integer, got {env!r}") from None
-    ns = list(range(args.n_from, args.n_to + 1))
-    work = [(a, b, n, args.verify) for n in ns]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_row_worker, work, chunksize=1))
-    else:
-        rows = [evaluate_sweep_row(*w) for w in work]
-    rows.sort(key=lambda row: row.n)
+    work = [(a, b, n, args.verify) for n in range(args.n_from, args.n_to + 1)]
+    rows = parallel_map(evaluate_sweep_row, work, jobs)
 
     if args.json:
         doc = {"pair": [a, b],
                "rows": [row_to_json(row, args.precision) for row in rows]}
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
     else:
-        lines = [",".join(CSV_COLUMNS)] + [row_to_csv(row) for row in rows]
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(rows_to_csv(rows), args.out)
 
     bad = [row for row in rows
            if row.verified == UNVERIFIED and args.verify
@@ -344,34 +342,25 @@ def cmd_sweep(args) -> int:
 
 def cmd_witness(args) -> int:
     a, b, n = args.a, args.b, args.n
-    cd = congruence_data(a, b, n)
-    witness = alpha_witness(a, b, n)
-    t3_mod1 = witness[2] - math.floor(witness[2])
-    expected = ln_value(a, b, n) if cd.R == a else alpha_formula(a, b, n)
+    witness = _witness(a, b, n)
+    expected = witness.expected
     precision = args.precision
 
     oracle_mu = None
     if args.verify:
-        oracle_mu = mu_exact(SpectrumProblem((a, b, n), witness)).value
+        oracle_mu = mu_exact(SpectrumProblem((a, b, n), witness.t)).value
 
     if args.json:
-        doc = {
-            "a": a, "b": b, "n": n, "gap_case": cd.R == a,
-            "t1": rational_to_json(witness[0], precision),
-            "t2": rational_to_json(witness[1], precision),
-            "t3_raw": rational_to_json(witness[2], precision),
-            "t3_mod1": rational_to_json(t3_mod1, precision),
-            "expected_mu": rational_to_json(expected, precision),
-        }
+        doc = {"a": a, "b": b, "n": n, "gap_case": witness.gap_case,
+               **witness.to_json(precision)}
         if oracle_mu is not None:
             doc["oracle_mu"] = rational_to_json(oracle_mu, precision)
             doc["verified"] = oracle_mu == expected
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
     else:
         lines = [
-            f"triple: a={a} b={b} n={n} ({'R=a gap case' if cd.R == a else 'R!=a'})",
-            f"witness: t1={rational_to_csv(witness[0])} t2={rational_to_csv(witness[1])} "
-            f"t3={rational_to_csv(witness[2])} (mod 1: {rational_to_csv(t3_mod1)})",
+            f"triple: a={a} b={b} n={n} ({'R=a gap case' if witness.gap_case else 'R!=a'})",
+            witness.text(),
             f"expected mu = {_fmt(expected, precision)}",
         ]
         if oracle_mu is not None:
@@ -424,6 +413,17 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the exit-code contract wants 1."""
 
@@ -437,7 +437,7 @@ def _add_common(parser, csv_flag=False):
     if csv_flag:
         parser.add_argument("--csv", action="store_true", help="CSV report")
     parser.add_argument("--out", metavar="PATH", help="write report to PATH (atomic)")
-    parser.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
+    parser.add_argument("--precision", type=_positive_int, default=DEFAULT_PRECISION,
                         help="significant digits for decimal approximations")
 
 
@@ -491,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="oracle candidate-count budgets")
     p_bench.add_argument("--set", required=True, metavar="N1,N2,...")
-    p_bench.add_argument("--trials", type=int, default=5)
+    p_bench.add_argument("--trials", type=_positive_int, default=5)
     p_bench.add_argument("--seed", type=int, default=0)
     _add_common(p_bench)
     p_bench.set_defaults(func=cmd_bench)

@@ -14,21 +14,11 @@ n they still evaluate but must be checked against the oracle (see
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-HALF = Fraction(1, 2)
-
-
-def _validate_triple(a: int, b: int, n: int) -> None:
-    if not (isinstance(a, int) and isinstance(b, int) and isinstance(n, int)):
-        raise ValueError("triple entries must be integers")
-    if not (0 < a < b < n):
-        raise ValueError(f"need 0 < a < b < n, got ({a}, {b}, {n})")
-    if math.gcd(a, b) != 1:
-        raise ValueError(f"gcd({a}, {b}) != 1")
+from .exact_arith import HALF, _checked_coprime, _checked_target
 
 
 @dataclass(frozen=True)
@@ -54,7 +44,7 @@ class CongruenceData:
 
 
 def congruence_data(a: int, b: int, n: int) -> CongruenceData:
-    _validate_triple(a, b, n)
+    _checked_coprime((a, b, n))
     m = a + b
     T = pow(a, -1, m)
     r = n % m
@@ -93,7 +83,7 @@ def ln_value(a: int, b: int, n: int) -> Fraction:
     Always exceeds the pair constant 1/(2(a+b)) and, for n in the
     asymptotic regime, never exceeds alpha_formula.
     """
-    _validate_triple(a, b, n)
+    _checked_coprime((a, b, n))
     return Fraction(n + a * b, 2 * (a * n + b * n + a * b))
 
 
@@ -116,7 +106,7 @@ def binary_mu_detail(a: int, b: int, n: int, t3: Fraction) -> BinaryCase:
     """
     cd = congruence_data(a, b, n)
     S, m = cd.S, a + b
-    t3 = Fraction(t3)
+    t3 = _checked_target(t3)
     if t3 == 0:
         if S in (0, 1, 2 * m - 1):
             return BinaryCase(Fraction(1, 2 * m), "t3=0 type-1 (S in {0, 1, 2a+2b-1})")
@@ -155,7 +145,7 @@ def beta_formula(a: int, b: int, n: int) -> Fraction:
 def toggle_reduce(spectrum: Sequence[int], t: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Cost-preserving flip of binary targets: entries at odd frequencies
     are replaced by 1/2 - entry; even frequencies keep theirs."""
-    t = tuple(Fraction(v) for v in t)
+    t = tuple(_checked_target(v) for v in t)
     if len(spectrum) != len(t):
         raise ValueError("spectrum and target lengths differ")
     for v in t:
@@ -196,7 +186,6 @@ def in_asymptotic_regime(a: int, b: int, n: int) -> bool:
     only that they are not backed by the construction; the oracle is the
     arbiter there.
     """
-    _validate_triple(a, b, n)
     en = alpha_formula(a, b, n)
     ln = ln_value(a, b, n)
     return (

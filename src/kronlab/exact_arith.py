@@ -20,6 +20,8 @@ Rational = Fraction
 
 DEFAULT_PRECISION = 12
 
+HALF = Fraction(1, 2)
+
 
 class NonCoprimeError(ValueError):
     """Raised when a Bezout pair is requested for non-coprime inputs."""
@@ -32,7 +34,38 @@ def nearest_int(u: Fraction) -> int:
     deterministic (certificates, oracle k-vectors, window picks).
     """
     f = math.floor(u)
-    return f if u - f <= Fraction(1, 2) else f + 1
+    return f if u - f <= HALF else f + 1
+
+
+def _checked_spectrum(spectrum: Sequence[int]) -> tuple[int, ...]:
+    """The spectrum as a tuple, if it is strictly increasing positive ints."""
+    spectrum = tuple(spectrum)
+    if any(isinstance(nj, bool) or not isinstance(nj, int) for nj in spectrum):
+        raise ValueError(f"frequencies must be integers: {spectrum!r}")
+    if len(spectrum) < 1:
+        raise ValueError("spectrum must be non-empty")
+    if spectrum[0] < 1 or any(x >= y for x, y in zip(spectrum, spectrum[1:])):
+        raise ValueError(f"spectrum must be strictly increasing positive: {spectrum}")
+    return spectrum
+
+
+def _checked_coprime(spectrum: Sequence[int]) -> tuple[int, ...]:
+    """_checked_spectrum, plus gcd(n_1, n_2) = 1: the pair and triple problems."""
+    spectrum = _checked_spectrum(spectrum)
+    a, b = spectrum[:2]
+    if math.gcd(a, b) != 1:
+        raise ValueError(f"gcd({a}, {b}) != 1")
+    return spectrum
+
+
+def _checked_target(t) -> Fraction:
+    """An exact target: int, Fraction or a string Fraction parses ("1/10", "0.1").
+
+    Floats are refused: 0.1 would silently become 3602879701896397/2^55.
+    """
+    if isinstance(t, bool) or not isinstance(t, (int, Fraction, str)):
+        raise ValueError(f"targets must be int, Fraction or str, got {t!r}")
+    return Fraction(t)
 
 
 def nearest_int_distance(u: Fraction) -> Fraction:

@@ -26,11 +26,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .closed_form import alpha_formula, ln_value
-from .exact_arith import angular_norm, nearest_int
+from .exact_arith import _checked_coprime, _checked_target, angular_norm, nearest_int
 from .pair_solver import (BalancedApprox, PairProblem, best_pair_approx,
                           negate_approx, second_best_approx)
-
-HALF = Fraction(1, 2)
 
 
 class NotApplicableError(ValueError):
@@ -70,14 +68,9 @@ class TripleProblem:
     t3: Fraction
 
     def __post_init__(self):
-        if not all(isinstance(v, int) for v in (self.a, self.b, self.n)):
-            raise ValueError("frequencies must be integers")
-        if not (0 < self.a < self.b < self.n):
-            raise ValueError(f"need 0 < a < b < n, got ({self.a}, {self.b}, {self.n})")
-        if math.gcd(self.a, self.b) != 1:
-            raise ValueError(f"gcd({self.a}, {self.b}) != 1")
+        _checked_coprime((self.a, self.b, self.n))
         for name in ("t1", "t2", "t3"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            object.__setattr__(self, name, _checked_target(getattr(self, name)))
 
     def pair(self) -> PairProblem:
         return PairProblem(self.a, self.b, self.t1, self.t2)

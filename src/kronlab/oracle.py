@@ -26,45 +26,47 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .closed_form import toggle_reduce
-from .exact_arith import nearest_int
-
-HALF = Fraction(1, 2)
+from .exact_arith import HALF, _checked_spectrum, _checked_target, nearest_int
 
 #: mu_exact refuses spectra whose candidate_budget exceeds this, before it
 #: allocates anything: d = 3 admits n up to about 110000.
 MAX_CANDIDATE_BUDGET = 10**6
+
+#: alpha_grid_lower_bound refuses grids of more targets (or steps) than
+#: this, before it builds any: D up to 316 for a triple.
+MAX_GRID_TARGETS = 10**5
 
 
 class SpectrumTooLargeError(ValueError):
     """beta_exact refuses spectra beyond its 2^d enumeration cap."""
 
 
-def _checked_spectrum(spectrum: Sequence[int]) -> tuple[int, ...]:
-    """The spectrum as a tuple, if it is strictly increasing positive ints."""
-    spectrum = tuple(spectrum)
-    if any(isinstance(nj, bool) or not isinstance(nj, int) for nj in spectrum):
-        raise ValueError(f"frequencies must be integers: {spectrum!r}")
-    if len(spectrum) < 1:
-        raise ValueError("spectrum must be non-empty")
-    if spectrum[0] < 1 or any(x >= y for x, y in zip(spectrum, spectrum[1:])):
-        raise ValueError(f"spectrum must be strictly increasing positive: {spectrum}")
-    return spectrum
+def worker_count(jobs: int, tasks: int) -> int:
+    """Worker processes for ``tasks`` independent tasks: ``jobs``, clamped to
+    the task count and the CPU count.  Raises ValueError when jobs < 1."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    return min(jobs, tasks, os.cpu_count() or 1)
 
 
-def _checked_target(t) -> Fraction:
-    """An exact target: int, Fraction or a string Fraction parses ("1/10", "0.1").
+def parallel_map(fn: Callable, work: Sequence[tuple], jobs: int) -> list:
+    """[fn(*args) for args in work], over worker_count(jobs, len(work)) processes.
 
-    Floats are refused: 0.1 would silently become 3602879701896397/2^55.
-    """
-    if isinstance(t, bool) or not isinstance(t, (int, Fraction, str)):
-        raise ValueError(f"targets must be int, Fraction or str, got {t!r}")
-    return Fraction(t)
+    Results keep the order of ``work``; each worker takes about four chunks,
+    which evens out unequal task costs."""
+    workers = worker_count(jobs, len(work))
+    if workers < 2:
+        return [fn(*args) for args in work]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunksize = math.ceil(len(work) / (4 * workers))
+        return list(pool.map(fn, *zip(*work), chunksize=chunksize))
 
 
 @dataclass(frozen=True)
@@ -166,17 +168,7 @@ def _binary_targets(spectrum, use_toggle):
         yield bits
 
 
-def _mu_values(spectrum, targets, jobs):
-    """(target, mu_exact value) for each target, over ``jobs`` worker processes."""
-    work = [(spectrum, t) for t in targets]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_mu_value_at, work, chunksize=8))
-    return [_mu_value_at(w) for w in work]
-
-
-def _mu_value_at(args):
-    spectrum, t = args
+def _mu_value_at(spectrum, t):
     return t, mu_exact(SpectrumProblem(spectrum, t)).value
 
 
@@ -199,7 +191,8 @@ def binary_values(spectrum: Sequence[int], cap: int = 12, use_toggle: bool = Tru
     if len(spectrum) > cap:
         raise SpectrumTooLargeError(
             f"|S| = {len(spectrum)} exceeds the cap of {cap}")
-    return dict(_mu_values(spectrum, _binary_targets(spectrum, use_toggle), jobs))
+    work = [(spectrum, t) for t in _binary_targets(spectrum, use_toggle)]
+    return dict(parallel_map(_mu_value_at, work, jobs))
 
 
 def beta_exact(spectrum: Sequence[int], cap: int = 12, use_toggle: bool = True,
@@ -225,7 +218,11 @@ def alpha_grid_lower_bound(spectrum: Sequence[int], D: int, jobs: int = 1
     spectrum = _checked_spectrum(spectrum)
     if D < 2:
         raise ValueError(f"grid resolution must be >= 2, got {D}")
+    count = D ** (len(spectrum) - 1)
+    if max(count, D) > MAX_GRID_TARGETS:
+        raise ValueError(f"a 1/{D} grid on {spectrum} has {count} targets of {D} steps, "
+                         f"above the limit of {MAX_GRID_TARGETS}")
     steps = [Fraction(i, D) for i in range(D)]
-    targets = [(Fraction(0),) + rest
-               for rest in itertools.product(steps, repeat=len(spectrum) - 1)]
-    return _reduce_max(_mu_values(spectrum, targets, jobs))
+    work = [(spectrum, (Fraction(0),) + rest)
+            for rest in itertools.product(steps, repeat=len(spectrum) - 1)]
+    return _reduce_max(parallel_map(_mu_value_at, work, jobs))

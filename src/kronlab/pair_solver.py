@@ -16,13 +16,11 @@ best" balanced point whose cost is 1/(a+b) - mu.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_arith import bezout_coprime, nearest_int
-
-HALF = Fraction(1, 2)
+from .exact_arith import (_checked_coprime, _checked_target, bezout_coprime,
+                          nearest_int, nearest_int_distance)
 
 
 @dataclass(frozen=True)
@@ -35,14 +33,9 @@ class PairProblem:
     t2: Fraction
 
     def __post_init__(self):
-        if not (isinstance(self.a, int) and isinstance(self.b, int)):
-            raise ValueError("frequencies must be integers")
-        if not (0 < self.a < self.b):
-            raise ValueError(f"need 0 < a < b, got a={self.a}, b={self.b}")
-        if math.gcd(self.a, self.b) != 1:
-            raise ValueError(f"gcd({self.a}, {self.b}) != 1")
-        object.__setattr__(self, "t1", Fraction(self.t1))
-        object.__setattr__(self, "t2", Fraction(self.t2))
+        _checked_coprime((self.a, self.b))
+        object.__setattr__(self, "t1", _checked_target(self.t1))
+        object.__setattr__(self, "t2", _checked_target(self.t2))
 
 
 @dataclass(frozen=True)
@@ -59,17 +52,17 @@ class BalancedApprox:
     sign: int
 
 
-def _minimizing_m(p: PairProblem) -> int:
-    """Integer m minimizing |a*t2 - b*t1 - m|; ties go to the floor choice."""
-    d = p.a * p.t2 - p.b * p.t1
-    m0 = math.floor(d)
-    return m0 if d - m0 <= HALF else m0 + 1
+def _balanced_at(p: PairProblem, k1: int, k2: int) -> BalancedApprox:
+    """The balanced point of p for the integer shifts (k1, k2)."""
+    x = (p.t1 + k1 + p.t2 + k2) / (p.a + p.b)
+    signed = p.a * x - (p.t1 + k1)
+    return BalancedApprox(x=x, k1=k1, k2=k2, lam=abs(signed),
+                          sign=-1 if signed < 0 else 1)
 
 
 def mu_pair(p: PairProblem) -> Fraction:
     """Exact pair cost; always in [0, 1/(2(a+b))]."""
-    d = p.a * p.t2 - p.b * p.t1
-    return abs(d - _minimizing_m(p)) / (p.a + p.b)
+    return nearest_int_distance(p.a * p.t2 - p.b * p.t1) / (p.a + p.b)
 
 
 def best_pair_approx(p: PairProblem) -> BalancedApprox:
@@ -80,16 +73,11 @@ def best_pair_approx(p: PairProblem) -> BalancedApprox:
     |k1| (ties to the smaller k1), which keeps x in a small window.
     """
     a, b = p.a, p.b
-    m = _minimizing_m(p)
+    m = nearest_int(a * p.t2 - b * p.t1)
     g, h = bezout_coprime(a, b)
     k1, k2 = -h * m, -g * m
     s = nearest_int(Fraction(-k1, a))
-    k1 += a * s
-    k2 += b * s
-    x = (p.t1 + k1 + p.t2 + k2) / (a + b)
-    signed = a * x - (p.t1 + k1)
-    return BalancedApprox(x=x, k1=k1, k2=k2, lam=abs(signed),
-                          sign=-1 if signed < 0 else 1)
+    return _balanced_at(p, k1 + a * s, k2 + b * s)
 
 
 def second_best_approx(p: PairProblem, best: BalancedApprox) -> BalancedApprox:
@@ -99,14 +87,8 @@ def second_best_approx(p: PairProblem, best: BalancedApprox) -> BalancedApprox:
     mirrored when the best point's residual is negative; the shift moves x
     by sign*(g+h)/(a+b) and flips the residual sign.
     """
-    a, b = p.a, p.b
-    g, h = bezout_coprime(a, b)
-    k1 = best.k1 - best.sign * h
-    k2 = best.k2 - best.sign * g
-    x = (p.t1 + k1 + p.t2 + k2) / (a + b)
-    signed = a * x - (p.t1 + k1)
-    return BalancedApprox(x=x, k1=k1, k2=k2, lam=abs(signed),
-                          sign=-1 if signed < 0 else 1)
+    g, h = bezout_coprime(p.a, p.b)
+    return _balanced_at(p, best.k1 - best.sign * h, best.k2 - best.sign * g)
 
 
 def negate_approx(ba: BalancedApprox) -> BalancedApprox:

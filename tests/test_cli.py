@@ -155,6 +155,28 @@ def test_bad_env_jobs_exits_1(capsys, monkeypatch):
     assert code == 0
 
 
+def test_jobs_below_one_exit_1(capsys, monkeypatch):
+    code, _, err = run(capsys, "sweep", "1", "2", "--from", "50", "--to", "51",
+                       "--jobs", "-3")
+    assert code == 1 and "got -3" in err
+    monkeypatch.setenv("KRONLAB_JOBS", "0")
+    code, _, err = run(capsys, "sweep", "1", "2", "--from", "50", "--to", "51")
+    assert code == 1 and "got 0" in err
+
+
+def test_counts_below_one_exit_1(capsys):
+    for flag in ("--trials", "--precision"):
+        code, _, err = run(capsys, "bench", "--set", "1,2,100", flag, "0")
+        assert code == 1 and flag in err
+    code, _, err = run(capsys, "mu", "--set", "1,2", "--t", "0,1/2", "--precision", "-1")
+    assert code == 1 and "--precision" in err
+
+
+def test_grid_refuses_oversized_grid(capsys):
+    code, _, err = run(capsys, "constants", "1", "2", "100", "--grid", "100000")
+    assert code == 1 and "limit" in err
+
+
 def test_mu_refuses_oversized_spectrum(capsys):
     code, _, err = run(capsys, "mu", "--set", "1,2,1000000000", "--t", "0,0,0")
     assert code == 1 and "limit" in err

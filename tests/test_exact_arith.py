@@ -5,11 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kronlab.closed_form import (alpha_formula, binary_mu, congruence_data,
+                                 ln_value, toggle_reduce)
 from kronlab.exact_arith import (NonCoprimeError, angular_norm, bezout_coprime,
                                  decimal_approx, nearest_int,
                                  nearest_int_distance, parse_rational,
                                  rational_from_json, rational_to_csv,
                                  rational_to_json)
+from kronlab.greedy_triple import TripleProblem
+from kronlab.pair_solver import PairProblem
 
 fractions_st = st.fractions(min_value=-20, max_value=20, max_denominator=997)
 
@@ -18,6 +22,30 @@ def test_nearest_int_distance_examples():
     assert nearest_int_distance(Fraction(3, 10)) == Fraction(3, 10)
     assert nearest_int_distance(Fraction(7, 4)) == Fraction(1, 4)
     assert nearest_int_distance(Fraction(-1, 2)) == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: TripleProblem(1, 2, 100, 0.1, 0, 0), id="triple-float-target"),
+    pytest.param(lambda: TripleProblem(1, 2, 100, 0, False, 0), id="triple-bool-target"),
+    pytest.param(lambda: TripleProblem(True, 2, 100, 0, 0, 0), id="triple-bool-frequency"),
+    pytest.param(lambda: TripleProblem(1, 2, 100.0, 0, 0, 0), id="triple-float-frequency"),
+    pytest.param(lambda: PairProblem(1, 2, 0.1, 0), id="pair-float-target"),
+    pytest.param(lambda: PairProblem(True, 2, 0, 0), id="pair-bool-frequency"),
+    pytest.param(lambda: congruence_data(True, 2, 5), id="congruence-bool-frequency"),
+    pytest.param(lambda: alpha_formula(1, 2.0, 5), id="alpha-float-frequency"),
+    pytest.param(lambda: ln_value(1, 2, 5.0), id="ln-float-frequency"),
+    pytest.param(lambda: binary_mu(1, 2, 5, 0.5), id="binary-mu-float-target"),
+    pytest.param(lambda: toggle_reduce((1, 2), (0.5, 0)), id="toggle-float-target"),
+])
+def test_every_entry_point_refuses_inexact_input(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_problem_types_accept_int_fraction_and_str_targets():
+    p = TripleProblem(1, 2, 100, 1, Fraction(1, 3), "0.1")
+    assert p.targets() == (Fraction(1), Fraction(1, 3), Fraction(1, 10))
+    assert PairProblem(1, 2, "-1/2", 0).t1 == Fraction(-1, 2)
 
 
 def test_angular_norm_examples():

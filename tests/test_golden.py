@@ -1,0 +1,65 @@
+"""Every command in every format, byte for byte against committed reports.
+
+The files in tests/golden/ hold the stdout of ``kronlab <argv>`` for each
+case below, captured before the CLI was refactored to one row and witness
+model.  Only wall-clock values are masked: ``runtime_ms`` in JSON and the
+``(N ms)`` of the bench text report.
+"""
+import re
+from pathlib import Path
+
+import pytest
+
+from kronlab.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "mu-text": "mu --set 2,5,300 --t 1/7,2/3,5/11",
+    "mu-json": "mu --set 2,5,300 --t 1/7,2/3,5/11 --json",
+    "mu-greedy-text": "mu --set 2,5,300 --t 1/7,2/3,5/11 --greedy",
+    "mu-greedy-json": "mu --set 2,5,300 --t 1/7,2/3,5/11 --greedy --json",
+    "mu-greedy-small-lambda-text": "mu --set 2,5,7 --t 1/3,1/5,2/7 --greedy",
+    "mu-greedy-half-json": "mu --set 1,2,100 --t 0,1/2,1/2 --greedy --json",
+    "mu-d4-decimal-json": "mu --set 3,4,5,11 --t 1/3,1/4,0.2,-2/7 --json",
+    "constants-text": "constants 1 2 100",
+    "constants-json": "constants 1 2 100 --json",
+    "constants-csv": "constants 1 2 100 --csv",
+    "constants-verify-text": "constants 1 2 100 --verify",
+    "constants-verify-json": "constants 1 2 100 --verify --json",
+    "constants-verify-csv": "constants 1 2 100 --verify --csv",
+    "constants-equal-verify-text": "constants 2 3 300 --verify",
+    "constants-equal-verify-json": "constants 2 3 300 --verify --json --precision 20",
+    "constants-small-n-verify-text": "constants 1 5 6 --verify",
+    "constants-small-n-verify-csv": "constants 1 5 6 --verify --csv",
+    "constants-grid-text": "constants 1 2 100 --grid 6",
+    "constants-grid-json": "constants 1 2 100 --grid 6 --json",
+    "constants-grid-csv": "constants 1 2 100 --grid 6 --csv",
+    "sweep-csv": "sweep 1 2 --from 96 --to 104",
+    "sweep-json": "sweep 1 2 --from 96 --to 104 --json",
+    "sweep-verify-csv": "sweep 1 2 --from 96 --to 104 --verify",
+    "sweep-verify-json": "sweep 1 2 --from 96 --to 104 --verify --json",
+    "sweep-small-n-verify-csv": "sweep 1 5 --from 6 --to 12 --verify",
+    "witness-text": "witness 1 2 100",
+    "witness-json": "witness 1 2 100 --json",
+    "witness-verify-text": "witness 1 2 100 --verify",
+    "witness-verify-json": "witness 1 2 100 --verify --json",
+    "witness-equal-verify-text": "witness 2 3 300 --verify",
+    "witness-small-n-verify-text": "witness 1 5 6 --verify",
+    "witness-small-n-verify-json": "witness 1 5 6 --verify --json",
+    "bench-text": "bench --set 1,2,100 --trials 5 --seed 7",
+    "bench-json": "bench --set 1,2,100 --trials 5 --seed 7 --json",
+}
+
+
+def _masked(text: str) -> str:
+    text = re.sub(r'"runtime_ms": \d+', '"runtime_ms": _', text)
+    return re.sub(r"\(\d+ ms\)", "(_ ms)", text)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(name, capsys):
+    assert main(CASES[name].split()) == 0
+    out = capsys.readouterr().out
+    golden = (GOLDEN / f"{name}.out").read_bytes().decode("utf-8")
+    assert _masked(out) == _masked(golden)

@@ -1,7 +1,10 @@
+import ast
 import itertools
 import math
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +12,12 @@ from hypothesis import strategies as st
 
 from conftest import rand_coprime_pair, rand_fraction
 from kronlab.exact_arith import nearest_int
-from kronlab.oracle import (MAX_CANDIDATE_BUDGET, OracleResult,
-                            SpectrumProblem, SpectrumTooLargeError,
-                            alpha_grid_lower_bound, beta_exact,
-                            binary_values, candidate_budget, mu_exact)
+import kronlab.oracle as oracle
+from kronlab.oracle import (MAX_CANDIDATE_BUDGET, MAX_GRID_TARGETS,
+                            OracleResult, SpectrumProblem,
+                            SpectrumTooLargeError, alpha_grid_lower_bound,
+                            beta_exact, binary_values, candidate_budget,
+                            mu_exact, worker_count)
 from oracle_reference import mu_exact_reference
 
 HALF = Fraction(1, 2)
@@ -274,3 +279,42 @@ def test_alpha_grid_lower_bounds_mu_at_grid_targets():
 def test_grid_jobs_consistency():
     assert alpha_grid_lower_bound((1, 2, 7), 3, jobs=2) == \
         alpha_grid_lower_bound((1, 2, 7), 3)
+
+
+def test_grid_refuses_oversized_grid_before_building_it():
+    assert 316 ** 2 <= MAX_GRID_TARGETS < 317 ** 2
+    with pytest.raises(ValueError, match="limit"):
+        alpha_grid_lower_bound((1, 2, 100), 317)
+    with pytest.raises(ValueError, match="limit"):
+        alpha_grid_lower_bound((1, 2, 100), 10**9)
+    with pytest.raises(ValueError, match="limit"):
+        alpha_grid_lower_bound((7,), 10**9)
+
+
+def test_worker_count_refuses_below_one_and_clamps():
+    cpus = os.cpu_count() or 1
+    assert worker_count(1, 50) == 1
+    assert worker_count(2, 1) == 1
+    assert worker_count(10**6, 3) == min(3, cpus)
+    assert worker_count(10**6, 10**6) == cpus
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match=str(jobs)):
+            worker_count(jobs, 10)
+        with pytest.raises(ValueError):
+            beta_exact((1, 2, 7), jobs=jobs)
+
+
+def test_oracle_imports_nothing_it_checks():
+    """The oracle is the ground truth for the closed forms, the pair solver
+    and the greedy construction, so it may reuse none of their code beyond
+    the binary toggle."""
+    imported = set()  # (kronlab module, name)
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module is None:
+            imported |= {(alias.name, "*") for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {(node.module.split(".")[-1], alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {(alias.name.split(".")[-1], "*") for alias in node.names}
+    assert not {module for module, _ in imported} & {"greedy_triple", "pair_solver"}
+    assert {name for module, name in imported if module == "closed_form"} <= {"toggle_reduce"}
