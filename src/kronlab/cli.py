@@ -23,7 +23,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -32,8 +32,7 @@ from .closed_form import (alpha_formula, alpha_witness, beta_formula,
                           in_asymptotic_regime, ln_value)
 from .exact_arith import (DEFAULT_PRECISION, HALF, decimal_approx,
                           rational_to_csv, rational_to_json)
-from .greedy_triple import (Certificate, NotInAsymptoticRegime, TripleProblem,
-                            greedy_en_certificate)
+from .greedy_triple import NotInAsymptoticRegime, TripleProblem, greedy_en_certificate
 from .oracle import (SpectrumProblem, alpha_grid_lower_bound, binary_values,
                      candidate_budget, mu_exact, parallel_map)
 
@@ -149,16 +148,11 @@ def rows_to_csv(rows) -> str:
 
 
 def row_to_json(row: SweepRow, precision: int) -> dict:
-    return {
-        "a": row.a, "b": row.b, "n": row.n,
-        "r": row.r, "R": row.R, "S": row.S,
-        "alpha": rational_to_json(row.alpha, precision),
-        "beta": rational_to_json(row.beta, precision),
-        "ln": rational_to_json(row.ln, precision),
-        "gap": row.gap,
-        "verified": row.verified,
-        "runtime_ms": row.runtime_ms,
-    }
+    """The row's fields in order, rationals as JSON objects."""
+    doc = asdict(row)
+    for key in ("alpha", "beta", "ln"):
+        doc[key] = rational_to_json(doc[key], precision)
+    return doc
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -181,6 +175,24 @@ def _fmt(q: Fraction, precision: int) -> str:
     return f"{q.numerator}/{q.denominator} (~{decimal_approx(q, precision)})"
 
 
+def _rational(key: str, label: str, q: Fraction, precision: int) -> tuple[dict, str]:
+    """Report field of one rational: JSON item ``key``, text line ``label = ...``."""
+    return {key: rational_to_json(q, precision)}, f"{label} = {_fmt(q, precision)}"
+
+
+def _report(args, fields: list[tuple[dict, str]]) -> None:
+    """Emit a command's report from its ordered fields, each a pair of JSON
+    items and a text line: with --json the items merged into one object,
+    otherwise the lines."""
+    if args.json:
+        doc = {}
+        for items, _ in fields:
+            doc.update(items)
+        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    else:
+        _emit("".join(f"{line}\n" for _, line in fields), args.out)
+
+
 def _parse_spectrum(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -194,116 +206,80 @@ def cmd_mu(args) -> int:
     targets = problem.targets
     result = mu_exact(problem)
     precision = args.precision
-
-    cert: Certificate | None = None
-    regime_note = None
+    fields = [
+        ({"spectrum": list(spectrum)}, f"spectrum: {','.join(str(nj) for nj in spectrum)}"),
+        ({"targets": [rational_to_json(t, precision) for t in targets]},
+         f"targets: {', '.join(rational_to_csv(t) for t in targets)}"),
+        _rational("mu", "mu", result.value, precision),
+        _rational("x_star", "x_star", result.x_star, precision),
+        ({"k_star": list(result.k_star)}, f"k_star = {list(result.k_star)}"),
+        ({"candidates_examined": result.candidates_examined},
+         f"candidates examined = {result.candidates_examined}"),
+    ]
     if args.greedy:
         if len(spectrum) != 3:
             raise ValueError("--greedy needs a 3-element spectrum with coprime a, b")
-        triple = TripleProblem(*spectrum, *targets)
+        regime_note = None
         try:
-            cert = greedy_en_certificate(triple)
+            cert = greedy_en_certificate(TripleProblem(*spectrum, *targets))
         except NotInAsymptoticRegime as exc:
             cert = exc.certificate
             regime_note = str(exc)
         if cert.cost < result.value:
             raise InvariantBreach(
                 f"certificate cost {cert.cost} below oracle value {result.value}")
-
-    if args.json:
-        doc = {
-            "spectrum": list(spectrum),
-            "targets": [rational_to_json(t, precision) for t in targets],
-            "mu": rational_to_json(result.value, precision),
-            "x_star": rational_to_json(result.x_star, precision),
-            "k_star": list(result.k_star),
-            "candidates_examined": result.candidates_examined,
+        cert_doc = {
+            "x_star": rational_to_json(cert.x_star, precision),
+            "k": list(cert.k),
+            "cost": rational_to_json(cert.cost, precision),
+            "method": cert.method,
+            "negated": cert.negated,
         }
-        if cert is not None:
-            doc["certificate"] = {
-                "x_star": rational_to_json(cert.x_star, precision),
-                "k": list(cert.k),
-                "cost": rational_to_json(cert.cost, precision),
-                "method": cert.method,
-                "negated": cert.negated,
-            }
-            if regime_note:
-                doc["certificate"]["note"] = regime_note
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    else:
-        lines = [
-            f"spectrum: {','.join(str(nj) for nj in spectrum)}",
-            f"targets: {', '.join(rational_to_csv(t) for t in targets)}",
-            f"mu = {_fmt(result.value, precision)}",
-            f"x_star = {_fmt(result.x_star, precision)}",
-            f"k_star = {list(result.k_star)}",
-            f"candidates examined = {result.candidates_examined}",
-        ]
-        if cert is not None:
-            lines.append(f"certificate: x_star = {_fmt(cert.x_star, precision)}, "
-                         f"cost = {_fmt(cert.cost, precision)}, method = {cert.method}"
-                         + (", negated" if cert.negated else ""))
-            if regime_note:
-                lines.append(f"note: {regime_note} (bound certificate shown)")
-        _emit("\n".join(lines) + "\n", args.out)
+        fields.append(({"certificate": cert_doc},
+                       f"certificate: x_star = {_fmt(cert.x_star, precision)}, "
+                       f"cost = {_fmt(cert.cost, precision)}, method = {cert.method}"
+                       + (", negated" if cert.negated else "")))
+        if regime_note:
+            cert_doc["note"] = regime_note
+            fields.append(({}, f"note: {regime_note} (bound certificate shown)"))
+    _report(args, fields)
     return 0
 
 
 def cmd_constants(args) -> int:
     a, b, n = args.a, args.b, args.n
     row = evaluate_sweep_row(a, b, n, args.verify)
-    verified = row.verified if args.verify else None
     cd = congruence_data(a, b, n)
     regime = in_asymptotic_regime(a, b, n)
     witness = _witness(a, b, n)
     precision = args.precision
-
-    grid = None
-    if args.grid:
-        grid = alpha_grid_lower_bound((a, b, n), args.grid)
-
+    fields = [
+        ({"a": a, "b": b, "n": n}, f"triple: a={a} b={b} n={n}"),
+        ({"congruence": asdict(cd)},
+         f"congruences: r={cd.r} T={cd.T} R={cd.R} r2={cd.r2} S={cd.S} "
+         f"g={cd.g} h={cd.h} parity={cd.parity_case}"),
+        _rational("alpha", "alpha", row.alpha, precision),
+        _rational("beta", "beta ", row.beta, precision),
+        _rational("ln", "L_n  ", row.ln, precision),
+        ({"gap": row.gap}, f"gap (alpha > beta) = {'true' if row.gap else 'false'}"),
+        ({"in_asymptotic_regime": regime},
+         f"asymptotic regime = {'yes' if regime else 'no (small n)'}"),
+        ({"witness": witness.to_json(precision)},
+         f"{witness.text()}, expected mu = {rational_to_csv(witness.expected)}"),
+    ]
+    if args.verify:
+        fields.append(({"verified": row.verified}, f"verified: {row.verified}"))
+    if args.grid is not None:
+        value, argmax = alpha_grid_lower_bound((a, b, n), args.grid)
+        fields.append(({"grid": {"D": args.grid, "value": rational_to_json(value, precision),
+                                 "argmax": [rational_to_csv(t) for t in argmax]}},
+                       f"grid lower bound (D={args.grid}): {_fmt(value, precision)} "
+                       f"at t=({', '.join(rational_to_csv(t) for t in argmax)})"))
     if args.csv:
         _emit(rows_to_csv([row]), args.out)
-    elif args.json:
-        doc = {
-            "a": a, "b": b, "n": n,
-            "congruence": {"r": cd.r, "T": cd.T, "R": cd.R, "r2": cd.r2,
-                           "S": cd.S, "g": cd.g, "h": cd.h,
-                           "parity_case": cd.parity_case},
-            "alpha": rational_to_json(row.alpha, precision),
-            "beta": rational_to_json(row.beta, precision),
-            "ln": rational_to_json(row.ln, precision),
-            "gap": row.gap,
-            "in_asymptotic_regime": regime,
-            "witness": witness.to_json(precision),
-        }
-        if verified is not None:
-            doc["verified"] = verified
-        if grid is not None:
-            doc["grid"] = {"D": args.grid,
-                           "value": rational_to_json(grid[0], precision),
-                           "argmax": [rational_to_csv(t) for t in grid[1]]}
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
     else:
-        lines = [
-            f"triple: a={a} b={b} n={n}",
-            f"congruences: r={cd.r} T={cd.T} R={cd.R} r2={cd.r2} S={cd.S} "
-            f"g={cd.g} h={cd.h} parity={cd.parity_case}",
-            f"alpha = {_fmt(row.alpha, precision)}",
-            f"beta  = {_fmt(row.beta, precision)}",
-            f"L_n   = {_fmt(row.ln, precision)}",
-            f"gap (alpha > beta) = {'true' if row.gap else 'false'}",
-            f"asymptotic regime = {'yes' if regime else 'no (small n)'}",
-            f"{witness.text()}, expected mu = {rational_to_csv(witness.expected)}",
-        ]
-        if verified is not None:
-            lines.append(f"verified: {verified}")
-        if grid is not None:
-            lines.append(f"grid lower bound (D={args.grid}): {_fmt(grid[0], precision)} "
-                         f"at t=({', '.join(rational_to_csv(t) for t in grid[1])})")
-        _emit("\n".join(lines) + "\n", args.out)
-
-    if verified == UNVERIFIED and regime:
+        _report(args, fields)
+    if args.verify and row.verified == UNVERIFIED and regime:
         raise VerificationMismatch(
             f"formula disagrees with oracle for ({a}, {b}, {n}) inside the regime")
     return 0
@@ -343,34 +319,23 @@ def cmd_sweep(args) -> int:
 def cmd_witness(args) -> int:
     a, b, n = args.a, args.b, args.n
     witness = _witness(a, b, n)
-    expected = witness.expected
     precision = args.precision
-
-    oracle_mu = None
+    fields = [
+        ({"a": a, "b": b, "n": n, "gap_case": witness.gap_case},
+         f"triple: a={a} b={b} n={n} ({'R=a gap case' if witness.gap_case else 'R!=a'})"),
+        (witness.to_json(precision), witness.text()),
+        ({}, f"expected mu = {_fmt(witness.expected, precision)}"),
+    ]
     if args.verify:
         oracle_mu = mu_exact(SpectrumProblem((a, b, n), witness.t)).value
-
-    if args.json:
-        doc = {"a": a, "b": b, "n": n, "gap_case": witness.gap_case,
-               **witness.to_json(precision)}
-        if oracle_mu is not None:
-            doc["oracle_mu"] = rational_to_json(oracle_mu, precision)
-            doc["verified"] = oracle_mu == expected
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    else:
-        lines = [
-            f"triple: a={a} b={b} n={n} ({'R=a gap case' if witness.gap_case else 'R!=a'})",
-            witness.text(),
-            f"expected mu = {_fmt(expected, precision)}",
-        ]
-        if oracle_mu is not None:
-            lines.append(f"oracle mu = {_fmt(oracle_mu, precision)} "
-                         f"({'match' if oracle_mu == expected else 'MISMATCH'})")
-        _emit("\n".join(lines) + "\n", args.out)
-
-    if oracle_mu is not None and oracle_mu != expected and in_asymptotic_regime(a, b, n):
-        raise VerificationMismatch(
-            f"witness cost {oracle_mu} != {expected} for ({a}, {b}, {n}) inside the regime")
+        match = oracle_mu == witness.expected
+        fields.append(({"oracle_mu": rational_to_json(oracle_mu, precision), "verified": match},
+                       f"oracle mu = {_fmt(oracle_mu, precision)} "
+                       f"({'match' if match else 'MISMATCH'})"))
+    _report(args, fields)
+    if args.verify and not match and in_asymptotic_regime(a, b, n):
+        raise VerificationMismatch(f"witness cost {oracle_mu} != {witness.expected} "
+                                   f"for ({a}, {b}, {n}) inside the regime")
     return 0
 
 
@@ -387,27 +352,21 @@ def cmd_bench(args) -> int:
         results.append((targets, res, int((time.perf_counter() - t0) * 1000)))
     worst = max(res.candidates_examined for _, res, _ in results)
 
-    if args.json:
-        doc = {
-            "spectrum": list(spectrum), "trials": args.trials, "seed": args.seed,
-            "budget": budget, "max_candidates": worst,
-            "results": [{"targets": [rational_to_csv(t) for t in targets],
-                         "value": rational_to_csv(res.value),
-                         "candidates": res.candidates_examined,
-                         "runtime_ms": ms}
-                        for targets, res, ms in results],
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    else:
-        lines = [f"spectrum: {','.join(str(nj) for nj in spectrum)}  "
-                 f"budget = {budget} candidates"]
-        for targets, res, ms in results:
-            lines.append(f"t=({', '.join(rational_to_csv(t) for t in targets)}): "
-                         f"mu={rational_to_csv(res.value)} "
-                         f"candidates={res.candidates_examined} ({ms} ms)")
-        lines.append(f"max candidates = {worst} (budget {budget})")
-        _emit("\n".join(lines) + "\n", args.out)
-
+    _report(args, [
+        ({"spectrum": list(spectrum), "trials": args.trials, "seed": args.seed,
+          "budget": budget, "max_candidates": worst},
+         f"spectrum: {','.join(str(nj) for nj in spectrum)}  budget = {budget} candidates"),
+        ({"results": [{"targets": [rational_to_csv(t) for t in targets],
+                       "value": rational_to_csv(res.value),
+                       "candidates": res.candidates_examined,
+                       "runtime_ms": ms}
+                      for targets, res, ms in results]},
+         "\n".join(f"t=({', '.join(rational_to_csv(t) for t in targets)}): "
+                   f"mu={rational_to_csv(res.value)} "
+                   f"candidates={res.candidates_examined} ({ms} ms)"
+                   for targets, res, ms in results)),
+        ({}, f"max candidates = {worst} (budget {budget})"),
+    ])
     if worst > budget:
         raise InvariantBreach(f"candidate count {worst} exceeds budget {budget}")
     return 0

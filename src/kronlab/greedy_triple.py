@@ -248,6 +248,17 @@ def greedy_en_certificate(p: TripleProblem) -> Certificate:
     Raises NotInAsymptoticRegime (with a greedy_bound fallback attached)
     when no alignment point exists in the final case; for n in the
     asymptotic regime that cannot happen, for any residue class R.
+
+    Why negate instead of picking the window by sign, as greedy_bound
+    does: the two are not the same certificate.  _pick_alignment breaks a
+    half-integer tie toward the smaller k3 of the problem it is given, so
+    on the negated problem it rounds the original k3 up.  Picking the
+    window by sign with ties rounding down changed 62 of 30 000 random
+    certificates (6 959 of them negative-sign), e.g. (1, 3, 204) at
+    t = (0, 2/3, 1/2).  Reproducing all of them would need an orientation
+    parameter in small_lambda_certificate and _pick_alignment, because
+    greedy_bound rounds ties down for either sign (mirroring it too changed
+    5 of 30 000 of its certificates): a new parameter for about 15 lines.
     """
     a, b, n = p.a, p.b, p.n
     q = p

@@ -43,9 +43,19 @@ MAX_CANDIDATE_BUDGET = 10**6
 #: this, before it builds any: D up to 316 for a triple.
 MAX_GRID_TARGETS = 10**5
 
+#: alpha_grid_lower_bound also refuses grids whose D^(d-1) targets allow more
+#: than this many oracle candidates in all (candidate_budget per target).  At
+#: the measured 0.28-0.42 us per budgeted candidate (Python 3.11, x86), the
+#: largest accepted grid takes about a minute at jobs=1.
+MAX_GRID_WORK = 150_000_000
+
+#: binary_values and beta_exact refuse spectra of more frequencies than this:
+#: they enumerate up to 2^d binary targets.
+MAX_BINARY_SIZE = 12
+
 
 class SpectrumTooLargeError(ValueError):
-    """beta_exact refuses spectra beyond its 2^d enumeration cap."""
+    """beta_exact refuses spectra of more than MAX_BINARY_SIZE frequencies."""
 
 
 def worker_count(jobs: int, tasks: int) -> int:
@@ -181,21 +191,21 @@ def _reduce_max(pairs):
     return best_v, best_t
 
 
-def binary_values(spectrum: Sequence[int], cap: int = 12, use_toggle: bool = True,
+def binary_values(spectrum: Sequence[int], use_toggle: bool = True,
                   jobs: int = 1) -> dict[tuple[Fraction, ...], Fraction]:
     """mu_exact value at each binary target beta_exact reduces, keyed by target.
 
     With use_toggle, only one representative of each toggling pair is a key.
     """
     spectrum = _checked_spectrum(spectrum)
-    if len(spectrum) > cap:
+    if len(spectrum) > MAX_BINARY_SIZE:
         raise SpectrumTooLargeError(
-            f"|S| = {len(spectrum)} exceeds the cap of {cap}")
+            f"|S| = {len(spectrum)} exceeds MAX_BINARY_SIZE = {MAX_BINARY_SIZE}")
     work = [(spectrum, t) for t in _binary_targets(spectrum, use_toggle)]
     return dict(parallel_map(_mu_value_at, work, jobs))
 
 
-def beta_exact(spectrum: Sequence[int], cap: int = 12, use_toggle: bool = True,
+def beta_exact(spectrum: Sequence[int], use_toggle: bool = True,
                jobs: int = 1) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Exhaustive binary Kronecker constant: max of mu_exact over {0, 1/2}^d.
 
@@ -203,7 +213,7 @@ def beta_exact(spectrum: Sequence[int], cap: int = 12, use_toggle: bool = True,
     cost-equivalence class.  Independent targets may be distributed over
     ``jobs`` worker processes; the reduction is order-independent.
     """
-    return _reduce_max(binary_values(spectrum, cap, use_toggle, jobs).items())
+    return _reduce_max(binary_values(spectrum, use_toggle, jobs).items())
 
 
 def alpha_grid_lower_bound(spectrum: Sequence[int], D: int, jobs: int = 1
@@ -213,7 +223,9 @@ def alpha_grid_lower_bound(spectrum: Sequence[int], D: int, jobs: int = 1
     Translation invariance (mu is unchanged by t -> t + c*spectrum) pins
     t_1 = 0, so only D^(d-1) grid targets are scanned.  The result is a
     certified lower bound, monotone under grid refinement D -> k*D; it is
-    not claimed to attain the constant.
+    not claimed to attain the constant.  Raises ValueError, before any
+    target is built, when the grid exceeds MAX_GRID_TARGETS or its
+    candidate budget exceeds MAX_GRID_WORK.
     """
     spectrum = _checked_spectrum(spectrum)
     if D < 2:
@@ -222,6 +234,10 @@ def alpha_grid_lower_bound(spectrum: Sequence[int], D: int, jobs: int = 1
     if max(count, D) > MAX_GRID_TARGETS:
         raise ValueError(f"a 1/{D} grid on {spectrum} has {count} targets of {D} steps, "
                          f"above the limit of {MAX_GRID_TARGETS}")
+    work_budget = count * candidate_budget(spectrum)
+    if work_budget > MAX_GRID_WORK:
+        raise ValueError(f"a 1/{D} grid on {spectrum} allows up to {work_budget} oracle "
+                         f"candidates, above the limit of {MAX_GRID_WORK}")
     steps = [Fraction(i, D) for i in range(D)]
     work = [(spectrum, (Fraction(0),) + rest)
             for rest in itertools.product(steps, repeat=len(spectrum) - 1)]

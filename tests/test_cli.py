@@ -91,6 +91,8 @@ def test_constants_usage_errors(capsys):
     assert code == 1 and "gcd" in err
     code, _, _ = run(capsys, "constants", "2", "4")
     assert code == 1
+    code, out, err = run(capsys, "constants", "1", "2", "100", "--grid", "0")
+    assert code == 1 and out == "" and "grid resolution must be >= 2, got 0" in err
     code, _, _ = run(capsys, "nosuchcommand")
     assert code == 1
 
@@ -172,9 +174,17 @@ def test_counts_below_one_exit_1(capsys):
     assert code == 1 and "--precision" in err
 
 
-def test_grid_refuses_oversized_grid(capsys):
+def test_grid_refuses_oversized_grid(capsys, monkeypatch):
     code, _, err = run(capsys, "constants", "1", "2", "100", "--grid", "100000")
     assert code == 1 and "limit" in err
+
+    def no_evaluation(fn, work, jobs):
+        raise AssertionError("the grid was evaluated")
+
+    # 316^2 targets pass the target limit; their oracle work does not
+    monkeypatch.setattr(oracle, "parallel_map", no_evaluation)
+    code, out, err = run(capsys, "constants", "1", "2", "1000", "--grid", "316")
+    assert code == 1 and out == "" and "oracle candidates" in err
 
 
 def test_mu_refuses_oversized_spectrum(capsys):

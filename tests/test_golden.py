@@ -1,9 +1,10 @@
 """Every command in every format, byte for byte against committed reports.
 
 The files in tests/golden/ hold the stdout of ``kronlab <argv>`` for each
-case below, captured before the CLI was refactored to one row and witness
-model.  Only wall-clock values are masked: ``runtime_ms`` in JSON and the
-``(N ms)`` of the bench text report.
+case below, each captured from the code before the CLI refactor it guards
+(one row and witness model; one report per command).  Only wall-clock
+values are masked: ``runtime_ms`` in JSON and the ``(N ms)`` of the bench
+text report.
 """
 import re
 from pathlib import Path
@@ -22,9 +23,15 @@ CASES = {
     "mu-greedy-small-lambda-text": "mu --set 2,5,7 --t 1/3,1/5,2/7 --greedy",
     "mu-greedy-half-json": "mu --set 1,2,100 --t 0,1/2,1/2 --greedy --json",
     "mu-d4-decimal-json": "mu --set 3,4,5,11 --t 1/3,1/4,0.2,-2/7 --json",
+    # The best balanced point has a negative sign and the alignment step
+    # lands on a half-integer tie: the negated construction is pinned here.
+    "mu-greedy-negated-1-json": "mu --set 1,3,204 --t 0,2/3,1/2 --greedy --json",
+    "mu-greedy-negated-2-json": "mu --set 8,11,798 --t 0,1/3,1/2 --greedy --json",
+    "mu-greedy-negated-3-json": "mu --set 9,11,160 --t 2/5,1/3,3/4 --greedy --json",
     "constants-text": "constants 1 2 100",
     "constants-json": "constants 1 2 100 --json",
     "constants-csv": "constants 1 2 100 --csv",
+    "constants-csv-json": "constants 1 2 100 --csv --json",  # --csv wins
     "constants-verify-text": "constants 1 2 100 --verify",
     "constants-verify-json": "constants 1 2 100 --verify --json",
     "constants-verify-csv": "constants 1 2 100 --verify --csv",

@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 from conftest import rand_coprime_pair, rand_fraction
 from kronlab.exact_arith import nearest_int
 import kronlab.oracle as oracle
-from kronlab.oracle import (MAX_CANDIDATE_BUDGET, MAX_GRID_TARGETS,
-                            OracleResult, SpectrumProblem,
-                            SpectrumTooLargeError, alpha_grid_lower_bound,
-                            beta_exact, binary_values, candidate_budget,
-                            mu_exact, worker_count)
+from kronlab.oracle import (MAX_BINARY_SIZE, MAX_CANDIDATE_BUDGET,
+                            MAX_GRID_TARGETS, MAX_GRID_WORK, OracleResult,
+                            SpectrumProblem, SpectrumTooLargeError,
+                            alpha_grid_lower_bound, beta_exact, binary_values,
+                            candidate_budget, mu_exact, worker_count)
 from oracle_reference import mu_exact_reference
 
 HALF = Fraction(1, 2)
@@ -244,10 +244,10 @@ def test_binary_values_are_what_beta_exact_reduces():
 
 
 def test_beta_exact_cap():
-    with pytest.raises(SpectrumTooLargeError):
+    with pytest.raises(SpectrumTooLargeError, match="MAX_BINARY_SIZE = 12"):
         beta_exact(tuple(range(1, 14)))
-    # a generous cap admits larger spectra
-    value, _ = beta_exact((1, 2, 3, 4, 5), cap=5)
+    assert MAX_BINARY_SIZE == 12
+    value, _ = beta_exact((1, 2, 3, 4, 5))
     assert 0 < value <= HALF
 
 
@@ -281,7 +281,7 @@ def test_grid_jobs_consistency():
         alpha_grid_lower_bound((1, 2, 7), 3)
 
 
-def test_grid_refuses_oversized_grid_before_building_it():
+def test_grid_refuses_oversized_grid_before_building_it(monkeypatch):
     assert 316 ** 2 <= MAX_GRID_TARGETS < 317 ** 2
     with pytest.raises(ValueError, match="limit"):
         alpha_grid_lower_bound((1, 2, 100), 317)
@@ -289,6 +289,18 @@ def test_grid_refuses_oversized_grid_before_building_it():
         alpha_grid_lower_bound((1, 2, 100), 10**9)
     with pytest.raises(ValueError, match="limit"):
         alpha_grid_lower_bound((7,), 10**9)
+
+    def no_evaluation(fn, work, jobs):
+        raise AssertionError("the grid was evaluated")
+
+    # the work limit: each 1/316 target on (1, 2, 1000) allows 9036 candidates
+    monkeypatch.setattr(oracle, "parallel_map", no_evaluation)
+    with pytest.raises(ValueError, match="oracle candidates"):
+        alpha_grid_lower_bound((1, 2, 1000), 316)
+    assert 128 ** 2 * candidate_budget((1, 2, 1000)) <= MAX_GRID_WORK
+    assert 129 ** 2 * candidate_budget((1, 2, 1000)) > MAX_GRID_WORK
+    # the 1/316 grid stays admitted at n = 100 (about 30 s at jobs=1)
+    assert 316 ** 2 * candidate_budget((1, 2, 100)) <= MAX_GRID_WORK
 
 
 def test_worker_count_refuses_below_one_and_clamps():
