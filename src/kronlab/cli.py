@@ -34,7 +34,7 @@ from .exact_arith import (DEFAULT_PRECISION, HALF, decimal_approx,
                           rational_to_csv, rational_to_json)
 from .greedy_triple import NotInAsymptoticRegime, TripleProblem, greedy_en_certificate
 from .oracle import (SpectrumProblem, alpha_grid_lower_bound, binary_values,
-                     candidate_budget, mu_exact, parallel_map)
+                     candidate_budget, check_grid, mu_exact, parallel_map)
 
 CSV_COLUMNS = ("a", "b", "n", "r", "R", "S", "alpha", "beta", "ln", "gap", "verified")
 
@@ -269,7 +269,9 @@ def cmd_constants(args) -> int:
     ]
     if args.verify:
         fields.append(({"verified": row.verified}, f"verified: {row.verified}"))
-    if args.grid is not None:
+    if args.grid is not None and args.csv:
+        check_grid((a, b, n), args.grid)  # the CSV row has no grid column
+    elif args.grid is not None:
         value, argmax = alpha_grid_lower_bound((a, b, n), args.grid)
         fields.append(({"grid": {"D": args.grid, "value": rational_to_json(value, precision),
                                  "argmax": [rational_to_csv(t) for t in argmax]}},

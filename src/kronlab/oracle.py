@@ -17,10 +17,20 @@ L = lcm(target denominators) * lcm({n_i + n_j}, {2*n_j}): each family is
 an arithmetic progression of integers X in [0, L), and the distance
 <n_k*x - t_k> is min(r, L - r)/L for r = (n_k*X - t_k*L) mod L.  So the
 scan compares integers only, and converts the optimum to a Fraction once.
-It is exact, with no tolerance anywhere.  This module deliberately shares
-no code with the closed forms or the greedy construction it is used to
-check (only the trivial binary toggle is reused, as a work-halving device
-whose validity is itself under test).
+It is exact, with no tolerance anywhere.
+
+The scan walks each progression in turn, with no merged or sorted candidate
+list.  An explicit tie rule makes that order irrelevant: the incumbent
+(value, X) is replaced only by a lexicographically smaller pair, so the
+result is the smallest minimising x.  The largest frequency's term is
+evaluated first, and most candidates are rejected on it alone.  mu_exact
+also counts the distinct candidates (candidates_examined); the value-only
+path behind binary_values, beta_exact and alpha_grid_lower_bound builds no
+such set.  Every path applies the MAX_CANDIDATE_BUDGET refusal.
+
+This module deliberately shares no code with the closed forms or the greedy
+construction it is used to check (only the trivial binary toggle is reused,
+as a work-halving device whose validity is itself under test).
 """
 from __future__ import annotations
 
@@ -45,8 +55,9 @@ MAX_GRID_TARGETS = 10**5
 
 #: alpha_grid_lower_bound also refuses grids whose D^(d-1) targets allow more
 #: than this many oracle candidates in all (candidate_budget per target).  At
-#: the measured 0.28-0.42 us per budgeted candidate (Python 3.11, x86), the
-#: largest accepted grid takes about a minute at jobs=1.
+#: the measured 0.08-0.21 us per budgeted candidate (Python 3.11, 2-CPU x86;
+#: (1,2,100), (1,2,1000), (2,5,300), (3,7,2000), (1,2,3,50)), the largest
+#: accepted grid takes 15-30 s at jobs=1.
 MAX_GRID_WORK = 150_000_000
 
 #: binary_values and beta_exact refuse spectra of more frequencies than this:
@@ -103,29 +114,19 @@ class OracleResult:
     candidates_examined: int
 
 
-def _grid_candidates(spectrum: tuple[int, ...], scaled: list[int], L: int) -> list[int]:
-    """Sorted distinct grid points X in [0, L) of the candidate families,
-    given scaled[j] = t_j*L.  Valleys and peaks of n_j together are the one
-    progression X = (t_j*L + k*L/2)/n_j, of step L/(2*n_j)."""
-    cands: set[int] = set()
-    for i, j in itertools.combinations(range(len(spectrum)), 2):
-        total = spectrum[i] + spectrum[j]
-        step = L // total
-        cands.update(range((scaled[i] + scaled[j]) // total % step, L, step))
-    for nj, tj in zip(spectrum, scaled):
-        step = L // (2 * nj)
-        cands.update(range(tj // nj % step, L, step))
-    return sorted(cands)
+def _scan(spectrum: tuple[int, ...], targets: tuple[Fraction, ...]
+          ) -> tuple[int, int, int, list[range]]:
+    """(best, best_X, L, progressions): the minimum best/L of F on the grid
+    x = X/L, its smallest minimiser best_X/L, and the candidate progressions
+    scanned.  Raises ValueError when candidate_budget(spectrum) exceeds
+    MAX_CANDIDATE_BUDGET, before it allocates anything.
 
-
-def mu_exact(p: SpectrumProblem) -> OracleResult:
-    """Exact minimum of x -> max_j <n_j*x - t_j> over x in [0, 1).
-
-    Ties broken toward the smallest x_star, then the lexicographically
-    smallest k_star (nearest integers, halves rounding down).  Raises
-    ValueError when candidate_budget(spectrum) exceeds MAX_CANDIDATE_BUDGET.
+    The candidates are arithmetic progressions of integers X in [0, L): the
+    crossings of each pair, then the valleys and peaks of each n_j, which
+    together are the one progression X = (t_j*L + k*L/2)/n_j of step
+    L/(2*n_j).  They are scanned one after another, not merged, so a point
+    in several progressions is evaluated once in each.
     """
-    spectrum, targets = p.spectrum, p.targets
     budget = candidate_budget(spectrum)
     if budget > MAX_CANDIDATE_BUDGET:
         raise ValueError(f"spectrum {spectrum} allows up to {budget} oracle candidates, "
@@ -134,29 +135,59 @@ def mu_exact(p: SpectrumProblem) -> OracleResult:
          * math.lcm(*(ni + nj for ni, nj in itertools.combinations(spectrum, 2)),
                     *(2 * nj for nj in spectrum)))
     scaled = [t.numerator * (L // t.denominator) for t in targets]
-    cands = _grid_candidates(spectrum, scaled, L)
-    # Largest frequency first: it moves fastest, so partial maxima exceed
-    # the incumbent early and most candidates are rejected after one term.
-    order = list(zip(spectrum, scaled))[::-1]
+    progressions = []
+    for i, j in itertools.combinations(range(len(spectrum)), 2):
+        total = spectrum[i] + spectrum[j]
+        step = L // total
+        progressions.append(range((scaled[i] + scaled[j]) // total % step, L, step))
+    for nj, tj in zip(spectrum, scaled):
+        step = L // (2 * nj)
+        progressions.append(range(tj // nj % step, L, step))
+    # Largest frequency first: it moves fastest, so its term alone exceeds
+    # the incumbent for most candidates, which are rejected before the loop.
+    (n0, t0), *rest = list(zip(spectrum, scaled))[::-1]
     half = L // 2
-    best, best_X = L, None  # every distance is at most L/2, so the first candidate wins
-    for X in cands:
-        worst = 0
-        for nk, tk in order:
-            r = (nk * X - tk) % L
-            if r > half:
-                r = L - r
-            if r > worst:
-                worst = r
-                if worst >= best:
-                    break
-        else:
-            if worst < best:
-                best, best_X = worst, X
+    # The incumbent (best, best_X) gives way only to a lexicographically
+    # smaller (worst, X), so the progressions may come in any order and
+    # overlap.  A candidate is dropped once worst > best; one that ties best
+    # is kept only at a smaller X.  Every distance is at most L/2, so the
+    # first candidate wins.
+    best, best_X = L, L
+    for progression in progressions:
+        for X in progression:
+            worst = (n0 * X - t0) % L
+            if worst > half:
+                worst = L - worst
+            if worst > best:
+                continue
+            for nk, tk in rest:
+                r = (nk * X - tk) % L
+                if r > half:
+                    r = L - r
+                if r > worst:
+                    worst = r
+                    if worst > best:
+                        break
+            else:
+                if worst < best or X < best_X:
+                    best, best_X = worst, X
+    return best, best_X, L, progressions
+
+
+def mu_exact(p: SpectrumProblem) -> OracleResult:
+    """Exact minimum of x -> max_j <n_j*x - t_j> over x in [0, 1).
+
+    Ties broken toward the smallest x_star, then the lexicographically
+    smallest k_star (nearest integers, halves rounding down).
+    candidates_examined counts the distinct candidates.  Raises ValueError
+    when candidate_budget(spectrum) exceeds MAX_CANDIDATE_BUDGET.
+    """
+    spectrum, targets = p.spectrum, p.targets
+    best, best_X, L, progressions = _scan(spectrum, targets)
     x_star = Fraction(best_X, L)
     k_star = tuple(nearest_int(nj * x_star - tj) for nj, tj in zip(spectrum, targets))
     return OracleResult(value=Fraction(best, L), x_star=x_star, k_star=k_star,
-                        candidates_examined=len(cands))
+                        candidates_examined=len(set().union(*progressions)))
 
 
 def candidate_budget(spectrum: Sequence[int]) -> int:
@@ -179,7 +210,10 @@ def _binary_targets(spectrum, use_toggle):
 
 
 def _mu_value_at(spectrum, t):
-    return t, mu_exact(SpectrumProblem(spectrum, t)).value
+    """(t, mu_exact value at t) for a checked spectrum and Fraction targets,
+    without the x_star, k_star and candidate count mu_exact derives."""
+    best, _, L, _ = _scan(spectrum, t)
+    return t, Fraction(best, L)
 
 
 def _reduce_max(pairs):
@@ -216,16 +250,13 @@ def beta_exact(spectrum: Sequence[int], use_toggle: bool = True,
     return _reduce_max(binary_values(spectrum, use_toggle, jobs).items())
 
 
-def alpha_grid_lower_bound(spectrum: Sequence[int], D: int, jobs: int = 1
-                           ) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Lower bound on the angular constant from a 1/D target grid.
+def check_grid(spectrum: Sequence[int], D: int) -> tuple[int, ...]:
+    """The checked spectrum, once a 1/D grid on it passes the limits
+    alpha_grid_lower_bound applies before it builds any target.
 
-    Translation invariance (mu is unchanged by t -> t + c*spectrum) pins
-    t_1 = 0, so only D^(d-1) grid targets are scanned.  The result is a
-    certified lower bound, monotone under grid refinement D -> k*D; it is
-    not claimed to attain the constant.  Raises ValueError, before any
-    target is built, when the grid exceeds MAX_GRID_TARGETS or its
-    candidate budget exceeds MAX_GRID_WORK.
+    Raises ValueError when D < 2, when the grid has more than
+    MAX_GRID_TARGETS targets or steps, or when its candidate budget exceeds
+    MAX_GRID_WORK.
     """
     spectrum = _checked_spectrum(spectrum)
     if D < 2:
@@ -238,6 +269,20 @@ def alpha_grid_lower_bound(spectrum: Sequence[int], D: int, jobs: int = 1
     if work_budget > MAX_GRID_WORK:
         raise ValueError(f"a 1/{D} grid on {spectrum} allows up to {work_budget} oracle "
                          f"candidates, above the limit of {MAX_GRID_WORK}")
+    return spectrum
+
+
+def alpha_grid_lower_bound(spectrum: Sequence[int], D: int, jobs: int = 1
+                           ) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """Lower bound on the angular constant from a 1/D target grid.
+
+    Translation invariance (mu is unchanged by t -> t + c*spectrum) pins
+    t_1 = 0, so only D^(d-1) grid targets are scanned.  The result is a
+    certified lower bound, monotone under grid refinement D -> k*D; it is
+    not claimed to attain the constant.  Raises ValueError, before any
+    target is built, when check_grid refuses the grid.
+    """
+    spectrum = check_grid(spectrum, D)
     steps = [Fraction(i, D) for i in range(D)]
     work = [(spectrum, (Fraction(0),) + rest)
             for rest in itertools.product(steps, repeat=len(spectrum) - 1)]

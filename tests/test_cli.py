@@ -1,4 +1,5 @@
 import json
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from kronlab.cli import (CSV_COLUMNS, UNVERIFIED, VERIFIED_ORACLE,
                          VERIFIED_WITNESS, evaluate_sweep_row, main)
 from kronlab.closed_form import (alpha_formula, alpha_witness, beta_formula,
                                  binary_mu, canonical_binary_pair,
-                                 congruence_data, ln_value)
+                                 congruence_data, in_asymptotic_regime, ln_value)
 from kronlab.exact_arith import parse_rational
 from kronlab.oracle import SpectrumProblem, beta_exact, mu_exact
 
@@ -129,14 +130,15 @@ def test_row_checks_verdicts_and_single_evaluation(monkeypatch):
     assert not all(reference.values()) and any(reference.values())
     assert (2, 5, 6) in reference and not reference[(2, 5, 6)]
 
+    # Count at the scan that mu_exact and the value-only binary path share.
     seen = Counter()
+    scan = oracle._scan
 
-    def counting_mu_exact(p):
-        seen[(p.spectrum, p.targets)] += 1
-        return mu_exact(p)
+    def counting_scan(spectrum, targets):
+        seen[(spectrum, targets)] += 1
+        return scan(spectrum, targets)
 
-    monkeypatch.setattr(oracle, "mu_exact", counting_mu_exact)
-    monkeypatch.setattr(cli, "mu_exact", counting_mu_exact)
+    monkeypatch.setattr(oracle, "_scan", counting_scan)
     r_equals_a = 0
     for (a, b, n), verdict in reference.items():
         seen.clear()
@@ -144,6 +146,24 @@ def test_row_checks_verdicts_and_single_evaluation(monkeypatch):
         assert seen and max(seen.values()) == 1, (a, b, n, seen)
         r_equals_a += congruence_data(a, b, n).R == a
     assert r_equals_a >= len(ACCEPTANCE_PAIRS)
+
+
+def test_asymptotic_regime_never_vouches_for_a_refuted_row():
+    """Every in-regime row of every coprime a < b <= 12, from b + 1 to two
+    congruence periods past the last n below 200b outside the regime (the
+    predicate is not monotone in n: (2, 3) leaves it again at n = 29)."""
+    assert in_asymptotic_regime(2, 3, 28) and not in_asymptotic_regime(2, 3, 29)
+    rows = []
+    for b in range(2, 13):
+        for a in range(1, b):
+            if math.gcd(a, b) != 1:
+                continue
+            last_out = next(n for n in range(200 * b - 1, b, -1)
+                            if not in_asymptotic_regime(a, b, n))
+            rows += [(a, b, n) for n in range(b + 1, last_out + 2 * (a + b) + 1)
+                     if in_asymptotic_regime(a, b, n)]
+    assert len(rows) == 1726
+    assert [row for row in rows if not cli._row_checks(*row)] == []
 
 
 def test_bad_env_jobs_exits_1(capsys, monkeypatch):
@@ -185,6 +205,19 @@ def test_grid_refuses_oversized_grid(capsys, monkeypatch):
     monkeypatch.setattr(oracle, "parallel_map", no_evaluation)
     code, out, err = run(capsys, "constants", "1", "2", "1000", "--grid", "316")
     assert code == 1 and out == "" and "oracle candidates" in err
+    # --csv shows no grid bound, but refuses the same grids
+    for grid in ("316", "0"):
+        assert run(capsys, "constants", "1", "2", "1000", "--grid", grid, "--csv") == \
+            run(capsys, "constants", "1", "2", "1000", "--grid", grid)
+
+
+def test_csv_skips_the_grid_it_does_not_show(capsys, monkeypatch):
+    def no_evaluation(fn, work, jobs):
+        raise AssertionError("the grid was evaluated")
+
+    monkeypatch.setattr(oracle, "parallel_map", no_evaluation)
+    code, out, _ = run(capsys, "constants", "1", "2", "100", "--grid", "6", "--csv")
+    assert code == 0 and out == run(capsys, "constants", "1", "2", "100", "--csv")[1]
 
 
 def test_mu_refuses_oversized_spectrum(capsys):

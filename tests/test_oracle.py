@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_coprime_pair, rand_fraction
-from kronlab.exact_arith import nearest_int
+from conftest import rand_coprime_pair, rand_fraction, rand_triple
+from kronlab.exact_arith import nearest_int, nearest_int_distance
 import kronlab.oracle as oracle
 from kronlab.oracle import (MAX_BINARY_SIZE, MAX_CANDIDATE_BUDGET,
                             MAX_GRID_TARGETS, MAX_GRID_WORK, OracleResult,
@@ -100,6 +100,24 @@ def test_smallest_x_tie_break():
     # every exact-hit x for a single frequency has value 0; smallest wins
     r = mu_exact(SpectrumProblem((5,), (Fraction(2, 3),)))
     assert r.value == 0 and r.x_star == Fraction(2, 15)
+
+
+@pytest.mark.parametrize("spectrum, targets, x_star", [
+    ((5, 7, 10), (HALF, HALF, HALF), Fraction(1, 15)),
+    ((2, 6, 10), (0, Fraction(1, 3), 0), Fraction(1, 12)),
+    ((1, 5, 10), (0, Fraction(1, 3), 0), Fraction(4, 45)),
+])
+def test_smallest_x_tie_break_across_progressions(spectrum, targets, x_star):
+    """The scan walks its candidate progressions one after another.  Here it
+    meets a larger minimiser first, and the tie rule must still keep x_star."""
+    p = SpectrumProblem(spectrum, targets)
+    r = mu_exact(p)
+    assert r.x_star == x_star and r == mu_exact_reference(p)
+    _, _, L, progressions = oracle._scan(p.spectrum, p.targets)
+    first = next(Fraction(X, L) for progression in progressions for X in progression
+                 if max(nearest_int_distance(nj * Fraction(X, L) - tj)
+                        for nj, tj in zip(p.spectrum, p.targets)) == r.value)
+    assert first > x_star
 
 
 def test_balance_structure_at_optimum():
@@ -211,6 +229,9 @@ def test_mu_exact_refuses_oversized_spectrum():
     assert candidate_budget(huge.spectrum) > MAX_CANDIDATE_BUDGET
     with pytest.raises(ValueError, match="limit"):
         mu_exact(huge)
+    # the value-only path refuses it too
+    with pytest.raises(ValueError, match="limit"):
+        binary_values(huge.spectrum)
     # the largest size the benchmarks use stays well inside the limit
     assert 10 * candidate_budget((4, 5, 1100)) < MAX_CANDIDATE_BUDGET
 
@@ -236,11 +257,17 @@ def test_beta_exact_toggle_and_jobs_consistency():
 def test_binary_values_are_what_beta_exact_reduces():
     values = binary_values((2, 5, 40))
     assert len(values) == 4  # one representative per toggling pair
-    for t, v in values.items():
-        assert mu_exact(SpectrumProblem((2, 5, 40), t)).value == v
     value, argmax = beta_exact((2, 5, 40))
     assert value == max(values.values()) == values[argmax]
     assert len(binary_values((2, 5, 40), use_toggle=False)) == 8
+    # the value-only scan behind binary_values agrees with mu_exact
+    rng = random.Random(40)
+    triples = [(2, 5, 40)] + [rand_triple(rng, hi_pair=12, n_lo=1, n_hi=400)
+                              for _ in range(12)]
+    for spectrum in triples:
+        for use_toggle in (True, False):
+            for t, v in binary_values(spectrum, use_toggle).items():
+                assert mu_exact(SpectrumProblem(spectrum, t)).value == v, (spectrum, t)
 
 
 def test_beta_exact_cap():
@@ -299,7 +326,7 @@ def test_grid_refuses_oversized_grid_before_building_it(monkeypatch):
         alpha_grid_lower_bound((1, 2, 1000), 316)
     assert 128 ** 2 * candidate_budget((1, 2, 1000)) <= MAX_GRID_WORK
     assert 129 ** 2 * candidate_budget((1, 2, 1000)) > MAX_GRID_WORK
-    # the 1/316 grid stays admitted at n = 100 (about 30 s at jobs=1)
+    # the 1/316 grid stays admitted at n = 100 (about 10 s at jobs=1)
     assert 316 ** 2 * candidate_budget((1, 2, 100)) <= MAX_GRID_WORK
 
 
