@@ -15,7 +15,7 @@ from .greedy_triple import (Certificate, NotInAsymptoticRegime, TripleProblem,
                             ZWindow, greedy_bound, greedy_en_certificate,
                             modify, small_lambda_certificate, z_windows)
 from .oracle import (OracleResult, SpectrumProblem, alpha_grid_lower_bound,
-                     beta_exact, mu_exact)
+                     beta_exact, mu_exact, mu_value)
 from .pair_solver import (BalancedApprox, PairProblem, best_pair_approx,
                           mu_pair, second_best_approx)
 
@@ -29,7 +29,7 @@ __all__ = [
     "beta_formula", "bezout_coprime", "binary_mu", "binary_mu_detail",
     "canonical_binary_pair", "congruence_data", "greedy_bound",
     "greedy_en_certificate", "in_asymptotic_regime", "ln_value", "modify",
-    "mu_exact", "mu_pair", "nearest_int_distance", "parse_rational",
+    "mu_exact", "mu_pair", "mu_value", "nearest_int_distance", "parse_rational",
     "second_best_approx", "small_lambda_certificate", "toggle_reduce",
     "z_windows",
 ]

@@ -34,7 +34,7 @@ from .exact_arith import (DEFAULT_PRECISION, HALF, decimal_approx,
                           rational_to_csv, rational_to_json)
 from .greedy_triple import NotInAsymptoticRegime, TripleProblem, greedy_en_certificate
 from .oracle import (SpectrumProblem, alpha_grid_lower_bound, binary_values,
-                     candidate_budget, check_grid, mu_exact, parallel_map)
+                     candidate_budget, check_grid, mu_exact, mu_value, parallel_map)
 
 CSV_COLUMNS = ("a", "b", "n", "r", "R", "S", "alpha", "beta", "ln", "gap", "verified")
 
@@ -101,7 +101,8 @@ def _row_checks(a: int, b: int, n: int) -> bool:
     """Oracle agreement for one triple: case tables, binary constant, witness.
 
     Each distinct target goes to the oracle once per call: the case-table
-    and witness targets are looked up among the binary values first.
+    and witness targets are looked up among the binary values first, and
+    the oracle's value-only path evaluates the rest.
     """
     spectrum = (a, b, n)
     known = binary_values(spectrum)
@@ -110,7 +111,7 @@ def _row_checks(a: int, b: int, n: int) -> bool:
 
     def mu(t):
         if t not in known:
-            known[t] = mu_exact(SpectrumProblem(spectrum, t)).value
+            known[t] = mu_value(spectrum, t)
         return known[t]
 
     t1, t2 = canonical_binary_pair(a, b)

@@ -44,11 +44,12 @@ class WindowViolationError(ValueError):
 
 
 class NotInAsymptoticRegime(RuntimeError):
-    """No alignment point found at E = E_n: n is too small for the
-    closed-form constant to be certified by this construction.
+    """The construction did not certify E_n: n is too small for the
+    closed-form constant to be certified by it.
 
-    ``certificate`` carries the unconditional greedy_bound certificate as
-    a best effort.
+    ``certificate`` carries a sound certificate as a best effort: the
+    unconditional greedy_bound one when no alignment point exists at E_n,
+    otherwise the constructed one whose cost exceeds E_n.
     """
 
     def __init__(self, message, certificate):
@@ -245,9 +246,12 @@ def greedy_en_certificate(p: TripleProblem) -> Certificate:
                                   negative window of the second-best point,
                                   both at E = E_n
 
-    Raises NotInAsymptoticRegime (with a greedy_bound fallback attached)
-    when no alignment point exists in the final case; for n in the
-    asymptotic regime that cannot happen, for any residue class R.
+    Raises NotInAsymptoticRegime when no alignment point exists in the
+    final case (with a greedy_bound fallback attached), and on every branch
+    when the recomputed cost exceeds E_n (with that certificate attached):
+    below the regime the small-lambda snap can cost more than E_n, e.g.
+    5/24 > 1/7 for (2, 5, 12) at t = (0, 0, 1/2).  For n in the asymptotic
+    regime neither happens, for any residue class R.
 
     Why negate instead of picking the window by sign, as greedy_bound
     does: the two are not the same certificate.  _pick_alignment breaks a
@@ -301,4 +305,8 @@ def greedy_en_certificate(p: TripleProblem) -> Certificate:
     if negated:
         cert = Certificate(x_star=-cert.x_star, k=tuple(-kj for kj in cert.k),
                            cost=cert.cost, method=cert.method, negated=True)
+    if cert.cost > en:
+        raise NotInAsymptoticRegime(
+            f"{cert.method} certificate cost {cert.cost} exceeds E_n={en} "
+            f"for ({a}, {b}, {n})", cert)
     return cert

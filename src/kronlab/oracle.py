@@ -23,10 +23,23 @@ The scan walks each progression in turn, with no merged or sorted candidate
 list.  An explicit tie rule makes that order irrelevant: the incumbent
 (value, X) is replaced only by a lexicographically smaller pair, so the
 result is the smallest minimising x.  The largest frequency's term is
-evaluated first, and most candidates are rejected on it alone.  mu_exact
-also counts the distinct candidates (candidates_examined); the value-only
-path behind binary_values, beta_exact and alpha_grid_lower_bound builds no
-such set.  Every path applies the MAX_CANDIDATE_BUDGET refusal.
+evaluated first, and most candidates are rejected on it alone.
+
+Half-integer targets (every 2*t_j an integer, as in beta's {0, 1/2}^d) make
+F symmetric: F(1 - x) = max_j <-(n_j*x + t_j)> = max_j <n_j*x - t_j + 2*t_j>
+= F(x).  The reflection X -> L - X also maps each progression onto itself,
+because 2*t_j*L is a multiple of L, so -t_j*L = t_j*L modulo L.  So a
+minimiser x above 1/2 has a mirror 1 - x below 1/2 that is a minimiser too,
+the smallest minimiser lies in [0, 1/2], and the scan walks each progression
+only up to X = L/2 (included: x = 1/2 is its own mirror).  Value, x_star,
+k_star and the tie rule are unchanged.  Other targets are scanned over all
+of [0, 1).
+
+mu_exact also counts the distinct candidates (candidates_examined) over the
+full progressions, halved scan or not, so the count is the size of the
+candidate set.  The value-only path behind mu_value, binary_values,
+beta_exact and alpha_grid_lower_bound builds no such set.  Every path
+applies the MAX_CANDIDATE_BUDGET refusal.
 
 This module deliberately shares no code with the closed forms or the greedy
 construction it is used to check (only the trivial binary toggle is reused,
@@ -90,6 +103,17 @@ def parallel_map(fn: Callable, work: Sequence[tuple], jobs: int) -> list:
         return list(pool.map(fn, *zip(*work), chunksize=chunksize))
 
 
+def _checked_problem(spectrum: Sequence[int], targets: Sequence
+                     ) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
+    """The spectrum and the targets as tuples, once both pass their checks
+    and their lengths agree."""
+    spectrum = _checked_spectrum(spectrum)
+    targets = tuple(_checked_target(t) for t in targets)
+    if len(spectrum) != len(targets):
+        raise ValueError("spectrum and targets lengths differ")
+    return spectrum, targets
+
+
 @dataclass(frozen=True)
 class SpectrumProblem:
     """A strictly increasing tuple of positive frequencies plus rational targets."""
@@ -98,10 +122,7 @@ class SpectrumProblem:
     targets: tuple[Fraction, ...]
 
     def __post_init__(self):
-        spectrum = _checked_spectrum(self.spectrum)
-        targets = tuple(_checked_target(t) for t in self.targets)
-        if len(spectrum) != len(targets):
-            raise ValueError("spectrum and targets lengths differ")
+        spectrum, targets = _checked_problem(self.spectrum, self.targets)
         object.__setattr__(self, "spectrum", spectrum)
         object.__setattr__(self, "targets", targets)
 
@@ -125,7 +146,9 @@ def _scan(spectrum: tuple[int, ...], targets: tuple[Fraction, ...]
     crossings of each pair, then the valleys and peaks of each n_j, which
     together are the one progression X = (t_j*L + k*L/2)/n_j of step
     L/(2*n_j).  They are scanned one after another, not merged, so a point
-    in several progressions is evaluated once in each.
+    in several progressions is evaluated once in each.  With half-integer
+    targets each is walked only up to X = L/2 (see the module docstring);
+    the progressions returned are always the full ones.
     """
     budget = candidate_budget(spectrum)
     if budget > MAX_CANDIDATE_BUDGET:
@@ -147,6 +170,9 @@ def _scan(spectrum: tuple[int, ...], targets: tuple[Fraction, ...]
     # the incumbent for most candidates, which are rejected before the loop.
     (n0, t0), *rest = list(zip(spectrum, scaled))[::-1]
     half = L // 2
+    # F(1 - x) = F(x) when every 2*t_j is an integer: the smallest minimiser
+    # is at most L/2, which is its own mirror and must be walked.
+    stop = half + 1 if all(t.denominator <= 2 for t in targets) else L
     # The incumbent (best, best_X) gives way only to a lexicographically
     # smaller (worst, X), so the progressions may come in any order and
     # overlap.  A candidate is dropped once worst > best; one that ties best
@@ -154,7 +180,7 @@ def _scan(spectrum: tuple[int, ...], targets: tuple[Fraction, ...]
     # first candidate wins.
     best, best_X = L, L
     for progression in progressions:
-        for X in progression:
+        for X in range(progression.start, stop, progression.step):
             worst = (n0 * X - t0) % L
             if worst > half:
                 worst = L - worst
@@ -214,6 +240,14 @@ def _mu_value_at(spectrum, t):
     without the x_star, k_star and candidate count mu_exact derives."""
     best, _, L, _ = _scan(spectrum, t)
     return t, Fraction(best, L)
+
+
+def mu_value(spectrum: Sequence[int], targets: Sequence) -> Fraction:
+    """mu_exact(SpectrumProblem(spectrum, targets)).value, from the same scan
+    but without x_star, k_star and the candidate count.  Checks its input as
+    SpectrumProblem does; raises ValueError when candidate_budget(spectrum)
+    exceeds MAX_CANDIDATE_BUDGET."""
+    return _mu_value_at(*_checked_problem(spectrum, targets))[1]
 
 
 def _reduce_max(pairs):

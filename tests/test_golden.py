@@ -28,6 +28,9 @@ CASES = {
     "mu-greedy-negated-1-json": "mu --set 1,3,204 --t 0,2/3,1/2 --greedy --json",
     "mu-greedy-negated-2-json": "mu --set 8,11,798 --t 0,1/3,1/2 --greedy --json",
     "mu-greedy-negated-3-json": "mu --set 9,11,160 --t 2/5,1/3,3/4 --greedy --json",
+    # Below the regime the small-lambda snap costs 5/24 > E_n = 1/7: the
+    # certificate is shown with the note that it does not certify E_n.
+    "mu-greedy-above-en-text": "mu --set 2,5,12 --t 0,0,1/2 --greedy",
     "constants-text": "constants 1 2 100",
     "constants-json": "constants 1 2 100 --json",
     "constants-csv": "constants 1 2 100 --csv",

@@ -308,7 +308,21 @@ def test_small_n_never_returns_unsound_certificates():
             assert exc.certificate.cost == _recomputed_cost(p, exc.certificate)
         else:
             assert cert.cost == _recomputed_cost(p, cert)
+            assert cert.cost <= alpha_formula(a, b, n)  # the promise, or a raise
     assert raised >= 0  # construction may in fact be total; both outcomes sound
+
+
+def test_greedy_en_raises_when_small_lambda_exceeds_en():
+    # (2, 5, 12) is below the regime: the small-lambda snap costs 5/24,
+    # above E_n = 1/7 (the oracle gives 5/34), so it must not be returned
+    p = TripleProblem(2, 5, 12, Fraction(0), Fraction(0), HALF)
+    assert alpha_formula(2, 5, 12) == Fraction(1, 7)
+    with pytest.raises(NotInAsymptoticRegime, match="exceeds E_n=1/7") as info:
+        greedy_en_certificate(p)
+    cert = info.value.certificate
+    assert cert.method == "small-lambda" and cert.cost == Fraction(5, 24)
+    assert cert.cost == _recomputed_cost(p, cert)
+    assert mu_exact(SpectrumProblem(p.spectrum(), p.targets())).value == Fraction(5, 34)
 
 
 def test_certificate_k_vector_is_nearest():

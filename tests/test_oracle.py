@@ -17,7 +17,7 @@ from kronlab.oracle import (MAX_BINARY_SIZE, MAX_CANDIDATE_BUDGET,
                             MAX_GRID_TARGETS, MAX_GRID_WORK, OracleResult,
                             SpectrumProblem, SpectrumTooLargeError,
                             alpha_grid_lower_bound, beta_exact, binary_values,
-                            candidate_budget, mu_exact, worker_count)
+                            candidate_budget, mu_exact, mu_value, worker_count)
 from oracle_reference import mu_exact_reference
 
 HALF = Fraction(1, 2)
@@ -77,6 +77,13 @@ def test_mu_exact_examples():
                                  (Fraction(0), Fraction(149, 302), Fraction(17, 302))))
     assert r.value == Fraction(51, 302)
 
+    # Half-integer targets: the scan stops at x = 1/2 and must include it.
+    r = mu_exact(SpectrumProblem((1,), (HALF,)))
+    assert r.value == 0 and r.x_star == HALF
+    # Other targets are scanned over [0, 1): the only minimiser is above 1/2.
+    r = mu_exact(SpectrumProblem((1,), (Fraction(3, 4),)))
+    assert r.value == 0 and r.x_star == Fraction(3, 4)
+
 
 def test_result_invariants():
     rng = random.Random(3)
@@ -106,18 +113,27 @@ def test_smallest_x_tie_break():
     ((5, 7, 10), (HALF, HALF, HALF), Fraction(1, 15)),
     ((2, 6, 10), (0, Fraction(1, 3), 0), Fraction(1, 12)),
     ((1, 5, 10), (0, Fraction(1, 3), 0), Fraction(4, 45)),
+    ((3, 5, 15), (0, 0, HALF), Fraction(1, 40)),
+    # At x_star the largest frequency's term is below the minimum.
+    ((2, 44, 88, 151), (0, -HALF, -HALF, -1), Fraction(1, 132)),
 ])
 def test_smallest_x_tie_break_across_progressions(spectrum, targets, x_star):
     """The scan walks its candidate progressions one after another.  Here it
-    meets a larger minimiser first, and the tie rule must still keep x_star."""
+    meets a larger minimiser first, and the tie rule must still keep x_star.
+    With half-integer targets the minimisers come in pairs x, 1 - x."""
     p = SpectrumProblem(spectrum, targets)
     r = mu_exact(p)
     assert r.x_star == x_star and r == mu_exact_reference(p)
     _, _, L, progressions = oracle._scan(p.spectrum, p.targets)
+
+    def F(x):
+        return max(nearest_int_distance(nj * x - tj) for nj, tj in zip(p.spectrum, p.targets))
+
     first = next(Fraction(X, L) for progression in progressions for X in progression
-                 if max(nearest_int_distance(nj * Fraction(X, L) - tj)
-                        for nj, tj in zip(p.spectrum, p.targets)) == r.value)
+                 if F(Fraction(X, L)) == r.value)
     assert first > x_star
+    if all(t.denominator <= 2 for t in p.targets):
+        assert x_star < HALF and F(1 - x_star) == r.value
 
 
 def test_balance_structure_at_optimum():
@@ -172,7 +188,39 @@ def problems(draw):
 @given(problems())
 def test_mu_exact_equals_fraction_reference(p):
     # value, x_star, k_star and candidates_examined, all of them exactly
-    assert mu_exact(p) == mu_exact_reference(p)
+    reference = mu_exact_reference(p)
+    assert mu_exact(p) == reference
+    assert mu_value(p.spectrum, p.targets) == reference.value
+
+
+@st.composite
+def tied_problems(draw):
+    """Inputs with several minimisers, for the tie rule.  The frequencies m
+    and c*m share the factor m; when t_cm - c*t_m is not an integer, their
+    sub-problem has tied minimisers in every 1/m period, and half-integer
+    targets mirror each one at 1 - x.  A frequency s < m puts crossing
+    progressions that hold some of the larger minimisers before the pair's
+    own, and a frequency e > c*m, whose term is often below the minimum,
+    makes the tie rule act after the largest term has been checked."""
+    m = draw(st.integers(3, 60))
+    c = draw(st.integers(2, 3))
+    s = draw(st.integers(1, m - 1))
+    e = draw(st.integers(c * m + 1, 2 * c * m))
+    q = draw(st.integers(2, 3))
+    multiples = st.integers(-q, 2 * q).map(lambda k: Fraction(k, q))
+    t_m = draw(multiples)
+    t_cm = c * t_m + Fraction(draw(st.integers(1, q - 1)), q)
+    return SpectrumProblem((s, m, c * m, e), (draw(multiples), t_m, t_cm, draw(multiples)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_problems())
+def test_mu_exact_equals_reference_on_tied_inputs(p):
+    """About three in four of these inputs have several minimisers, so
+    x_star and k_star check the smallest-x tie rule."""
+    reference = mu_exact_reference(p)
+    assert mu_exact(p) == reference
+    assert mu_value(p.spectrum, p.targets) == reference.value
 
 
 def test_mu_exact_equals_reference_on_binary_targets():
