@@ -6,7 +6,6 @@ Commands
   constants  closed-form constants and congruence data for one triple
   sweep      one CSV/JSON row per n over a range, optionally oracle-verified
   witness    extremal target triple attaining the closed-form constant
-  bench      candidate-count budgets of the oracle on random targets
 
 Exit codes: 0 success, 1 usage/input error, 2 verification mismatch where
 the formula claimed validity, 3 internal invariant breach.
@@ -20,12 +19,12 @@ import argparse
 import json
 import math
 import os
-import random
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .closed_form import (alpha_formula, alpha_witness, beta_formula,
                           binary_mu, canonical_binary_pair, congruence_data,
@@ -34,7 +33,11 @@ from .exact_arith import (DEFAULT_PRECISION, HALF, decimal_approx,
                           rational_to_csv, rational_to_json)
 from .greedy_triple import NotInAsymptoticRegime, TripleProblem, greedy_en_certificate
 from .oracle import (SpectrumProblem, alpha_grid_lower_bound, binary_values,
-                     candidate_budget, check_grid, mu_exact, mu_value, parallel_map)
+                     check_grid, mu_exact, mu_value)
+
+#: sweep refuses ranges of more rows than this, before it evaluates any: a
+#: row costs about 750 B, so the largest accepted sweep holds about 0.9 GB.
+MAX_SWEEP_ROWS = 10**6
 
 CSV_COLUMNS = ("a", "b", "n", "r", "R", "S", "alpha", "beta", "ln", "gap", "verified")
 
@@ -288,10 +291,35 @@ def cmd_constants(args) -> int:
     return 0
 
 
+def worker_count(jobs: int, tasks: int) -> int:
+    """Worker processes for ``tasks`` independent tasks: ``jobs``, clamped to
+    the task count and the CPU count.  Raises ValueError when jobs < 1."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    return min(jobs, tasks, os.cpu_count() or 1)
+
+
+def parallel_map(fn: Callable, work: Sequence[tuple], jobs: int) -> list:
+    """[fn(*args) for args in work], over worker_count(jobs, len(work)) processes.
+
+    Results keep the order of ``work``; each worker takes about four chunks,
+    which evens out unequal task costs."""
+    workers = worker_count(jobs, len(work))
+    if workers < 2:
+        return [fn(*args) for args in work]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunksize = math.ceil(len(work) / (4 * workers))
+        return list(pool.map(fn, *zip(*work), chunksize=chunksize))
+
+
 def cmd_sweep(args) -> int:
     a, b = args.a, args.b
     if args.n_from > args.n_to:
         raise ValueError(f"--from {args.n_from} exceeds --to {args.n_to}")
+    count = args.n_to - args.n_from + 1
+    if count > MAX_SWEEP_ROWS:
+        raise ValueError(f"--from {args.n_from} --to {args.n_to} asks for {count} rows, "
+                         f"above the limit of {MAX_SWEEP_ROWS}")
     jobs = args.jobs
     if jobs is None:
         env = os.environ.get("KRONLAB_JOBS", "1")
@@ -330,7 +358,7 @@ def cmd_witness(args) -> int:
         ({}, f"expected mu = {_fmt(witness.expected, precision)}"),
     ]
     if args.verify:
-        oracle_mu = mu_exact(SpectrumProblem((a, b, n), witness.t)).value
+        oracle_mu = mu_value((a, b, n), witness.t)
         match = oracle_mu == witness.expected
         fields.append(({"oracle_mu": rational_to_json(oracle_mu, precision), "verified": match},
                        f"oracle mu = {_fmt(oracle_mu, precision)} "
@@ -339,39 +367,6 @@ def cmd_witness(args) -> int:
     if args.verify and not match and in_asymptotic_regime(a, b, n):
         raise VerificationMismatch(f"witness cost {oracle_mu} != {witness.expected} "
                                    f"for ({a}, {b}, {n}) inside the regime")
-    return 0
-
-
-def cmd_bench(args) -> int:
-    spectrum = _parse_spectrum(args.set)
-    rng = random.Random(args.seed)
-    budget = candidate_budget(spectrum)
-    results = []
-    for _ in range(args.trials):
-        targets = tuple(Fraction(rng.randrange(0, q), q)
-                        for q in (rng.randrange(1, 61) for _ in spectrum))
-        t0 = time.perf_counter()
-        res = mu_exact(SpectrumProblem(spectrum, targets))
-        results.append((targets, res, int((time.perf_counter() - t0) * 1000)))
-    worst = max(res.candidates_examined for _, res, _ in results)
-
-    _report(args, [
-        ({"spectrum": list(spectrum), "trials": args.trials, "seed": args.seed,
-          "budget": budget, "max_candidates": worst},
-         f"spectrum: {','.join(str(nj) for nj in spectrum)}  budget = {budget} candidates"),
-        ({"results": [{"targets": [rational_to_csv(t) for t in targets],
-                       "value": rational_to_csv(res.value),
-                       "candidates": res.candidates_examined,
-                       "runtime_ms": ms}
-                      for targets, res, ms in results]},
-         "\n".join(f"t=({', '.join(rational_to_csv(t) for t in targets)}): "
-                   f"mu={rational_to_csv(res.value)} "
-                   f"candidates={res.candidates_examined} ({ms} ms)"
-                   for targets, res, ms in results)),
-        ({}, f"max candidates = {worst} (budget {budget})"),
-    ])
-    if worst > budget:
-        raise InvariantBreach(f"candidate count {worst} exceeds budget {budget}")
     return 0
 
 
@@ -450,13 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="evaluate the witness with the oracle")
     _add_common(p_wit)
     p_wit.set_defaults(func=cmd_witness)
-
-    p_bench = sub.add_parser("bench", help="oracle candidate-count budgets")
-    p_bench.add_argument("--set", required=True, metavar="N1,N2,...")
-    p_bench.add_argument("--trials", type=_positive_int, default=5)
-    p_bench.add_argument("--seed", type=int, default=0)
-    _add_common(p_bench)
-    p_bench.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -49,11 +49,9 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .closed_form import toggle_reduce
 from .exact_arith import HALF, _checked_spectrum, _checked_target, nearest_int
@@ -70,7 +68,7 @@ MAX_GRID_TARGETS = 10**5
 #: than this many oracle candidates in all (candidate_budget per target).  At
 #: the measured 0.08-0.21 us per budgeted candidate (Python 3.11, 2-CPU x86;
 #: (1,2,100), (1,2,1000), (2,5,300), (3,7,2000), (1,2,3,50)), the largest
-#: accepted grid takes 15-30 s at jobs=1.
+#: accepted grid takes 15-30 s.
 MAX_GRID_WORK = 150_000_000
 
 #: binary_values and beta_exact refuse spectra of more frequencies than this:
@@ -80,27 +78,6 @@ MAX_BINARY_SIZE = 12
 
 class SpectrumTooLargeError(ValueError):
     """beta_exact refuses spectra of more than MAX_BINARY_SIZE frequencies."""
-
-
-def worker_count(jobs: int, tasks: int) -> int:
-    """Worker processes for ``tasks`` independent tasks: ``jobs``, clamped to
-    the task count and the CPU count.  Raises ValueError when jobs < 1."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    return min(jobs, tasks, os.cpu_count() or 1)
-
-
-def parallel_map(fn: Callable, work: Sequence[tuple], jobs: int) -> list:
-    """[fn(*args) for args in work], over worker_count(jobs, len(work)) processes.
-
-    Results keep the order of ``work``; each worker takes about four chunks,
-    which evens out unequal task costs."""
-    workers = worker_count(jobs, len(work))
-    if workers < 2:
-        return [fn(*args) for args in work]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunksize = math.ceil(len(work) / (4 * workers))
-        return list(pool.map(fn, *zip(*work), chunksize=chunksize))
 
 
 def _checked_problem(spectrum: Sequence[int], targets: Sequence
@@ -236,10 +213,10 @@ def _binary_targets(spectrum, use_toggle):
 
 
 def _mu_value_at(spectrum, t):
-    """(t, mu_exact value at t) for a checked spectrum and Fraction targets,
+    """mu_exact value at t for a checked spectrum and Fraction targets,
     without the x_star, k_star and candidate count mu_exact derives."""
     best, _, L, _ = _scan(spectrum, t)
-    return t, Fraction(best, L)
+    return Fraction(best, L)
 
 
 def mu_value(spectrum: Sequence[int], targets: Sequence) -> Fraction:
@@ -247,7 +224,7 @@ def mu_value(spectrum: Sequence[int], targets: Sequence) -> Fraction:
     but without x_star, k_star and the candidate count.  Checks its input as
     SpectrumProblem does; raises ValueError when candidate_budget(spectrum)
     exceeds MAX_CANDIDATE_BUDGET."""
-    return _mu_value_at(*_checked_problem(spectrum, targets))[1]
+    return _mu_value_at(*_checked_problem(spectrum, targets))
 
 
 def _reduce_max(pairs):
@@ -259,8 +236,8 @@ def _reduce_max(pairs):
     return best_v, best_t
 
 
-def binary_values(spectrum: Sequence[int], use_toggle: bool = True,
-                  jobs: int = 1) -> dict[tuple[Fraction, ...], Fraction]:
+def binary_values(spectrum: Sequence[int], use_toggle: bool = True
+                  ) -> dict[tuple[Fraction, ...], Fraction]:
     """mu_exact value at each binary target beta_exact reduces, keyed by target.
 
     With use_toggle, only one representative of each toggling pair is a key.
@@ -269,19 +246,17 @@ def binary_values(spectrum: Sequence[int], use_toggle: bool = True,
     if len(spectrum) > MAX_BINARY_SIZE:
         raise SpectrumTooLargeError(
             f"|S| = {len(spectrum)} exceeds MAX_BINARY_SIZE = {MAX_BINARY_SIZE}")
-    work = [(spectrum, t) for t in _binary_targets(spectrum, use_toggle)]
-    return dict(parallel_map(_mu_value_at, work, jobs))
+    return {t: _mu_value_at(spectrum, t) for t in _binary_targets(spectrum, use_toggle)}
 
 
-def beta_exact(spectrum: Sequence[int], use_toggle: bool = True,
-               jobs: int = 1) -> tuple[Fraction, tuple[Fraction, ...]]:
+def beta_exact(spectrum: Sequence[int], use_toggle: bool = True
+               ) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Exhaustive binary Kronecker constant: max of mu_exact over {0, 1/2}^d.
 
     Toggling halves the enumeration by evaluating one representative per
-    cost-equivalence class.  Independent targets may be distributed over
-    ``jobs`` worker processes; the reduction is order-independent.
+    cost-equivalence class.
     """
-    return _reduce_max(binary_values(spectrum, use_toggle, jobs).items())
+    return _reduce_max(binary_values(spectrum, use_toggle).items())
 
 
 def check_grid(spectrum: Sequence[int], D: int) -> tuple[int, ...]:
@@ -306,18 +281,18 @@ def check_grid(spectrum: Sequence[int], D: int) -> tuple[int, ...]:
     return spectrum
 
 
-def alpha_grid_lower_bound(spectrum: Sequence[int], D: int, jobs: int = 1
+def alpha_grid_lower_bound(spectrum: Sequence[int], D: int
                            ) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Lower bound on the angular constant from a 1/D target grid.
 
     Translation invariance (mu is unchanged by t -> t + c*spectrum) pins
-    t_1 = 0, so only D^(d-1) grid targets are scanned.  The result is a
-    certified lower bound, monotone under grid refinement D -> k*D; it is
-    not claimed to attain the constant.  Raises ValueError, before any
-    target is built, when check_grid refuses the grid.
+    t_1 = 0, so only D^(d-1) grid targets are scanned, one at a time.  The
+    result is a certified lower bound, monotone under grid refinement
+    D -> k*D; it is not claimed to attain the constant.  Raises ValueError,
+    before any target is built, when check_grid refuses the grid.
     """
     spectrum = check_grid(spectrum, D)
     steps = [Fraction(i, D) for i in range(D)]
-    work = [(spectrum, (Fraction(0),) + rest)
-            for rest in itertools.product(steps, repeat=len(spectrum) - 1)]
-    return _reduce_max(parallel_map(_mu_value_at, work, jobs))
+    targets = ((Fraction(0),) + rest
+               for rest in itertools.product(steps, repeat=len(spectrum) - 1))
+    return _reduce_max((t, _mu_value_at(spectrum, t)) for t in targets)

@@ -1,16 +1,20 @@
 import json
 import math
+import os
 from collections import Counter
 from fractions import Fraction
+
+import pytest
 
 import kronlab.cli as cli
 import kronlab.oracle as oracle
 from kronlab.cli import (CSV_COLUMNS, UNVERIFIED, VERIFIED_ORACLE,
-                         VERIFIED_WITNESS, evaluate_sweep_row, main)
+                         VERIFIED_WITNESS, evaluate_sweep_row, main, worker_count)
 from kronlab.closed_form import (alpha_formula, alpha_witness, beta_formula,
                                  binary_mu, canonical_binary_pair,
                                  congruence_data, in_asymptotic_regime, ln_value)
 from kronlab.exact_arith import parse_rational
+from kronlab.greedy_triple import Certificate
 from kronlab.oracle import SpectrumProblem, beta_exact, mu_exact
 
 ACCEPTANCE_PAIRS = [(1, 2), (1, 3), (2, 3), (2, 5), (3, 4), (3, 5), (4, 5)]
@@ -94,8 +98,9 @@ def test_constants_usage_errors(capsys):
     assert code == 1
     code, out, err = run(capsys, "constants", "1", "2", "100", "--grid", "0")
     assert code == 1 and out == "" and "grid resolution must be >= 2, got 0" in err
-    code, _, _ = run(capsys, "nosuchcommand")
-    assert code == 1
+    for command in ("nosuchcommand", "bench"):
+        code, _, err = run(capsys, command, "--set", "1,2,100")
+        assert code == 1 and "invalid choice" in err
 
 
 def test_exit_code_2_on_in_regime_mismatch(capsys, monkeypatch):
@@ -186,10 +191,36 @@ def test_jobs_below_one_exit_1(capsys, monkeypatch):
     assert code == 1 and "got 0" in err
 
 
+def test_worker_count_refuses_below_one_and_clamps():
+    cpus = os.cpu_count() or 1
+    assert worker_count(1, 50) == 1
+    assert worker_count(2, 1) == 1
+    assert worker_count(10**6, 3) == min(3, cpus)
+    assert worker_count(10**6, 10**6) == cpus
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match=str(jobs)):
+            worker_count(jobs, 10)
+
+
+def test_sweep_refuses_oversized_range(capsys, monkeypatch):
+    def no_evaluation(a, b, n, verify):
+        raise AssertionError("a row was evaluated")
+
+    monkeypatch.setattr(cli, "evaluate_sweep_row", no_evaluation)
+    code, out, err = run(capsys, "sweep", "1", "2", "--from", "3", "--to", "1000000000")
+    assert code == 1 and out == "" and f"limit of {cli.MAX_SWEEP_ROWS}" in err
+    # the limit counts rows, both ends included
+    monkeypatch.setattr(cli, "MAX_SWEEP_ROWS", 3)
+    code, _, err = run(capsys, "sweep", "1", "2", "--from", "3", "--to", "6")
+    assert code == 1 and "asks for 4 rows" in err
+    monkeypatch.setattr(cli, "evaluate_sweep_row", evaluate_sweep_row)
+    code, out, _ = run(capsys, "sweep", "1", "2", "--from", "3", "--to", "5")
+    assert code == 0 and len(out.splitlines()) == 4
+
+
 def test_counts_below_one_exit_1(capsys):
-    for flag in ("--trials", "--precision"):
-        code, _, err = run(capsys, "bench", "--set", "1,2,100", flag, "0")
-        assert code == 1 and flag in err
+    code, _, err = run(capsys, "witness", "1", "2", "100", "--precision", "0")
+    assert code == 1 and "--precision" in err
     code, _, err = run(capsys, "mu", "--set", "1,2", "--t", "0,1/2", "--precision", "-1")
     assert code == 1 and "--precision" in err
 
@@ -198,11 +229,11 @@ def test_grid_refuses_oversized_grid(capsys, monkeypatch):
     code, _, err = run(capsys, "constants", "1", "2", "100", "--grid", "100000")
     assert code == 1 and "limit" in err
 
-    def no_evaluation(fn, work, jobs):
+    def no_evaluation(spectrum, targets):
         raise AssertionError("the grid was evaluated")
 
     # 316^2 targets pass the target limit; their oracle work does not
-    monkeypatch.setattr(oracle, "parallel_map", no_evaluation)
+    monkeypatch.setattr(oracle, "_scan", no_evaluation)
     code, out, err = run(capsys, "constants", "1", "2", "1000", "--grid", "316")
     assert code == 1 and out == "" and "oracle candidates" in err
     # --csv shows no grid bound, but refuses the same grids
@@ -212,10 +243,10 @@ def test_grid_refuses_oversized_grid(capsys, monkeypatch):
 
 
 def test_csv_skips_the_grid_it_does_not_show(capsys, monkeypatch):
-    def no_evaluation(fn, work, jobs):
+    def no_evaluation(spectrum, targets):
         raise AssertionError("the grid was evaluated")
 
-    monkeypatch.setattr(oracle, "parallel_map", no_evaluation)
+    monkeypatch.setattr(oracle, "_scan", no_evaluation)
     code, out, _ = run(capsys, "constants", "1", "2", "100", "--grid", "6", "--csv")
     assert code == 0 and out == run(capsys, "constants", "1", "2", "100", "--csv")[1]
 
@@ -226,9 +257,11 @@ def test_mu_refuses_oversized_spectrum(capsys):
 
 
 def test_exit_code_3_on_budget_breach(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "candidate_budget", lambda spectrum: 0)
-    code, _, err = run(capsys, "bench", "--set", "1,2,30", "--trials", "1")
-    assert code == 3 and "invariant breach" in err
+    below_the_oracle = Certificate(x_star=Fraction(0), k=(0, 0, 0), cost=Fraction(0),
+                                   method="greedy-window")
+    monkeypatch.setattr(cli, "greedy_en_certificate", lambda problem: below_the_oracle)
+    code, out, err = run(capsys, "mu", "--set", "1,2,100", "--t", "0,1/2,1/2", "--greedy")
+    assert code == 3 and "invariant breach" in err and out == ""
 
 
 def test_sweep_csv_file(tmp_path, capsys):
@@ -321,18 +354,6 @@ def test_witness_command(capsys):
     assert "t2=149/302" in out and "t3=5151/302" in out
     assert "mod 1: 17/302" in out
     assert "oracle mu = 51/302" in out and "(match)" in out
-
-
-def test_bench_command(capsys):
-    code, out, _ = run(capsys, "bench", "--set", "1,2,100", "--trials", "3",
-                       "--seed", "7")
-    assert code == 0
-    assert "budget" in out
-
-    code, out, _ = run(capsys, "bench", "--set", "2,3,60", "--trials", "2",
-                       "--json")
-    doc = json.loads(out)
-    assert doc["max_candidates"] <= doc["budget"]
 
 
 def test_atomic_out_writes(tmp_path, capsys):

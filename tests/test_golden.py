@@ -3,8 +3,7 @@
 The files in tests/golden/ hold the stdout of ``kronlab <argv>`` for each
 case below, each captured from the code before the CLI refactor it guards
 (one row and witness model; one report per command).  Only wall-clock
-values are masked: ``runtime_ms`` in JSON and the ``(N ms)`` of the bench
-text report.
+values are masked: ``runtime_ms`` in JSON.
 """
 import re
 from pathlib import Path
@@ -57,14 +56,11 @@ CASES = {
     "witness-equal-verify-text": "witness 2 3 300 --verify",
     "witness-small-n-verify-text": "witness 1 5 6 --verify",
     "witness-small-n-verify-json": "witness 1 5 6 --verify --json",
-    "bench-text": "bench --set 1,2,100 --trials 5 --seed 7",
-    "bench-json": "bench --set 1,2,100 --trials 5 --seed 7 --json",
 }
 
 
 def _masked(text: str) -> str:
-    text = re.sub(r'"runtime_ms": \d+', '"runtime_ms": _', text)
-    return re.sub(r"\(\d+ ms\)", "(_ ms)", text)
+    return re.sub(r'"runtime_ms": \d+', '"runtime_ms": _', text)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -1,7 +1,6 @@
 import ast
 import itertools
 import math
-import os
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -17,7 +16,7 @@ from kronlab.oracle import (MAX_BINARY_SIZE, MAX_CANDIDATE_BUDGET,
                             MAX_GRID_TARGETS, MAX_GRID_WORK, OracleResult,
                             SpectrumProblem, SpectrumTooLargeError,
                             alpha_grid_lower_bound, beta_exact, binary_values,
-                            candidate_budget, mu_exact, mu_value, worker_count)
+                            candidate_budget, mu_exact, mu_value)
 from oracle_reference import mu_exact_reference
 
 HALF = Fraction(1, 2)
@@ -299,7 +298,6 @@ def test_beta_exact_toggle_and_jobs_consistency():
         spectrum = (a, b, n)
         plain = beta_exact(spectrum, use_toggle=False)
         assert beta_exact(spectrum) == plain
-    assert beta_exact((2, 3, 40), jobs=2) == beta_exact((2, 3, 40))
 
 
 def test_binary_values_are_what_beta_exact_reduces():
@@ -351,11 +349,6 @@ def test_alpha_grid_lower_bounds_mu_at_grid_targets():
     assert argmax[0] == 0
 
 
-def test_grid_jobs_consistency():
-    assert alpha_grid_lower_bound((1, 2, 7), 3, jobs=2) == \
-        alpha_grid_lower_bound((1, 2, 7), 3)
-
-
 def test_grid_refuses_oversized_grid_before_building_it(monkeypatch):
     assert 316 ** 2 <= MAX_GRID_TARGETS < 317 ** 2
     with pytest.raises(ValueError, match="limit"):
@@ -365,30 +358,17 @@ def test_grid_refuses_oversized_grid_before_building_it(monkeypatch):
     with pytest.raises(ValueError, match="limit"):
         alpha_grid_lower_bound((7,), 10**9)
 
-    def no_evaluation(fn, work, jobs):
+    def no_evaluation(spectrum, targets):
         raise AssertionError("the grid was evaluated")
 
     # the work limit: each 1/316 target on (1, 2, 1000) allows 9036 candidates
-    monkeypatch.setattr(oracle, "parallel_map", no_evaluation)
+    monkeypatch.setattr(oracle, "_scan", no_evaluation)
     with pytest.raises(ValueError, match="oracle candidates"):
         alpha_grid_lower_bound((1, 2, 1000), 316)
     assert 128 ** 2 * candidate_budget((1, 2, 1000)) <= MAX_GRID_WORK
     assert 129 ** 2 * candidate_budget((1, 2, 1000)) > MAX_GRID_WORK
-    # the 1/316 grid stays admitted at n = 100 (about 10 s at jobs=1)
+    # the 1/316 grid stays admitted at n = 100 (about 10 s)
     assert 316 ** 2 * candidate_budget((1, 2, 100)) <= MAX_GRID_WORK
-
-
-def test_worker_count_refuses_below_one_and_clamps():
-    cpus = os.cpu_count() or 1
-    assert worker_count(1, 50) == 1
-    assert worker_count(2, 1) == 1
-    assert worker_count(10**6, 3) == min(3, cpus)
-    assert worker_count(10**6, 10**6) == cpus
-    for jobs in (0, -3):
-        with pytest.raises(ValueError, match=str(jobs)):
-            worker_count(jobs, 10)
-        with pytest.raises(ValueError):
-            beta_exact((1, 2, 7), jobs=jobs)
 
 
 def test_oracle_imports_nothing_it_checks():
