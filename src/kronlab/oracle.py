@@ -1,16 +1,25 @@
 """Independent brute-force ground truth for approximation costs.
 
 mu_exact minimizes F(x) = max_j <n_j*x - t_j> over x in [0, 1) by exact
-enumeration of a finite candidate set that provably contains a minimizer:
-F is piecewise linear with nonzero slopes, so every local minimum sits
-either at a zero of some component (a valley) or at a crossing of two
-components with opposite slopes (a balanced point).  Candidates:
+enumeration of a finite candidate set that provably contains every minimizer.
+Candidates:
 
   * balanced crossings  x = (t_i + t_j + s)/(n_i + n_j), i < j, s integer;
   * valleys             x = (t_j + k)/n_j;
-  * peaks               x = (t_j + k + 1/2)/n_j  (belt and braces: they
-    bound every monotone piece, so the scan stays correct even if the
-    envelope analysis were upset by degenerate spectra).
+  * peaks               x = (t_j + k + 1/2)/n_j.
+
+When d >= 2 every minimizer is a balanced crossing.  F is 1-periodic and
+piecewise linear, and each component has slope +n_j or -n_j on either side
+of any point.  At a local minimum x of F, some active component j (one with
+<n_j*x - t_j> = F(x)) rises to the right of x, so n_j*x - t_j - k_j = F(x)
+for its nearest integer k_j; and some active component i falls to the left
+of x, so n_i*x - t_i - k_i = -F(x).  If i = j, then F(x) = 0, every
+component vanishes at x, and x lies on every crossing progression.  If
+i != j, adding the two equations gives (n_i + n_j)*x - t_i - t_j = k_i + k_j,
+an integer.  So the scan walks the crossings only; with d = 1 there are no
+pairs, and it walks the valleys and peaks, where the one component's
+minimum, 0, is attained.  The valleys and peaks stay in the counted
+candidate set.
 
 All three families lie on one integer grid x = X/L, with
 L = lcm(target denominators) * lcm({n_i + n_j}, {2*n_j}): each family is
@@ -36,10 +45,10 @@ k_star and the tie rule are unchanged.  Other targets are scanned over all
 of [0, 1).
 
 mu_exact also counts the distinct candidates (candidates_examined) over the
-full progressions, halved scan or not, so the count is the size of the
-candidate set.  The value-only path behind mu_value, binary_values,
-beta_exact and alpha_grid_lower_bound builds no such set.  Every path
-applies the MAX_CANDIDATE_BUDGET refusal.
+full progressions of all three families, walked or not, halved or not, so
+the count is the size of the candidate set.  The value-only path behind
+mu_value, binary_values, beta_exact and alpha_grid_lower_bound builds no
+such set.  Every path applies the MAX_CANDIDATE_BUDGET refusal.
 
 This module deliberately shares no code with the closed forms or the greedy
 construction it is used to check (only the trivial binary toggle is reused,
@@ -66,9 +75,9 @@ MAX_GRID_TARGETS = 10**5
 
 #: alpha_grid_lower_bound also refuses grids whose D^(d-1) targets allow more
 #: than this many oracle candidates in all (candidate_budget per target).  At
-#: the measured 0.08-0.21 us per budgeted candidate (Python 3.11, 2-CPU x86;
+#: the measured 0.04-0.09 us per budgeted candidate (Python 3.11, 2-CPU x86;
 #: (1,2,100), (1,2,1000), (2,5,300), (3,7,2000), (1,2,3,50)), the largest
-#: accepted grid takes 15-30 s.
+#: accepted grid takes 6-14 s.
 MAX_GRID_WORK = 150_000_000
 
 #: binary_values and beta_exact refuse spectra of more frequencies than this:
@@ -122,10 +131,12 @@ def _scan(spectrum: tuple[int, ...], targets: tuple[Fraction, ...]
     The candidates are arithmetic progressions of integers X in [0, L): the
     crossings of each pair, then the valleys and peaks of each n_j, which
     together are the one progression X = (t_j*L + k*L/2)/n_j of step
-    L/(2*n_j).  They are scanned one after another, not merged, so a point
-    in several progressions is evaluated once in each.  With half-integer
-    targets each is walked only up to X = L/2 (see the module docstring);
-    the progressions returned are always the full ones.
+    L/(2*n_j).  Only the crossings are walked when there are any (d >= 2),
+    since they hold every minimiser (see the module docstring); the valleys
+    and peaks are walked when d = 1.  The walked progressions are scanned
+    one after another, not merged, so a point in several of them is
+    evaluated once in each.  With half-integer targets each is walked only
+    up to X = L/2; the progressions returned are always all the full ones.
     """
     budget = candidate_budget(spectrum)
     if budget > MAX_CANDIDATE_BUDGET:
@@ -135,14 +146,14 @@ def _scan(spectrum: tuple[int, ...], targets: tuple[Fraction, ...]
          * math.lcm(*(ni + nj for ni, nj in itertools.combinations(spectrum, 2)),
                     *(2 * nj for nj in spectrum)))
     scaled = [t.numerator * (L // t.denominator) for t in targets]
-    progressions = []
+    crossings, extrema = [], []
     for i, j in itertools.combinations(range(len(spectrum)), 2):
         total = spectrum[i] + spectrum[j]
         step = L // total
-        progressions.append(range((scaled[i] + scaled[j]) // total % step, L, step))
+        crossings.append(range((scaled[i] + scaled[j]) // total % step, L, step))
     for nj, tj in zip(spectrum, scaled):
         step = L // (2 * nj)
-        progressions.append(range(tj // nj % step, L, step))
+        extrema.append(range(tj // nj % step, L, step))
     # Largest frequency first: it moves fastest, so its term alone exceeds
     # the incumbent for most candidates, which are rejected before the loop.
     (n0, t0), *rest = list(zip(spectrum, scaled))[::-1]
@@ -156,7 +167,7 @@ def _scan(spectrum: tuple[int, ...], targets: tuple[Fraction, ...]
     # is kept only at a smaller X.  Every distance is at most L/2, so the
     # first candidate wins.
     best, best_X = L, L
-    for progression in progressions:
+    for progression in crossings or extrema:
         for X in range(progression.start, stop, progression.step):
             worst = (n0 * X - t0) % L
             if worst > half:
@@ -174,7 +185,7 @@ def _scan(spectrum: tuple[int, ...], targets: tuple[Fraction, ...]
             else:
                 if worst < best or X < best_X:
                     best, best_X = worst, X
-    return best, best_X, L, progressions
+    return best, best_X, L, crossings + extrema
 
 
 def mu_exact(p: SpectrumProblem) -> OracleResult:

@@ -13,8 +13,8 @@ from conftest import rand_coprime_pair, rand_fraction, rand_triple
 from kronlab.exact_arith import nearest_int, nearest_int_distance
 import kronlab.oracle as oracle
 from kronlab.oracle import (MAX_BINARY_SIZE, MAX_CANDIDATE_BUDGET,
-                            MAX_GRID_TARGETS, MAX_GRID_WORK, OracleResult,
-                            SpectrumProblem, SpectrumTooLargeError,
+                            MAX_GRID_TARGETS, MAX_GRID_WORK, SpectrumProblem,
+                            SpectrumTooLargeError,
                             alpha_grid_lower_bound, beta_exact, binary_values,
                             candidate_budget, mu_exact, mu_value)
 from oracle_reference import mu_exact_reference
@@ -176,8 +176,8 @@ targets_st = st.one_of(st.sampled_from([Fraction(0), HALF]),
 
 
 @st.composite
-def problems(draw):
-    d = draw(st.integers(1, 4))
+def problems(draw, min_d=1):
+    d = draw(st.integers(min_d, 4))
     spectrum = sorted(draw(st.sets(st.integers(1, 199), min_size=d, max_size=d)))
     targets = draw(st.lists(targets_st, min_size=d, max_size=d))
     return SpectrumProblem(tuple(spectrum), tuple(targets))
@@ -220,6 +220,30 @@ def test_mu_exact_equals_reference_on_tied_inputs(p):
     reference = mu_exact_reference(p)
     assert mu_exact(p) == reference
     assert mu_value(p.spectrum, p.targets) == reference.value
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(problems(min_d=2), tied_problems()))
+def test_minimiser_lies_on_a_balanced_crossing(p):
+    """With d >= 2 the scan walks only the balanced crossings, because every
+    minimiser of F is one: (n_i + n_j)*x - t_i - t_j is an integer for some
+    pair i < j.  The Fraction reference also scans valleys and peaks, so its
+    x_star would break this if that lemma were false."""
+    x = mu_exact_reference(p).x_star
+    assert any(((ni + nj) * x - ti - tj).denominator == 1 for (ni, ti), (nj, tj)
+               in itertools.combinations(zip(p.spectrum, p.targets), 2))
+
+
+def test_single_frequency_minimiser_is_the_smallest_valley():
+    """With d = 1 there are no pairs, and the scan walks the valleys and
+    peaks: F reaches 0 first at x = frac(t)/n."""
+    rng = random.Random(1)
+    for _ in range(200):
+        n = rng.randrange(1, 200)
+        t = rand_fraction(rng) + rng.randrange(-3, 3)
+        r = mu_exact(SpectrumProblem((n,), (t,)))
+        assert r.value == 0 and r.x_star == (t - math.floor(t)) / n
+        assert r.k_star == (-math.floor(t),)
 
 
 def test_mu_exact_equals_reference_on_binary_targets():

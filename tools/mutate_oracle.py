@@ -45,6 +45,10 @@ MUTANTS = [
      "in itertools.islice(itertools.combinations(range(len(spectrum)), 2), 1, None):"),
     ("drop-last-valley-progression", "in zip(spectrum, scaled):",
      "in zip(spectrum[:-1], scaled[:-1]):"),
+    ("walk-crossings-only", "in crossings or extrema:", "in crossings:"),
+    ("walk-extrema-only", "in crossings or extrema:", "in extrema:"),
+    ("walk-extrema-too", "in crossings or extrema:", "in crossings + extrema:"),
+    ("count-walked-only", "L, crossings + extrema", "L, crossings or extrema"),
 ]
 
 #: Mutants that change no result, with the reason.
@@ -52,6 +56,10 @@ EQUIVALENT = {
     "half-integer-test-integers":
         "halves only integer targets; half-integer ones are then scanned over "
         "[0, 1), which costs twice the work but finds the same minimiser",
+    "walk-extrema-too":
+        "when d >= 2 every minimiser is a balanced crossing, so walking the "
+        "valleys and peaks as well costs twice the work but finds the same "
+        "minimiser",
 }
 
 
