@@ -33,7 +33,7 @@ from .exact_arith import (DEFAULT_PRECISION, HALF, decimal_approx,
                           rational_to_csv, rational_to_json)
 from .greedy_triple import NotInAsymptoticRegime, TripleProblem, greedy_en_certificate
 from .oracle import (SpectrumProblem, alpha_grid_lower_bound, binary_values,
-                     check_grid, mu_exact, mu_value)
+                     mu_exact, mu_value)
 
 #: sweep refuses ranges of more rows than this, before it evaluates any: a
 #: row costs about 750 B, so the largest accepted sweep holds about 0.9 GB.
@@ -71,8 +71,8 @@ class SweepRow:
 
 
 class Witness(NamedTuple):
-    """alpha_witness of a triple and the cost the closed forms give it:
-    L_n in the R = a gap case, alpha_formula otherwise."""
+    """alpha_witness of a triple and the cost the closed forms give it,
+    alpha_formula (which is L_n in the R = a gap case)."""
 
     t: tuple[Fraction, Fraction, Fraction]
     gap_case: bool
@@ -96,8 +96,7 @@ class Witness(NamedTuple):
 
 def _witness(a: int, b: int, n: int) -> Witness:
     gap_case = congruence_data(a, b, n).R == a
-    expected = ln_value(a, b, n) if gap_case else alpha_formula(a, b, n)
-    return Witness(alpha_witness(a, b, n), gap_case, expected)
+    return Witness(alpha_witness(a, b, n), gap_case, alpha_formula(a, b, n))
 
 
 def _row_checks(a: int, b: int, n: int) -> bool:
@@ -273,18 +272,13 @@ def cmd_constants(args) -> int:
     ]
     if args.verify:
         fields.append(({"verified": row.verified}, f"verified: {row.verified}"))
-    if args.grid is not None and args.csv:
-        check_grid((a, b, n), args.grid)  # the CSV row has no grid column
-    elif args.grid is not None:
+    if args.grid is not None:
         value, argmax = alpha_grid_lower_bound((a, b, n), args.grid)
         fields.append(({"grid": {"D": args.grid, "value": rational_to_json(value, precision),
                                  "argmax": [rational_to_csv(t) for t in argmax]}},
                        f"grid lower bound (D={args.grid}): {_fmt(value, precision)} "
                        f"at t=({', '.join(rational_to_csv(t) for t in argmax)})"))
-    if args.csv:
-        _emit(rows_to_csv([row]), args.out)
-    else:
-        _report(args, fields)
+    _report(args, fields)
     if args.verify and row.verified == UNVERIFIED and regime:
         raise VerificationMismatch(
             f"formula disagrees with oracle for ({a}, {b}, {n}) inside the regime")
@@ -320,15 +314,8 @@ def cmd_sweep(args) -> int:
     if count > MAX_SWEEP_ROWS:
         raise ValueError(f"--from {args.n_from} --to {args.n_to} asks for {count} rows, "
                          f"above the limit of {MAX_SWEEP_ROWS}")
-    jobs = args.jobs
-    if jobs is None:
-        env = os.environ.get("KRONLAB_JOBS", "1")
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise ValueError(f"KRONLAB_JOBS must be an integer, got {env!r}") from None
     work = [(a, b, n, args.verify) for n in range(args.n_from, args.n_to + 1)]
-    rows = parallel_map(evaluate_sweep_row, work, jobs)
+    rows = parallel_map(evaluate_sweep_row, work, args.jobs)
 
     if args.json:
         doc = {"pair": [a, b],
@@ -389,10 +376,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(parser, csv_flag=False):
+def _add_common(parser):
     parser.add_argument("--json", action="store_true", help="JSON report")
-    if csv_flag:
-        parser.add_argument("--csv", action="store_true", help="CSV report")
     parser.add_argument("--out", metavar="PATH", help="write report to PATH (atomic)")
     parser.add_argument("--precision", type=_positive_int, default=DEFAULT_PRECISION,
                         help="significant digits for decimal approximations")
@@ -422,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="check every formula against the oracle")
     p_con.add_argument("--grid", type=int, metavar="D",
                        help="also compute the 1/D-grid lower bound")
-    _add_common(p_con, csv_flag=True)
+    _add_common(p_con)
     p_con.set_defaults(func=cmd_constants)
 
     p_sweep = sub.add_parser("sweep", help="constants for a range of n (CSV by default)")
@@ -432,8 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--to", dest="n_to", type=int, required=True)
     p_sweep.add_argument("--verify", action="store_true",
                          help="oracle-verify every row")
-    p_sweep.add_argument("--jobs", type=int,
-                         help="worker processes (default $KRONLAB_JOBS or 1)")
+    p_sweep.add_argument("--jobs", type=int, default=1,
+                         help="worker processes (default 1)")
     _add_common(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -124,13 +124,11 @@ class Certificate:
     negated: bool = False
 
 
-def certificate_at(p: TripleProblem, x_star: Fraction, method: str,
-                   negated: bool = False) -> Certificate:
+def certificate_at(p: TripleProblem, x_star: Fraction, method: str) -> Certificate:
     """Evaluate a candidate point exactly and package it as a Certificate."""
     residuals = [nj * x_star - tj for nj, tj in zip(p.spectrum(), p.targets())]
     k = tuple(nearest_int(r) for r in residuals)
-    return Certificate(x_star=x_star, k=k, cost=angular_norm(residuals),
-                       method=method, negated=negated)
+    return Certificate(x_star=x_star, k=k, cost=angular_norm(residuals), method=method)
 
 
 def small_lambda_certificate(p: TripleProblem, ba: BalancedApprox) -> Certificate:

@@ -270,11 +270,15 @@ def beta_exact(spectrum: Sequence[int], use_toggle: bool = True
     return _reduce_max(binary_values(spectrum, use_toggle).items())
 
 
-def check_grid(spectrum: Sequence[int], D: int) -> tuple[int, ...]:
-    """The checked spectrum, once a 1/D grid on it passes the limits
-    alpha_grid_lower_bound applies before it builds any target.
+def alpha_grid_lower_bound(spectrum: Sequence[int], D: int
+                           ) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """Lower bound on the angular constant from a 1/D target grid.
 
-    Raises ValueError when D < 2, when the grid has more than
+    Translation invariance (mu is unchanged by t -> t + c*spectrum) pins
+    t_1 = 0, so only D^(d-1) grid targets are scanned, one at a time.  The
+    result is a certified lower bound, monotone under grid refinement
+    D -> k*D; it is not claimed to attain the constant.  Raises ValueError,
+    before any target is built, when D < 2, when the grid has more than
     MAX_GRID_TARGETS targets or steps, or when its candidate budget exceeds
     MAX_GRID_WORK.
     """
@@ -289,20 +293,6 @@ def check_grid(spectrum: Sequence[int], D: int) -> tuple[int, ...]:
     if work_budget > MAX_GRID_WORK:
         raise ValueError(f"a 1/{D} grid on {spectrum} allows up to {work_budget} oracle "
                          f"candidates, above the limit of {MAX_GRID_WORK}")
-    return spectrum
-
-
-def alpha_grid_lower_bound(spectrum: Sequence[int], D: int
-                           ) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Lower bound on the angular constant from a 1/D target grid.
-
-    Translation invariance (mu is unchanged by t -> t + c*spectrum) pins
-    t_1 = 0, so only D^(d-1) grid targets are scanned, one at a time.  The
-    result is a certified lower bound, monotone under grid refinement
-    D -> k*D; it is not claimed to attain the constant.  Raises ValueError,
-    before any target is built, when check_grid refuses the grid.
-    """
-    spectrum = check_grid(spectrum, D)
     steps = [Fraction(i, D) for i in range(D)]
     targets = ((Fraction(0),) + rest
                for rest in itertools.product(steps, repeat=len(spectrum) - 1))

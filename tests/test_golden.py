@@ -32,23 +32,22 @@ CASES = {
     "mu-greedy-above-en-text": "mu --set 2,5,12 --t 0,0,1/2 --greedy",
     "constants-text": "constants 1 2 100",
     "constants-json": "constants 1 2 100 --json",
-    "constants-csv": "constants 1 2 100 --csv",
-    "constants-csv-json": "constants 1 2 100 --csv --json",  # --csv wins
     "constants-verify-text": "constants 1 2 100 --verify",
     "constants-verify-json": "constants 1 2 100 --verify --json",
-    "constants-verify-csv": "constants 1 2 100 --verify --csv",
     "constants-equal-verify-text": "constants 2 3 300 --verify",
     "constants-equal-verify-json": "constants 2 3 300 --verify --json --precision 20",
     "constants-small-n-verify-text": "constants 1 5 6 --verify",
-    "constants-small-n-verify-csv": "constants 1 5 6 --verify --csv",
     "constants-grid-text": "constants 1 2 100 --grid 6",
     "constants-grid-json": "constants 1 2 100 --grid 6 --json",
-    "constants-grid-csv": "constants 1 2 100 --grid 6 --csv",
     "sweep-csv": "sweep 1 2 --from 96 --to 104",
     "sweep-json": "sweep 1 2 --from 96 --to 104 --json",
     "sweep-verify-csv": "sweep 1 2 --from 96 --to 104 --verify",
     "sweep-verify-json": "sweep 1 2 --from 96 --to 104 --verify --json",
     "sweep-small-n-verify-csv": "sweep 1 5 --from 6 --to 12 --verify",
+    # one triple's CSV row is a one-row sweep
+    "sweep-one-row-csv": "sweep 1 2 --from 100 --to 100",
+    "sweep-one-row-verify-csv": "sweep 1 2 --from 100 --to 100 --verify",
+    "sweep-one-row-small-n-verify-csv": "sweep 1 5 --from 6 --to 6 --verify",
     "witness-text": "witness 1 2 100",
     "witness-json": "witness 1 2 100 --json",
     "witness-verify-text": "witness 1 2 100 --verify",
