@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
-from .exact_arith import HALF, _checked_coprime, _checked_target
+from .exact_arith import HALF, _checked_coprime, _checked_target, bezout_coprime
 
 
 @dataclass(frozen=True)
@@ -51,13 +51,11 @@ def congruence_data(a: int, b: int, n: int) -> CongruenceData:
     R = (r * T) % m
     r2 = n % (2 * m)
     if b % 2 == 1:
-        G = pow(2 * a, -1, b)
-        H = (2 * a * G - 1) // b
+        G, H = bezout_coprime(2 * a, b)
         g, h = 2 * G, H
         parity = "b-odd"
     else:
-        G = pow(a, -1, 2 * b)
-        H = (a * G - 1) // (2 * b)
+        G, H = bezout_coprime(a, 2 * b)
         g, h = G, 2 * H
         parity = "b-even"
     assert a * g - b * h == 1
@@ -71,7 +69,7 @@ def alpha_formula(a: int, b: int, n: int) -> Fraction:
     if R < a:
         return Fraction(n + a * a + a * b - a * R, 2 * (a + b) * (a + n))
     if R == a:
-        return Fraction(n + a * b, 2 * (a * n + b * n + a * b))
+        return ln_value(a, b, n)
     if R <= 2 * a:
         return Fraction(n + b * R, 2 * (a + b) * (b + n))
     return Fraction(n + 2 * a * a + 2 * a * b - a * R, 2 * (a + b) * (a + n))
@@ -140,18 +138,6 @@ def beta_formula(a: int, b: int, n: int) -> Fraction:
     if cd.R == a:
         return Fraction(n + a * b, 2 * (a + b) * (a + n))
     return alpha_formula(a, b, n)
-
-
-def toggle_reduce(spectrum: Sequence[int], t: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Cost-preserving flip of binary targets: entries at odd frequencies
-    are replaced by 1/2 - entry; even frequencies keep theirs."""
-    t = tuple(_checked_target(v) for v in t)
-    if len(spectrum) != len(t):
-        raise ValueError("spectrum and target lengths differ")
-    for v in t:
-        if v not in (0, HALF):
-            raise ValueError(f"binary target entries must be 0 or 1/2, got {v}")
-    return tuple(v if nj % 2 == 0 else HALF - v for nj, v in zip(spectrum, t))
 
 
 def alpha_witness(a: int, b: int, n: int) -> tuple[Fraction, Fraction, Fraction]:

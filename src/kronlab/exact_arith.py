@@ -13,11 +13,6 @@ from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-#: Exact rational number: canonical reduced form, positive denominator,
-#: value-based equality/ordering/hashing.  Immutable, hence safe to share
-#: across worker processes without synchronization.
-Rational = Fraction
-
 DEFAULT_PRECISION = 12
 
 HALF = Fraction(1, 2)
@@ -107,11 +102,6 @@ def bezout_coprime(a: int, b: int) -> tuple[int, int]:
     return g, h
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q", "p", or a decimal string into an exact Fraction."""
-    return Fraction(text.strip())
-
-
 def decimal_approx(q: Fraction, precision: int = DEFAULT_PRECISION) -> str:
     """Decimal rendering at ``precision`` significant digits, half-even.
 
@@ -129,13 +119,6 @@ def rational_to_json(q: Fraction, precision: int = DEFAULT_PRECISION) -> dict:
         "den": str(q.denominator),
         "approx": decimal_approx(q, precision),
     }
-
-
-def rational_from_json(obj) -> Fraction:
-    """Inverse of rational_to_json; also accepts plain string forms."""
-    if isinstance(obj, str):
-        return parse_rational(obj)
-    return Fraction(int(obj["num"]), int(obj["den"]))
 
 
 def rational_to_csv(q: Fraction) -> str:

@@ -22,7 +22,7 @@ angular norm recomputed at x_star.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .closed_form import alpha_formula, ln_value

@@ -50,9 +50,9 @@ the count is the size of the candidate set.  The value-only path behind
 mu_value, binary_values, beta_exact and alpha_grid_lower_bound builds no
 such set.  Every path applies the MAX_CANDIDATE_BUDGET refusal.
 
-This module deliberately shares no code with the closed forms or the greedy
-construction it is used to check (only the trivial binary toggle is reused,
-as a work-halving device whose validity is itself under test).
+This module deliberately shares no code with the closed forms, the pair
+solver or the greedy construction it is used to check: it imports only the
+exact substrate.
 """
 from __future__ import annotations
 
@@ -62,7 +62,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .closed_form import toggle_reduce
 from .exact_arith import HALF, _checked_spectrum, _checked_target, nearest_int
 
 #: mu_exact refuses spectra whose candidate_budget exceeds this, before it
@@ -213,14 +212,25 @@ def candidate_budget(spectrum: Sequence[int]) -> int:
     return d * d * (max_pair + 2)
 
 
-def _binary_targets(spectrum, use_toggle):
-    """Binary targets to evaluate, lexicographic; non-canonical members of
-    each toggling pair are skipped when use_toggle is set."""
-    d = len(spectrum)
-    for bits in itertools.product((Fraction(0), HALF), repeat=d):
-        if use_toggle and toggle_reduce(spectrum, bits) < bits:
-            continue
-        yield bits
+def _binary_targets(spectrum):
+    """The binary targets beta_exact evaluates, in lexicographic order: those
+    with t_j = 0 at the first odd frequency n_j, or all 2^d when every n_j
+    is even.
+
+    The skipped half costs the same.  Toggle a binary t, replacing t_j by
+    1/2 - t_j at every odd n_j.  For odd n_j,
+    n_j*(x + 1/2) - (1/2 - t_j) = n_j*x + t_j + (n_j - 1)/2, and for even
+    n_j, n_j*(x + 1/2) - t_j = n_j*x - t_j + n_j/2: integer shifts either
+    way.  Since 2*t_j is an integer, <n_j*x + t_j> = <n_j*x - t_j>.  So the
+    toggled target's F at x + 1/2 is F at x, and both have the same minimum.
+    Each toggling pair differs at the first odd n_j, where the member with
+    t_j = 0 is kept.  It is the lexicographically smaller of the pair, so
+    beta_exact's tie rule picks the argmax it would pick over all 2^d.
+    """
+    odd = [j for j, nj in enumerate(spectrum) if nj % 2]
+    for bits in itertools.product((Fraction(0), HALF), repeat=len(spectrum)):
+        if not odd or bits[odd[0]] == 0:
+            yield bits
 
 
 def _mu_value_at(spectrum, t):
@@ -247,27 +257,20 @@ def _reduce_max(pairs):
     return best_v, best_t
 
 
-def binary_values(spectrum: Sequence[int], use_toggle: bool = True
-                  ) -> dict[tuple[Fraction, ...], Fraction]:
-    """mu_exact value at each binary target beta_exact reduces, keyed by target.
-
-    With use_toggle, only one representative of each toggling pair is a key.
-    """
+def binary_values(spectrum: Sequence[int]) -> dict[tuple[Fraction, ...], Fraction]:
+    """mu_exact value at each binary target beta_exact reduces, keyed by target:
+    one representative of each toggling pair (see _binary_targets)."""
     spectrum = _checked_spectrum(spectrum)
     if len(spectrum) > MAX_BINARY_SIZE:
         raise SpectrumTooLargeError(
             f"|S| = {len(spectrum)} exceeds MAX_BINARY_SIZE = {MAX_BINARY_SIZE}")
-    return {t: _mu_value_at(spectrum, t) for t in _binary_targets(spectrum, use_toggle)}
+    return {t: _mu_value_at(spectrum, t) for t in _binary_targets(spectrum)}
 
 
-def beta_exact(spectrum: Sequence[int], use_toggle: bool = True
-               ) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Exhaustive binary Kronecker constant: max of mu_exact over {0, 1/2}^d.
-
-    Toggling halves the enumeration by evaluating one representative per
-    cost-equivalence class.
-    """
-    return _reduce_max(binary_values(spectrum, use_toggle).items())
+def beta_exact(spectrum: Sequence[int]) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """Exhaustive binary Kronecker constant: max of mu_exact over {0, 1/2}^d,
+    from one representative of each toggling pair of equal cost."""
+    return _reduce_max(binary_values(spectrum).items())
 
 
 def alpha_grid_lower_bound(spectrum: Sequence[int], D: int

@@ -13,7 +13,6 @@ from kronlab.cli import (CSV_COLUMNS, UNVERIFIED, VERIFIED_ORACLE,
 from kronlab.closed_form import (alpha_formula, alpha_witness, beta_formula,
                                  binary_mu, canonical_binary_pair,
                                  congruence_data, in_asymptotic_regime, ln_value)
-from kronlab.exact_arith import parse_rational
 from kronlab.greedy_triple import Certificate
 from kronlab.oracle import SpectrumProblem, beta_exact, mu_exact
 
@@ -253,8 +252,8 @@ def test_sweep_csv_file(tmp_path, capsys):
     assert all(r[10] in (VERIFIED_ORACLE, VERIFIED_WITNESS) for r in rows)
     # round-trip: rational cells parse back exactly
     for r in rows:
-        alpha = parse_rational(r[6])
-        beta = parse_rational(r[7])
+        alpha = Fraction(r[6])
+        beta = Fraction(r[7])
         assert (r[9] == "true") == (beta < alpha)
 
 

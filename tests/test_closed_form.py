@@ -7,7 +7,7 @@ from conftest import rand_coprime_pair
 from kronlab.closed_form import (alpha_formula, alpha_witness, beta_formula,
                                  binary_mu, binary_mu_detail,
                                  canonical_binary_pair, congruence_data,
-                                 in_asymptotic_regime, ln_value, toggle_reduce)
+                                 in_asymptotic_regime, ln_value)
 from kronlab.oracle import SpectrumProblem, mu_exact
 from kronlab.pair_solver import PairProblem, mu_pair
 
@@ -126,26 +126,6 @@ def test_alpha_limit_envelope():
         c = Fraction(max(a * (a + b - 1), b * (2 * a - 1), a * (2 * b - 1)),
                      2 * (a + b))
         assert abs(alpha_formula(a, b, n) - Fraction(1, 2 * (a + b))) <= c / n
-
-
-def test_toggle_examples():
-    assert toggle_reduce((1, 2), (HALF, Fraction(0))) == (Fraction(0), Fraction(0))
-    assert toggle_reduce((1, 2), (Fraction(0), HALF)) == (HALF, HALF)
-    assert toggle_reduce((2, 3, 300), (HALF, HALF, Fraction(0))) == \
-        (HALF, Fraction(0), Fraction(0))
-    with pytest.raises(ValueError):
-        toggle_reduce((1, 2), (Fraction(1, 3), Fraction(0)))
-
-
-def test_toggle_preserves_cost():
-    rng = random.Random(5)
-    for _ in range(60):
-        d = rng.randrange(1, 4)
-        spectrum = tuple(sorted(rng.sample(range(1, 40), d)))
-        t = tuple(rng.choice((Fraction(0), HALF)) for _ in spectrum)
-        tt = toggle_reduce(spectrum, t)
-        assert mu_exact(SpectrumProblem(spectrum, t)).value == \
-            mu_exact(SpectrumProblem(spectrum, tt)).value
 
 
 def test_canonical_pair_cost_is_pair_constant():

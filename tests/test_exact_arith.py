@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kronlab.closed_form import (alpha_formula, binary_mu, congruence_data,
-                                 ln_value, toggle_reduce)
-from kronlab.exact_arith import (NonCoprimeError, angular_norm, bezout_coprime,
-                                 decimal_approx, nearest_int,
-                                 nearest_int_distance, parse_rational,
-                                 rational_from_json, rational_to_csv,
+from kronlab.closed_form import alpha_formula, binary_mu, congruence_data, ln_value
+from kronlab.exact_arith import (NonCoprimeError, _checked_target, angular_norm,
+                                 bezout_coprime, decimal_approx, nearest_int,
+                                 nearest_int_distance, rational_to_csv,
                                  rational_to_json)
 from kronlab.greedy_triple import TripleProblem
 from kronlab.pair_solver import PairProblem
@@ -35,7 +33,6 @@ def test_nearest_int_distance_examples():
     pytest.param(lambda: alpha_formula(1, 2.0, 5), id="alpha-float-frequency"),
     pytest.param(lambda: ln_value(1, 2, 5.0), id="ln-float-frequency"),
     pytest.param(lambda: binary_mu(1, 2, 5, 0.5), id="binary-mu-float-target"),
-    pytest.param(lambda: toggle_reduce((1, 2), (0.5, 0)), id="toggle-float-target"),
 ])
 def test_every_entry_point_refuses_inexact_input(build):
     with pytest.raises(ValueError):
@@ -116,18 +113,20 @@ def test_fraction_arithmetic_matches_integer_arithmetic(p, q, r, s):
 
 
 def test_parse_rational_forms():
-    assert parse_rational("3/10") == Fraction(3, 10)
-    assert parse_rational("-7") == Fraction(-7)
-    assert parse_rational("0.25") == Fraction(1, 4)
-    assert parse_rational(" 1/2 ") == Fraction(1, 2)
+    # every string target (library or CLI) is parsed by _checked_target
+    assert _checked_target("3/10") == Fraction(3, 10)
+    assert _checked_target("-7") == Fraction(-7)
+    assert _checked_target("0.25") == Fraction(1, 4)
+    assert _checked_target(" 1/2 ") == Fraction(1, 2)
     with pytest.raises(ValueError):
-        parse_rational("one half")
+        _checked_target("one half")
 
 
 @given(fractions_st)
 def test_serialization_round_trips(q):
-    assert rational_from_json(rational_to_json(q)) == q
-    assert parse_rational(rational_to_csv(q)) == q
+    d = rational_to_json(q)
+    assert Fraction(int(d["num"]), int(d["den"])) == q
+    assert Fraction(rational_to_csv(q)) == q
 
 
 def test_decimal_rendering_half_even_and_precision():

@@ -14,8 +14,7 @@ from kronlab.greedy_triple import (Certificate, EmptyWindowError,
                                    greedy_en_certificate, modify,
                                    small_lambda_certificate, z_windows)
 from kronlab.oracle import SpectrumProblem, mu_exact
-from kronlab.pair_solver import (BalancedApprox, best_pair_approx,
-                                 second_best_approx)
+from kronlab.pair_solver import BalancedApprox, best_pair_approx
 
 HALF = Fraction(1, 2)
 

@@ -314,30 +314,71 @@ def test_beta_exact_examples():
     assert beta_exact((2, 3, 300))[0] == Fraction(31, 302)
 
 
+def binary_targets(d):
+    return list(itertools.product((Fraction(0), HALF), repeat=d))
+
+
 def test_beta_exact_toggle_and_jobs_consistency():
+    # beta_exact equals the max over all 2^d binary targets, ties going to
+    # the lexicographically smallest target
     rng = random.Random(8)
     for _ in range(10):
         a, b = rand_coprime_pair(rng, 10)
         n = rng.randrange(b + 1, 60)
         spectrum = (a, b, n)
-        plain = beta_exact(spectrum, use_toggle=False)
-        assert beta_exact(spectrum) == plain
+        values = {t: mu_value(spectrum, t) for t in binary_targets(3)}
+        best = max(values.values())
+        argmax = min(t for t, v in values.items() if v == best)
+        assert beta_exact(spectrum) == (best, argmax)
 
 
 def test_binary_values_are_what_beta_exact_reduces():
     values = binary_values((2, 5, 40))
-    assert len(values) == 4  # one representative per toggling pair
+    # one representative per toggling pair: t_2 = 0 at the first odd frequency
+    assert list(values) == [t for t in binary_targets(3) if t[1] == 0]
     value, argmax = beta_exact((2, 5, 40))
     assert value == max(values.values()) == values[argmax]
-    assert len(binary_values((2, 5, 40), use_toggle=False)) == 8
-    # the value-only scan behind binary_values agrees with mu_exact
+    # the value-only scans behind binary_values and mu_value agree with mu_exact
     rng = random.Random(40)
     triples = [(2, 5, 40)] + [rand_triple(rng, hi_pair=12, n_lo=1, n_hi=400)
                               for _ in range(12)]
     for spectrum in triples:
-        for use_toggle in (True, False):
-            for t, v in binary_values(spectrum, use_toggle).items():
-                assert mu_exact(SpectrumProblem(spectrum, t)).value == v, (spectrum, t)
+        values = binary_values(spectrum)
+        for t in binary_targets(3):
+            v = mu_exact(SpectrumProblem(spectrum, t)).value
+            assert mu_value(spectrum, t) == v, (spectrum, t)
+            if t in values:
+                assert values[t] == v, (spectrum, t)
+
+
+def toggle_representative(spectrum, t):
+    """t, or its toggle (1/2 - t_j at every odd n_j) when t_j = 1/2 at the
+    first odd n_j."""
+    odd = [tj for nj, tj in zip(spectrum, t) if nj % 2]
+    if odd and odd[0] == HALF:
+        return tuple(HALF - tj if nj % 2 else tj for nj, tj in zip(spectrum, t))
+    return t
+
+
+def test_binary_values_cover_every_binary_target():
+    """The toggle lemma: every binary target costs what its representative
+    in binary_values costs, and the representatives are exactly the targets
+    that are their own, in lexicographic order."""
+    rng = random.Random(1010)
+    spectra = [(1,), (2,), (1, 2), (2, 4)]
+    for _ in range(40):
+        d = rng.randrange(1, 7)
+        spectrum = tuple(sorted(rng.sample(range(1, 40), d)))
+        spectra.append(spectrum)
+        spectra.append(tuple(2 * nj for nj in spectrum))  # all even
+    for spectrum in spectra:
+        values = binary_values(spectrum)
+        targets = binary_targets(len(spectrum))
+        assert list(values) == [t for t in targets
+                                if toggle_representative(spectrum, t) == t], spectrum
+        for t in targets:
+            assert mu_value(spectrum, t) == values[toggle_representative(spectrum, t)], \
+                (spectrum, t)
 
 
 def test_beta_exact_cap():
@@ -397,8 +438,7 @@ def test_grid_refuses_oversized_grid_before_building_it(monkeypatch):
 
 def test_oracle_imports_nothing_it_checks():
     """The oracle is the ground truth for the closed forms, the pair solver
-    and the greedy construction, so it may reuse none of their code beyond
-    the binary toggle."""
+    and the greedy construction, so it may reuse none of their code."""
     imported = set()  # (kronlab module, name)
     for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
         if isinstance(node, ast.ImportFrom) and node.module is None:
@@ -407,5 +447,5 @@ def test_oracle_imports_nothing_it_checks():
             imported |= {(node.module.split(".")[-1], alias.name) for alias in node.names}
         elif isinstance(node, ast.Import):
             imported |= {(alias.name.split(".")[-1], "*") for alias in node.names}
-    assert not {module for module, _ in imported} & {"greedy_triple", "pair_solver"}
-    assert {name for module, name in imported if module == "closed_form"} <= {"toggle_reduce"}
+    assert not {module for module, _ in imported} & {"closed_form", "greedy_triple",
+                                                     "pair_solver"}

@@ -49,6 +49,9 @@ MUTANTS = [
     ("walk-extrema-only", "in crossings or extrema:", "in extrema:"),
     ("walk-extrema-too", "in crossings or extrema:", "in crossings + extrema:"),
     ("count-walked-only", "L, crossings + extrema", "L, crossings or extrema"),
+    ("binary-keep-half-member", "bits[odd[0]] == 0:", "bits[odd[0]] == HALF:"),
+    ("binary-last-odd-index", "bits[odd[0]]", "bits[odd[-1]]"),
+    ("binary-no-filter", "if not odd or bits[odd[0]] == 0:", "if True:"),
 ]
 
 #: Mutants that change no result, with the reason.
