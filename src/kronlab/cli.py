@@ -21,7 +21,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
@@ -301,6 +300,8 @@ def parallel_map(fn: Callable, work: Sequence[tuple], jobs: int) -> list:
     workers = worker_count(jobs, len(work))
     if workers < 2:
         return [fn(*args) for args in work]
+    # imported here: only a pool pays for loading multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunksize = math.ceil(len(work) / (4 * workers))
         return list(pool.map(fn, *zip(*work), chunksize=chunksize))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .closed_form import alpha_formula, ln_value
-from .exact_arith import _checked_coprime, _checked_target, angular_norm, nearest_int
+from .exact_arith import _checked_coprime, _checked_target, nearest_int
 from .pair_solver import (BalancedApprox, PairProblem, best_pair_approx,
                           negate_approx, second_best_approx)
 
@@ -128,7 +128,9 @@ def certificate_at(p: TripleProblem, x_star: Fraction, method: str) -> Certifica
     """Evaluate a candidate point exactly and package it as a Certificate."""
     residuals = [nj * x_star - tj for nj, tj in zip(p.spectrum(), p.targets())]
     k = tuple(nearest_int(r) for r in residuals)
-    return Certificate(x_star=x_star, k=k, cost=angular_norm(residuals), method=method)
+    # halves round down in nearest_int, so |r - k| is exactly <r>
+    cost = max(abs(r - kj) for r, kj in zip(residuals, k))
+    return Certificate(x_star=x_star, k=k, cost=cost, method=method)
 
 
 def small_lambda_certificate(p: TripleProblem, ba: BalancedApprox) -> Certificate:
@@ -145,27 +147,29 @@ def small_lambda_certificate(p: TripleProblem, ba: BalancedApprox) -> Certificat
     return certificate_at(p, z, "small-lambda")
 
 
-def z_windows(ba: BalancedApprox, E: Fraction, p: TripleProblem) -> tuple[ZWindow, ZWindow]:
-    """Both alignment windows for a balanced point at bound E >= lam.
+def _z_window(ba: BalancedApprox, E: Fraction, p: TripleProblem, sign: int) -> ZWindow:
+    """One alignment window of a balanced point at bound E >= lam:
 
-    positive-sign: [x + (n*lam - (b+n)E)/(bn), x + ((a+n)E - n*lam)/(an)]
-    negative-sign: [x + (n*lam - (a+n)E)/(an), x + ((b+n)E - n*lam)/(bn)]
+    sign > 0, positive-sign: [x + (n*lam - (b+n)E)/(bn), x + ((a+n)E - n*lam)/(an)]
+    sign < 0, negative-sign: [x + (n*lam - (a+n)E)/(an), x + ((b+n)E - n*lam)/(bn)]
 
-    Each width is E*(2ab+an+bn)/(abn) - lam*(a+b)/(ab); both windows always
-    contain the anchor.
+    Its width is E*(2ab+an+bn)/(abn) - lam*(a+b)/(ab); it always contains
+    the anchor.
     """
     E = Fraction(E)
     if E < ba.lam:
         raise EmptyWindowError(f"E={E} < lam={ba.lam}")
-    a, b, n = p.a, p.b, p.n
-    x, lam = ba.x, ba.lam
-    pos = ZWindow(lo=x + (n * lam - (b + n) * E) / (b * n),
-                  hi=x + ((a + n) * E - n * lam) / (a * n),
-                  case_tag="positive-sign", anchor_x=x, E=E, lam=lam)
-    neg = ZWindow(lo=x + (n * lam - (a + n) * E) / (a * n),
-                  hi=x + ((b + n) * E - n * lam) / (b * n),
-                  case_tag="negative-sign", anchor_x=x, E=E, lam=lam)
-    return pos, neg
+    n, x, lam = p.n, ba.x, ba.lam
+    lo_f, hi_f, tag = (p.b, p.a, "positive-sign") if sign > 0 else (p.a, p.b, "negative-sign")
+    return ZWindow(lo=x + (n * lam - (lo_f + n) * E) / (lo_f * n),
+                   hi=x + ((hi_f + n) * E - n * lam) / (hi_f * n),
+                   case_tag=tag, anchor_x=x, E=E, lam=lam)
+
+
+def z_windows(ba: BalancedApprox, E: Fraction, p: TripleProblem) -> tuple[ZWindow, ZWindow]:
+    """Both alignment windows (positive-sign, negative-sign) for a balanced
+    point at bound E >= lam; see _z_window."""
+    return _z_window(ba, E, p, +1), _z_window(ba, E, p, -1)
 
 
 def modify(ba: BalancedApprox, z: Fraction, p: TripleProblem,
@@ -225,8 +229,7 @@ def greedy_bound(p: TripleProblem) -> Certificate:
     if 2 * n * ba.lam <= b - a:
         return small_lambda_certificate(p, ba)
     E = (n * (a + b) * ba.lam + a * b) / Fraction(2 * a * b + a * n + b * n)
-    pos, neg = z_windows(ba, E, p)
-    w = pos if ba.sign > 0 else neg
+    w = _z_window(ba, E, p, ba.sign)
     k3 = _pick_alignment(w, p, p.t3)
     assert k3 is not None, "window of width 1/n must contain an alignment point"
     return modify(ba, Fraction(p.t3 + k3, n), p, window=w)
@@ -276,15 +279,15 @@ def greedy_en_certificate(p: TripleProblem) -> Certificate:
     if 2 * n * ba.lam <= b - a:
         cert = small_lambda_certificate(q, ba)
     elif ba.lam <= Fraction(1, a + b) - ln:
-        w = z_windows(ba, ln, q)[0]
+        w = _z_window(ba, ln, q, +1)
         k3 = _pick_alignment(w, q, q.t3)
         assert k3 is not None, "L_n window has width >= 1/n here"
         cert = modify(ba, Fraction(q.t3 + k3, n), q, window=w)
     else:
         try:
-            w_best = z_windows(ba, en, q)[0]
+            w_best = _z_window(ba, en, q, +1)
             sb = second_best_approx(q.pair(), ba)
-            w_second = z_windows(sb, en, q)[1]
+            w_second = _z_window(sb, en, q, -1)
         except EmptyWindowError as exc:
             raise NotInAsymptoticRegime(str(exc), greedy_bound(p)) from exc
         picks = []

@@ -1,8 +1,11 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -269,6 +272,26 @@ def test_sweep_determinism_and_jobs(tmp_path, capsys, monkeypatch):
     assert run(capsys, "sweep", "2", "3", "--from", "300", "--to", "309",
                "--out", str(p3))[0] == 0
     assert p1.read_bytes() == p3.read_bytes()
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs 2 or more CPUs")
+def test_sweep_stdout_is_byte_identical_across_job_counts(capsys):
+    argv = ["sweep", "2", "5", "--from", "300", "--to", "311", "--verify"]
+    code, sequential, _ = run(capsys, *argv, "--jobs", "1")
+    assert code == 0
+    code, pooled, _ = run(capsys, *argv, "--jobs", "2")
+    assert code == 0 and pooled == sequential
+
+
+def test_import_leaves_multiprocessing_out():
+    # only sweep --jobs >= 2 needs a process pool; plain start-up skips it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, kronlab.cli; print('multiprocessing' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_sweep_json_rows(capsys):

@@ -9,8 +9,8 @@ from kronlab.closed_form import (alpha_formula, congruence_data,
 from kronlab.exact_arith import angular_norm, bezout_coprime
 from kronlab.greedy_triple import (Certificate, EmptyWindowError,
                                    NotApplicableError, NotInAsymptoticRegime,
-                                   TripleProblem, WindowViolationError,
-                                   certificate_at, greedy_bound,
+                                   TripleProblem, WindowViolationError, ZWindow,
+                                   _z_window, certificate_at, greedy_bound,
                                    greedy_en_certificate, modify,
                                    small_lambda_certificate, z_windows)
 from kronlab.oracle import SpectrumProblem, mu_exact
@@ -76,6 +76,56 @@ def test_z_window_boundary_and_error():
     assert pos.width() == neg.width() == 2 * ba.lam / 100
     with pytest.raises(EmptyWindowError):
         z_windows(ba, ba.lam - Fraction(1, 10**9), p)
+
+
+def test_one_window_is_the_matching_member_of_both():
+    # reference: the window formulas written out for each sign
+    rng = random.Random(1111)
+    for _ in range(300):
+        a, b = rand_coprime_pair(rng, 12)
+        n = rng.randrange(b + 1, 80 * b)
+        p = TripleProblem(a, b, n, *(rand_fraction(rng) for _ in range(3)))
+        ba = best_pair_approx(p.pair())
+        x, lam = ba.x, ba.lam
+        for E in (lam, lam + rand_fraction(rng), alpha_formula(a, b, n)):
+            if E < lam:
+                continue
+            both = z_windows(ba, E, p)
+            expected = (
+                ZWindow(x + (n * lam - (b + n) * E) / (b * n),
+                        x + ((a + n) * E - n * lam) / (a * n), "positive-sign", x, E, lam),
+                ZWindow(x + (n * lam - (a + n) * E) / (a * n),
+                        x + ((b + n) * E - n * lam) / (b * n), "negative-sign", x, E, lam))
+            assert both == expected
+            assert (_z_window(ba, E, p, +1), _z_window(ba, E, p, -1)) == both
+        if lam > 0:
+            E = lam - rand_fraction(rng) * lam - Fraction(1, 10**6) * lam
+            with pytest.raises(EmptyWindowError) as both_error:
+                z_windows(ba, E, p)
+            for sign in (+1, -1):
+                with pytest.raises(EmptyWindowError) as one_error:
+                    _z_window(ba, E, p, sign)
+                assert str(one_error.value) == str(both_error.value) == f"E={E} < lam={lam}"
+
+
+def test_certificate_cost_is_the_angular_norm_of_its_residuals():
+    rng = random.Random(1112)
+    for i in range(600):
+        a, b = rand_coprime_pair(rng, 12)
+        n = rng.randrange(b + 1, 80 * b)
+        x = rand_fraction(rng) + rng.randrange(-3, 3)
+        if i % 2:
+            # every residual n_j*x - t_j an exact half-integer
+            t = [nj * x - Fraction(2 * rng.randrange(-5, 5) + 1, 2) for nj in (a, b, n)]
+        else:
+            t = [rand_fraction(rng) for _ in range(3)]
+        p = TripleProblem(a, b, n, *t)
+        cert = certificate_at(p, x, "oracle")
+        residuals = [nj * x - tj for nj, tj in zip(p.spectrum(), p.targets())]
+        assert cert.cost == angular_norm(residuals)
+        if i % 2:
+            assert cert.cost == HALF
+            assert cert.k == tuple(r - HALF for r in residuals)  # halves round down
 
 
 def test_modify_examples():
