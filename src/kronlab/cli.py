@@ -38,6 +38,12 @@ from .oracle import (SpectrumProblem, alpha_grid_lower_bound, binary_values,
 #: row costs about 750 B, so the largest accepted sweep holds about 0.9 GB.
 MAX_SWEEP_ROWS = 10**6
 
+#: --precision refuses more significant digits than this, before any
+#: computation.  Rendering is linear in the digits (about 6 ms and 1 MB per
+#: rational at 10^6); at this limit a report's decimals cost microseconds
+#: and about 10 kB each.
+MAX_PRECISION = 10**4
+
 CSV_COLUMNS = ("a", "b", "n", "r", "R", "S", "alpha", "beta", "ln", "gap", "verified")
 
 VERIFIED_ORACLE = "oracle-exact"
@@ -358,14 +364,17 @@ def cmd_witness(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for a count that must be at least 1."""
+def _precision(text: str) -> int:
+    """argparse type for --precision: an int from 1 to MAX_PRECISION."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value > MAX_PRECISION:
+        raise argparse.ArgumentTypeError(
+            f"{value} digits is above the limit of MAX_PRECISION = {MAX_PRECISION}")
     return value
 
 
@@ -380,7 +389,7 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(parser):
     parser.add_argument("--json", action="store_true", help="JSON report")
     parser.add_argument("--out", metavar="PATH", help="write report to PATH (atomic)")
-    parser.add_argument("--precision", type=_positive_int, default=DEFAULT_PRECISION,
+    parser.add_argument("--precision", type=_precision, default=DEFAULT_PRECISION,
                         help="significant digits for decimal approximations")
 
 

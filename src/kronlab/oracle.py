@@ -21,26 +21,40 @@ pairs, and it walks the valleys and peaks, where the one component's
 minimum, 0, is attained.  The valleys and peaks stay in the counted
 candidate set.
 
-All three families lie on one integer grid x = X/L, with
-L = lcm(target denominators) * lcm({n_i + n_j}, {2*n_j}): each family is
-an arithmetic progression of integers X in [0, L), and the distance
-<n_k*x - t_k> is min(r, L - r)/L for r = (n_k*X - t_k*L) mod L.  So the
-scan compares integers only, and converts the optimum to a Fraction once.
-It is exact, with no tolerance anywhere.
+Each progression has an integer grid of its own.  Let D be the lcm of the
+target denominators, so every t_j*D is an integer.  The crossings of (i, j)
+are x = Y/M with M = (n_i + n_j)*D and Y = (t_i + t_j)*D + s*D: the integers
+Y in [0, M) congruent to (t_i + t_j)*D modulo D, a progression of step D.
+The valleys and peaks of n_j, x = (2*t_j + k)/(2*n_j), are likewise the
+integers Y in [0, M) congruent to 2*t_j*D modulo D, with M = 2*n_j*D.
+At x = Y/M, n_k*x - t_k = (n_k*Y - t_k*M)/M, and t_k*M = (t_k*D)*(M/D) is an
+integer, so the distance <n_k*x - t_k> is min(r, M - r)/M for the integer
+r = (n_k*Y - t_k*M) mod M.  So within one progression the scan compares
+integers on a common denominator M, and M stays small: it is one pair sum
+(or 2*n_j) times D, not the lcm of all of them.
+
+Across progressions the incumbent is kept as integers too: the value bv/bM
+at x = bY/bM.  A candidate of progression M with distance worst/M is
+rejected when worst > thr = floor(bv*M/bM).  That floor loses nothing:
+worst is an integer, so worst > thr exactly when worst/M > bv/bM.  A kept
+candidate replaces the incumbent when worst*bM < bv*M (a smaller value) or
+Y*bM < bY*M (a tie at a smaller x), both cross-multiplied, so the scan is
+exact with no tolerance anywhere, and builds a Fraction only for its result.
 
 The scan walks each progression in turn, with no merged or sorted candidate
 list.  An explicit tie rule makes that order irrelevant: the incumbent
-(value, X) is replaced only by a lexicographically smaller pair, so the
+(value, x) is replaced only by a lexicographically smaller pair, so the
 result is the smallest minimising x.  The largest frequency's term is
 evaluated first, and most candidates are rejected on it alone.
 
 Half-integer targets (every 2*t_j an integer, as in beta's {0, 1/2}^d) make
 F symmetric: F(1 - x) = max_j <-(n_j*x + t_j)> = max_j <n_j*x - t_j + 2*t_j>
-= F(x).  The reflection X -> L - X also maps each progression onto itself,
-because 2*t_j*L is a multiple of L, so -t_j*L = t_j*L modulo L.  So a
-minimiser x above 1/2 has a mirror 1 - x below 1/2 that is a minimiser too,
-the smallest minimiser lies in [0, 1/2], and the scan walks each progression
-only up to X = L/2 (included: x = 1/2 is its own mirror).  Value, x_star,
+= F(x).  The reflection Y -> M - Y also maps each progression onto itself:
+M is a multiple of D, the residue modulo D is t_i*D + t_j*D or 2*t_j*D, and
+each 2*t_j*D is a multiple of D, so each residue equals its negative.  So a minimiser x above
+1/2 has a mirror 1 - x below 1/2 that is a minimiser too, the smallest
+minimiser lies in [0, 1/2], and the scan walks each progression only up to
+Y = M/2 (included: x = 1/2 is its own mirror).  Value, x_star,
 k_star and the tie rule are unchanged.  Other targets are scanned over all
 of [0, 1).
 
@@ -74,9 +88,9 @@ MAX_GRID_TARGETS = 10**5
 
 #: alpha_grid_lower_bound also refuses grids whose D^(d-1) targets allow more
 #: than this many oracle candidates in all (candidate_budget per target).  At
-#: the measured 0.04-0.09 us per budgeted candidate (Python 3.11, 2-CPU x86;
+#: the measured 0.036-0.071 us per budgeted candidate (Python 3.11, 2-CPU x86;
 #: (1,2,100), (1,2,1000), (2,5,300), (3,7,2000), (1,2,3,50)), the largest
-#: accepted grid takes 6-14 s.
+#: accepted grid takes 5-11 s.
 MAX_GRID_WORK = 150_000_000
 
 #: binary_values and beta_exact refuse spectra of more frequencies than this:
@@ -121,70 +135,69 @@ class OracleResult:
 
 
 def _scan(spectrum: tuple[int, ...], targets: tuple[Fraction, ...]
-          ) -> tuple[int, int, int, list[range]]:
-    """(best, best_X, L, progressions): the minimum best/L of F on the grid
-    x = X/L, its smallest minimiser best_X/L, and the candidate progressions
-    scanned.  Raises ValueError when candidate_budget(spectrum) exceeds
-    MAX_CANDIDATE_BUDGET, before it allocates anything.
+          ) -> tuple[int, int, int, list[tuple[int, range]]]:
+    """(best, best_Y, best_M, progressions): the minimum best/best_M of F on
+    the candidates, its smallest minimiser best_Y/best_M, and the candidate
+    progressions as (M, range of Y) pairs, x = Y/M.  Raises ValueError when
+    candidate_budget(spectrum) exceeds MAX_CANDIDATE_BUDGET, before it
+    allocates anything.
 
-    The candidates are arithmetic progressions of integers X in [0, L): the
-    crossings of each pair, then the valleys and peaks of each n_j, which
-    together are the one progression X = (t_j*L + k*L/2)/n_j of step
-    L/(2*n_j).  Only the crossings are walked when there are any (d >= 2),
-    since they hold every minimiser (see the module docstring); the valleys
-    and peaks are walked when d = 1.  The walked progressions are scanned
-    one after another, not merged, so a point in several of them is
-    evaluated once in each.  With half-integer targets each is walked only
-    up to X = L/2; the progressions returned are always all the full ones.
+    The progressions are the crossings of each pair, then the valleys and
+    peaks of each n_j, each on its own grid (see the module docstring).
+    Only the crossings are walked when there are any (d >= 2), since they
+    hold every minimiser; the valleys and peaks are walked when d = 1.  The
+    walked progressions are scanned one after another, not merged, so a
+    point in several of them is evaluated once in each.  With half-integer
+    targets each is walked only up to Y = M/2; the progressions returned are
+    always all the full ones.
     """
     budget = candidate_budget(spectrum)
     if budget > MAX_CANDIDATE_BUDGET:
         raise ValueError(f"spectrum {spectrum} allows up to {budget} oracle candidates, "
                          f"above the limit of {MAX_CANDIDATE_BUDGET}")
-    L = (math.lcm(*(t.denominator for t in targets))
-         * math.lcm(*(ni + nj for ni, nj in itertools.combinations(spectrum, 2)),
-                    *(2 * nj for nj in spectrum)))
-    scaled = [t.numerator * (L // t.denominator) for t in targets]
-    crossings, extrema = [], []
-    for i, j in itertools.combinations(range(len(spectrum)), 2):
-        total = spectrum[i] + spectrum[j]
-        step = L // total
-        crossings.append(range((scaled[i] + scaled[j]) // total % step, L, step))
-    for nj, tj in zip(spectrum, scaled):
-        step = L // (2 * nj)
-        extrema.append(range(tj // nj % step, L, step))
+    D = math.lcm(*(t.denominator for t in targets))
+    scaled = [t.numerator * (D // t.denominator) for t in targets]  # t_j*D
+    crossings = [((ni + nj) * D, range((si + sj) % D, (ni + nj) * D, D))
+                 for (ni, si), (nj, sj) in itertools.combinations(zip(spectrum, scaled), 2)]
+    extrema = [(2 * nj * D, range(2 * sj % D, 2 * nj * D, D))
+               for nj, sj in zip(spectrum, scaled)]
     # Largest frequency first: it moves fastest, so its term alone exceeds
     # the incumbent for most candidates, which are rejected before the loop.
-    (n0, t0), *rest = list(zip(spectrum, scaled))[::-1]
-    half = L // 2
+    order = list(zip(spectrum, scaled))[::-1]
     # F(1 - x) = F(x) when every 2*t_j is an integer: the smallest minimiser
-    # is at most L/2, which is its own mirror and must be walked.
-    stop = half + 1 if all(t.denominator <= 2 for t in targets) else L
-    # The incumbent (best, best_X) gives way only to a lexicographically
-    # smaller (worst, X), so the progressions may come in any order and
-    # overlap.  A candidate is dropped once worst > best; one that ties best
-    # is kept only at a smaller X.  Every distance is at most L/2, so the
-    # first candidate wins.
-    best, best_X = L, L
-    for progression in crossings or extrema:
-        for X in range(progression.start, stop, progression.step):
-            worst = (n0 * X - t0) % L
+    # is at most 1/2, which is its own mirror and must be walked.
+    halve = all(t.denominator <= 2 for t in targets)
+    # The incumbent (best/best_M, best_Y/best_M) gives way only to a
+    # lexicographically smaller (worst/M, Y/M), so the progressions may come
+    # in any order and overlap.  A candidate is dropped once worst > thr,
+    # which for an integer worst means worst/M > best/best_M; one that ties
+    # is kept only at a smaller x.  It starts at value 1 and x = 1, above
+    # every candidate, so the first candidate wins.
+    best, best_Y, best_M = 1, 1, 1
+    for M, progression in crossings or extrema:
+        scale = M // D  # t_k*M = (t_k*D)*scale
+        (n0, o0), *rest = [(nk, sk * scale) for nk, sk in order]
+        half = M // 2
+        thr = best * M // best_M
+        for Y in range(progression.start, half + 1 if halve else M, D):
+            worst = (n0 * Y - o0) % M
             if worst > half:
-                worst = L - worst
-            if worst > best:
+                worst = M - worst
+            if worst > thr:
                 continue
-            for nk, tk in rest:
-                r = (nk * X - tk) % L
+            for nk, ok in rest:
+                r = (nk * Y - ok) % M
                 if r > half:
-                    r = L - r
+                    r = M - r
                 if r > worst:
                     worst = r
-                    if worst > best:
+                    if worst > thr:
                         break
             else:
-                if worst < best or X < best_X:
-                    best, best_X = worst, X
-    return best, best_X, L, crossings + extrema
+                if worst * best_M < best * M or Y * best_M < best_Y * M:
+                    best, best_Y, best_M = worst, Y, M
+                    thr = worst
+    return best, best_Y, best_M, crossings + extrema
 
 
 def mu_exact(p: SpectrumProblem) -> OracleResult:
@@ -196,11 +209,14 @@ def mu_exact(p: SpectrumProblem) -> OracleResult:
     when candidate_budget(spectrum) exceeds MAX_CANDIDATE_BUDGET.
     """
     spectrum, targets = p.spectrum, p.targets
-    best, best_X, L, progressions = _scan(spectrum, targets)
-    x_star = Fraction(best_X, L)
+    best, best_Y, best_M, progressions = _scan(spectrum, targets)
+    x_star = Fraction(best_Y, best_M)
     k_star = tuple(nearest_int(nj * x_star - tj) for nj, tj in zip(spectrum, targets))
-    return OracleResult(value=Fraction(best, L), x_star=x_star, k_star=k_star,
-                        candidates_examined=len(set().union(*progressions)))
+    # Distinct candidates: every progression mapped onto the common grid x = X/L.
+    L = math.lcm(*(M for M, _ in progressions))
+    grid = [range(prog.start * (L // M), L, prog.step * (L // M)) for M, prog in progressions]
+    return OracleResult(value=Fraction(best, best_M), x_star=x_star, k_star=k_star,
+                        candidates_examined=len(set().union(*grid)))
 
 
 def candidate_budget(spectrum: Sequence[int]) -> int:
@@ -236,8 +252,8 @@ def _binary_targets(spectrum):
 def _mu_value_at(spectrum, t):
     """mu_exact value at t for a checked spectrum and Fraction targets,
     without the x_star, k_star and candidate count mu_exact derives."""
-    best, _, L, _ = _scan(spectrum, t)
-    return Fraction(best, L)
+    best, _, best_M, _ = _scan(spectrum, t)
+    return Fraction(best, best_M)
 
 
 def mu_value(spectrum: Sequence[int], targets: Sequence) -> Fraction:

@@ -215,6 +215,28 @@ def test_counts_below_one_exit_1(capsys):
     assert code == 1 and "--precision" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("mu", "--set", "1,2", "--t", "0,1/2"),
+    ("constants", "1", "2", "100"),
+    ("sweep", "1", "2", "--from", "100", "--to", "100"),
+    ("witness", "1", "2", "100"),
+])
+def test_precision_above_the_limit_exits_1_before_any_work(capsys, monkeypatch, argv):
+    def no_command(args):
+        raise AssertionError("the command ran")
+
+    for name in ("cmd_mu", "cmd_constants", "cmd_sweep", "cmd_witness"):
+        monkeypatch.setattr(cli, name, no_command)
+    code, out, err = run(capsys, *argv, "--precision", str(cli.MAX_PRECISION + 1))
+    assert code == 1 and out == ""
+    assert f"limit of MAX_PRECISION = {cli.MAX_PRECISION}" in err and "--precision" in err
+    code, _, _ = run(capsys, *argv, "--precision", "1000000000")
+    assert code == 1
+    # the limit itself is accepted and reaches the command
+    with pytest.raises(AssertionError, match="the command ran"):
+        main([*argv, "--precision", str(cli.MAX_PRECISION)])
+
+
 def test_grid_refuses_oversized_grid(capsys, monkeypatch):
     code, _, err = run(capsys, "constants", "1", "2", "100", "--grid", "100000")
     assert code == 1 and "limit" in err

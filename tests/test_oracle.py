@@ -115,6 +115,10 @@ def test_smallest_x_tie_break():
     ((3, 5, 15), (0, 0, HALF), Fraction(1, 40)),
     # At x_star the largest frequency's term is below the minimum.
     ((2, 44, 88, 151), (0, -HALF, -HALF, -1), Fraction(1, 132)),
+    # The tie is met on a grid x = Y/M other than the incumbent's, so the
+    # x compare must cross-multiply by the right denominators.
+    ((2, 5, 10), (HALF, HALF, HALF), Fraction(4, 15)),
+    ((1, 2, 5, 8), (0, Fraction(1, 3), 0, 0), Fraction(2, 9)),
 ])
 def test_smallest_x_tie_break_across_progressions(spectrum, targets, x_star):
     """The scan walks its candidate progressions one after another.  Here it
@@ -123,13 +127,14 @@ def test_smallest_x_tie_break_across_progressions(spectrum, targets, x_star):
     p = SpectrumProblem(spectrum, targets)
     r = mu_exact(p)
     assert r.x_star == x_star and r == mu_exact_reference(p)
-    _, _, L, progressions = oracle._scan(p.spectrum, p.targets)
+    # each progression is (M, range of Y) on its own grid x = Y/M
+    *_, progressions = oracle._scan(p.spectrum, p.targets)
 
     def F(x):
         return max(nearest_int_distance(nj * x - tj) for nj, tj in zip(p.spectrum, p.targets))
 
-    first = next(Fraction(X, L) for progression in progressions for X in progression
-                 if F(Fraction(X, L)) == r.value)
+    first = next(Fraction(Y, M) for M, progression in progressions for Y in progression
+                 if F(Fraction(Y, M)) == r.value)
     assert first > x_star
     if all(t.denominator <= 2 for t in p.targets):
         assert x_star < HALF and F(1 - x_star) == r.value
@@ -247,11 +252,21 @@ def test_single_frequency_minimiser_is_the_smallest_valley():
 
 
 def test_mu_exact_equals_reference_on_binary_targets():
+    """mu_exact, mu_value and beta_exact at binary targets, each against the
+    Fraction reference, which shares no code with the scan."""
     for a, b in [(1, 2), (2, 5), (3, 4), (4, 5)]:
         for n in (b + 1, 61, 119):
+            references = {}
             for t in itertools.product((Fraction(0), HALF), repeat=3):
                 p = SpectrumProblem((a, b, n), t)
-                assert mu_exact(p) == mu_exact_reference(p)
+                reference = mu_exact_reference(p)
+                assert mu_exact(p) == reference
+                assert mu_value(p.spectrum, t) == reference.value
+                references[t] = reference.value
+            # the max over all 2^3 targets, ties to the smallest target
+            best = max(references.values())
+            argmax = min(t for t, v in references.items() if v == best)
+            assert beta_exact((a, b, n)) == (best, argmax)
 
 
 def test_problem_validation():
@@ -432,7 +447,7 @@ def test_grid_refuses_oversized_grid_before_building_it(monkeypatch):
         alpha_grid_lower_bound((1, 2, 1000), 316)
     assert 128 ** 2 * candidate_budget((1, 2, 1000)) <= MAX_GRID_WORK
     assert 129 ** 2 * candidate_budget((1, 2, 1000)) > MAX_GRID_WORK
-    # the 1/316 grid stays admitted at n = 100 (6.3-7.2 s measured, Python 3.11, 2-CPU x86)
+    # the 1/316 grid stays admitted at n = 100 (6.1-6.5 s measured, Python 3.11, 2-CPU x86)
     assert 316 ** 2 * candidate_budget((1, 2, 100)) <= MAX_GRID_WORK
 
 

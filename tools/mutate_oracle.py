@@ -10,7 +10,8 @@ mutant as killed when the tests fail.  The checkout itself is only read.
 
 It prints one line per mutant and the survivors, and exits 1 when a mutant
 that is not listed as equivalent survives.  Not part of the tier-1 suite:
-each mutant costs one run of tests/test_oracle.py (10-20 s).
+each mutant costs one run of tests/test_oracle.py, up to its first
+failure (1-25 s).
 """
 from __future__ import annotations
 
@@ -27,28 +28,35 @@ TIMEOUT_S = 600
 
 #: (name, old, new): each ``old`` occurs exactly once in oracle.py.
 MUTANTS = [
-    ("tie-rule", "if worst < best or X < best_X:", "if worst < best:"),
-    ("tie-rule-larger-x", "or X < best_X:", "or X > best_X:"),
+    ("tie-rule", " or Y * best_M < best_Y * M:", ":"),
+    ("tie-rule-larger-x", "or Y * best_M < best_Y * M:", "or Y * best_M > best_Y * M:"),
+    ("tie-compare-cross-flipped", "or Y * best_M < best_Y * M:", "or Y * M < best_Y * best_M:"),
+    ("value-compare-cross-flipped", "if worst * best_M < best * M or",
+     "if worst * M < best * best_M or"),
+    ("threshold-rounded-up", "thr = best * M // best_M", "thr = -(-best * M // best_M)"),
+    ("drop-threshold-refresh", "best_Y, best_M = worst, Y, M\n                    thr = worst",
+     "best_Y, best_M = worst, Y, M"),
     ("half-integer-test-thirds", "t.denominator <= 2 for", "t.denominator <= 3 for"),
     ("half-integer-test-integers", "t.denominator <= 2 for", "t.denominator < 2 for"),
-    ("half-range-excludes-midpoint", "stop = half + 1 if", "stop = half if"),
-    ("halve-every-target", "for t in targets) else L", "for t in targets) else half + 1"),
-    ("prune-first-term-on-ties", "if worst > best:\n                continue",
-     "if worst >= best:\n                continue"),
-    ("prune-other-terms-on-ties", "if worst > best:\n                        break",
-     "if worst >= best:\n                        break"),
-    ("crossing-start-plus-1", "// total % step, L, step)", "// total % step + 1, L, step)"),
-    ("crossing-start-minus-1", "// total % step, L, step)", "// total % step - 1, L, step)"),
-    ("valley-start-plus-1", "tj // nj % step, L, step)", "tj // nj % step + 1, L, step)"),
-    ("valley-start-minus-1", "tj // nj % step, L, step)", "tj // nj % step - 1, L, step)"),
-    ("drop-first-crossing-progression", "in itertools.combinations(range(len(spectrum)), 2):",
-     "in itertools.islice(itertools.combinations(range(len(spectrum)), 2), 1, None):"),
-    ("drop-last-valley-progression", "in zip(spectrum, scaled):",
-     "in zip(spectrum[:-1], scaled[:-1]):"),
+    ("half-range-excludes-midpoint", "half + 1 if halve else M", "half if halve else M"),
+    ("halve-every-target", "if halve else M, D)", "if halve else half + 1, D)"),
+    ("prune-first-term-on-ties", "if worst > thr:\n                continue",
+     "if worst >= thr:\n                continue"),
+    ("prune-other-terms-on-ties", "if worst > thr:\n                        break",
+     "if worst >= thr:\n                        break"),
+    ("crossing-start-plus-1", "range((si + sj) % D,", "range((si + sj) % D + 1,"),
+    ("crossing-start-minus-1", "range((si + sj) % D,", "range((si + sj) % D - 1,"),
+    ("valley-start-plus-1", "range(2 * sj % D,", "range(2 * sj % D + 1,"),
+    ("valley-start-minus-1", "range(2 * sj % D,", "range(2 * sj % D - 1,"),
+    ("drop-first-crossing-progression", "in itertools.combinations(zip(spectrum, scaled), 2)]",
+     "in itertools.islice(itertools.combinations(zip(spectrum, scaled), 2), 1, None)]"),
+    ("drop-last-valley-progression", "for nj, sj in zip(spectrum, scaled)]",
+     "for nj, sj in zip(spectrum[:-1], scaled[:-1])]"),
+    ("offset-scaled-by-D", "(nk, sk * scale)", "(nk, sk * D)"),
     ("walk-crossings-only", "in crossings or extrema:", "in crossings:"),
     ("walk-extrema-only", "in crossings or extrema:", "in extrema:"),
     ("walk-extrema-too", "in crossings or extrema:", "in crossings + extrema:"),
-    ("count-walked-only", "L, crossings + extrema", "L, crossings or extrema"),
+    ("count-walked-only", "best_M, crossings + extrema", "best_M, crossings or extrema"),
     ("binary-keep-half-member", "bits[odd[0]] == 0:", "bits[odd[0]] == HALF:"),
     ("binary-last-odd-index", "bits[odd[0]]", "bits[odd[-1]]"),
     ("binary-no-filter", "if not odd or bits[odd[0]] == 0:", "if True:"),
@@ -63,6 +71,10 @@ EQUIVALENT = {
         "when d >= 2 every minimiser is a balanced crossing, so walking the "
         "valleys and peaks as well costs twice the work but finds the same "
         "minimiser",
+    "drop-threshold-refresh":
+        "a stale, larger thr only lets more candidates reach the final "
+        "compare; one worse than the new incumbent fails its value test there, "
+        "and within one progression Y only grows, so it cannot win a tie on x",
 }
 
 
