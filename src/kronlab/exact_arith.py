@@ -22,14 +22,24 @@ class NonCoprimeError(ValueError):
     """Raised when a Bezout pair is requested for non-coprime inputs."""
 
 
-def nearest_int(u: Fraction) -> int:
-    """Integer nearest to ``u``; exact half-integers round down.
+def _nearest_ratio(num: int, den: int) -> tuple[int, int]:
+    """(k, r) for the rational num/den (den > 0): k is the integer nearest
+    to it, exact halves rounding down, and r = |num - k*den|, so the
+    distance to k is r/den.
 
-    The downward tie rule keeps every construction in the package
-    deterministic (certificates, oracle k-vectors, window picks).
+    The one home of the downward tie rule, which keeps every construction
+    in the package deterministic (certificates, oracle k-vectors, window
+    picks).
     """
-    f = math.floor(u)
-    return f if u - f <= HALF else f + 1
+    k, r = divmod(num, den)
+    if 2 * r > den:
+        return k + 1, den - r
+    return k, r
+
+
+def nearest_int(u: Fraction) -> int:
+    """Integer nearest to ``u``; exact half-integers round down."""
+    return _nearest_ratio(u.numerator, u.denominator)[0]
 
 
 def _checked_spectrum(spectrum: Sequence[int]) -> tuple[int, ...]:
@@ -60,7 +70,7 @@ def _checked_target(t) -> Fraction:
     """
     if isinstance(t, bool) or not isinstance(t, (int, Fraction, str)):
         raise ValueError(f"targets must be int, Fraction or str, got {t!r}")
-    return Fraction(t)
+    return t if type(t) is Fraction else Fraction(t)
 
 
 def nearest_int_distance(u: Fraction) -> Fraction:

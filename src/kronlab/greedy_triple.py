@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .closed_form import alpha_formula, ln_value
-from .exact_arith import _checked_coprime, _checked_target, nearest_int
+from .exact_arith import _checked_coprime, _checked_target, _nearest_ratio
 from .pair_solver import (BalancedApprox, PairProblem, best_pair_approx,
                           negate_approx, second_best_approx)
 
@@ -124,13 +124,47 @@ class Certificate:
     negated: bool = False
 
 
+def _residual_ratio(nj: int, y: Fraction, tj: Fraction) -> tuple[int, int]:
+    """(num, den) with num/den = nj*y - tj and den > 0."""
+    return (nj * y.numerator * tj.denominator - tj.numerator * y.denominator,
+            y.denominator * tj.denominator)
+
+
+def _over_common_den(ba: BalancedApprox) -> tuple[int, int, int]:
+    """(X, L, D) with x = X/D and lam = L/D."""
+    x, lam = ba.x, ba.lam
+    den = math.lcm(x.denominator, lam.denominator)
+    return x.numerator * (den // x.denominator), lam.numerator * (den // lam.denominator), den
+
+
+def _small_lambda_applies(p: TripleProblem, lam: Fraction) -> bool:
+    """lam <= (b-a)/(2n), the precondition of the small-lambda snap."""
+    return 2 * p.n * lam.numerator <= (p.b - p.a) * lam.denominator
+
+
+def _alignment_point(p: TripleProblem, k3: int) -> Fraction:
+    """z = (t3 + k3)/n, where the third residual vanishes."""
+    return Fraction(p.t3.numerator + k3 * p.t3.denominator, p.n * p.t3.denominator)
+
+
 def certificate_at(p: TripleProblem, x_star: Fraction, method: str) -> Certificate:
-    """Evaluate a candidate point exactly and package it as a Certificate."""
-    residuals = [nj * x_star - tj for nj, tj in zip(p.spectrum(), p.targets())]
-    k = tuple(nearest_int(r) for r in residuals)
-    # halves round down in nearest_int, so |r - k| is exactly <r>
-    cost = max(abs(r - kj) for r, kj in zip(residuals, k))
-    return Certificate(x_star=x_star, k=k, cost=cost, method=method)
+    """Evaluate a candidate point exactly and package it as a Certificate.
+
+    Residual j is r_j/(den*q_j) over x_star = num/den and t_j's denominator
+    q_j; one _nearest_ratio gives its k_j and distance (halves round down, so
+    the distance is exactly <r>), the distances are compared cross-multiplied
+    (the common den cancels) and the cost becomes one Fraction.
+    """
+    x_star = _checked_target(x_star)
+    k = []
+    best_r, best_q = 0, 1
+    for nj, tj in ((p.a, p.t1), (p.b, p.t2), (p.n, p.t3)):
+        kj, r = _nearest_ratio(*_residual_ratio(nj, x_star, tj))
+        k.append(kj)
+        if r * best_q > best_r * tj.denominator:
+            best_r, best_q = r, tj.denominator
+    cost = Fraction(best_r, x_star.denominator * best_q)
+    return Certificate(x_star=x_star, k=tuple(k), cost=cost, method=method)
 
 
 def small_lambda_certificate(p: TripleProblem, ba: BalancedApprox) -> Certificate:
@@ -139,12 +173,11 @@ def small_lambda_certificate(p: TripleProblem, ba: BalancedApprox) -> Certificat
     x_star = z with n*z = t3 + k3 and |n*z - n*x| <= 1/2, so the third
     residual vanishes and the cost is at most (3b-a)/(2n).
     """
-    if 2 * p.n * ba.lam > p.b - p.a:
+    if not _small_lambda_applies(p, ba.lam):
         raise NotApplicableError(
             f"lam={ba.lam} exceeds (b-a)/(2n)={Fraction(p.b - p.a, 2 * p.n)}")
-    k3 = nearest_int(p.n * ba.x - p.t3)
-    z = Fraction(p.t3 + k3, p.n)
-    return certificate_at(p, z, "small-lambda")
+    k3 = _nearest_ratio(*_residual_ratio(p.n, ba.x, p.t3))[0]
+    return certificate_at(p, _alignment_point(p, k3), "small-lambda")
 
 
 def _z_window(ba: BalancedApprox, E: Fraction, p: TripleProblem, sign: int) -> ZWindow:
@@ -154,16 +187,20 @@ def _z_window(ba: BalancedApprox, E: Fraction, p: TripleProblem, sign: int) -> Z
     sign < 0, negative-sign: [x + (n*lam - (a+n)E)/(an), x + ((b+n)E - n*lam)/(bn)]
 
     Its width is E*(2ab+an+bn)/(abn) - lam*(a+b)/(ab); it always contains
-    the anchor.
+    the anchor.  x, lam and E are put over one denominator, so each
+    endpoint is one Fraction.
     """
-    E = Fraction(E)
-    if E < ba.lam:
+    E = _checked_target(E)
+    X, L, D = _over_common_den(ba)
+    # over the denominator D*E.denominator: x = x_, lam = lam_, E = e_
+    x_, lam_, e_, den = X * E.denominator, L * E.denominator, E.numerator * D, D * E.denominator
+    if e_ < lam_:
         raise EmptyWindowError(f"E={E} < lam={ba.lam}")
-    n, x, lam = p.n, ba.x, ba.lam
+    n = p.n
     lo_f, hi_f, tag = (p.b, p.a, "positive-sign") if sign > 0 else (p.a, p.b, "negative-sign")
-    return ZWindow(lo=x + (n * lam - (lo_f + n) * E) / (lo_f * n),
-                   hi=x + ((hi_f + n) * E - n * lam) / (hi_f * n),
-                   case_tag=tag, anchor_x=x, E=E, lam=lam)
+    return ZWindow(lo=Fraction(lo_f * n * x_ + n * lam_ - (lo_f + n) * e_, lo_f * n * den),
+                   hi=Fraction(hi_f * n * x_ + (hi_f + n) * e_ - n * lam_, hi_f * n * den),
+                   case_tag=tag, anchor_x=ba.x, E=E, lam=ba.lam)
 
 
 def z_windows(ba: BalancedApprox, E: Fraction, p: TripleProblem) -> tuple[ZWindow, ZWindow]:
@@ -185,35 +222,45 @@ def modify(ba: BalancedApprox, z: Fraction, p: TripleProblem,
       positive-sign, z >  x:  delta = (|nx-nz| - lam)/(a+n), x_star = x + delta
       negative-sign, z <= x:  delta = (|nx-nz| - lam)/(a+n), x_star = x - delta
       negative-sign, z >  x:  delta = (|nx-nz| - lam)/(b+n), x_star = x + delta
+
+    The gap |nx-nz|, lam and delta are integers over the denominator of
+    z times that of (x, lam).
     """
     a, b, n = p.a, p.b, p.n
-    z = Fraction(z)
-    if (n * z - p.t3).denominator != 1:
-        raise ValueError(f"n*z - t3 = {n * z - p.t3} is not an integer")
+    z = _checked_target(z)
+    num, den = _residual_ratio(n, z, p.t3)
+    if num % den:
+        raise ValueError(f"n*z - t3 = {Fraction(num, den)} is not an integer")
     if window is not None and not window.contains(z):
         raise WindowViolationError(f"z={z} outside [{window.lo}, {window.hi}]")
-    gap = abs(n * z - n * ba.x)
-    if gap > 1:
-        raise WindowViolationError(f"|n*z - n*x| = {gap} > 1")
-    if gap <= ba.lam:
+    X, L, D = _over_common_den(ba)
+    # over the denominator gap_den: z - x = diff, |nz - nx| = gap, lam = lam_
+    diff = z.numerator * D - X * z.denominator
+    gap, lam_, gap_den = n * abs(diff), L * z.denominator, D * z.denominator
+    if gap > gap_den:
+        raise WindowViolationError(f"|n*z - n*x| = {Fraction(gap, gap_den)} > 1")
+    if gap <= lam_:
         return certificate_at(p, ba.x, "greedy-window")
-    slow_side = (z > ba.x) if ba.sign > 0 else (z <= ba.x)
-    delta = (gap - ba.lam) / ((a + n) if slow_side else (b + n))
-    x_star = ba.x + delta if z > ba.x else ba.x - delta
-    return certificate_at(p, x_star, "greedy-window")
+    slow_side = (diff > 0) if ba.sign > 0 else (diff <= 0)
+    f = (a + n) if slow_side else (b + n)
+    # x_star = x +- (gap - lam)/f, over the denominator gap_den*f
+    step = gap - lam_ if diff > 0 else lam_ - gap
+    return certificate_at(p, Fraction(X * z.denominator * f + step, gap_den * f),
+                          "greedy-window")
 
 
 def _pick_alignment(w: ZWindow, p: TripleProblem, t3: Fraction):
     """Best admissible k3 in the window: minimizes |n*anchor - (t3+k3)|,
     ties to the smaller k3.  Returns None when the window holds no
     alignment point."""
-    lo_k = math.ceil(p.n * w.lo - t3)
-    hi_k = math.floor(p.n * w.hi - t3)
+    lo_num, lo_den = _residual_ratio(p.n, w.lo, t3)
+    hi_num, hi_den = _residual_ratio(p.n, w.hi, t3)
+    lo_k = -(-lo_num // lo_den)  # ceil(n*lo - t3)
+    hi_k = hi_num // hi_den      # floor(n*hi - t3)
     if lo_k > hi_k:
         return None
-    k3 = nearest_int(p.n * w.anchor_x - t3)
-    k3 = min(max(k3, lo_k), hi_k)
-    return k3
+    k3 = _nearest_ratio(*_residual_ratio(p.n, w.anchor_x, t3))[0]
+    return min(max(k3, lo_k), hi_k)
 
 
 def greedy_bound(p: TripleProblem) -> Certificate:
@@ -226,13 +273,15 @@ def greedy_bound(p: TripleProblem) -> Certificate:
     """
     a, b, n = p.a, p.b, p.n
     ba = best_pair_approx(p.pair())
-    if 2 * n * ba.lam <= b - a:
+    if _small_lambda_applies(p, ba.lam):
         return small_lambda_certificate(p, ba)
-    E = (n * (a + b) * ba.lam + a * b) / Fraction(2 * a * b + a * n + b * n)
+    lam = ba.lam
+    E = Fraction(n * (a + b) * lam.numerator + a * b * lam.denominator,
+                 (2 * a * b + a * n + b * n) * lam.denominator)
     w = _z_window(ba, E, p, ba.sign)
     k3 = _pick_alignment(w, p, p.t3)
     assert k3 is not None, "window of width 1/n must contain an alignment point"
-    return modify(ba, Fraction(p.t3 + k3, n), p, window=w)
+    return modify(ba, _alignment_point(p, k3), p, window=w)
 
 
 def greedy_en_certificate(p: TripleProblem) -> Certificate:
@@ -276,13 +325,16 @@ def greedy_en_certificate(p: TripleProblem) -> Certificate:
     en = alpha_formula(a, b, n)
     ln = ln_value(a, b, n)
 
-    if 2 * n * ba.lam <= b - a:
+    lam = ba.lam
+    if _small_lambda_applies(q, lam):
         cert = small_lambda_certificate(q, ba)
-    elif ba.lam <= Fraction(1, a + b) - ln:
+    elif (a + b) * lam.numerator * ln.denominator \
+            <= lam.denominator * (ln.denominator - (a + b) * ln.numerator):
+        # lam <= 1/(a+b) - L_n
         w = _z_window(ba, ln, q, +1)
         k3 = _pick_alignment(w, q, q.t3)
         assert k3 is not None, "L_n window has width >= 1/n here"
-        cert = modify(ba, Fraction(q.t3 + k3, n), q, window=w)
+        cert = modify(ba, _alignment_point(q, k3), q, window=w)
     else:
         try:
             w_best = _z_window(ba, en, q, +1)
@@ -294,14 +346,15 @@ def greedy_en_certificate(p: TripleProblem) -> Certificate:
         for w, anchor_ba in ((w_best, ba), (w_second, sb)):
             k3 = _pick_alignment(w, q, q.t3)
             if k3 is not None:
-                picks.append((abs(n * w.anchor_x - (q.t3 + k3)), k3, w, anchor_ba))
+                num, den = _residual_ratio(n, w.anchor_x, q.t3)
+                picks.append((Fraction(abs(num - k3 * den), den), k3, w, anchor_ba))
         if not picks:
             raise NotInAsymptoticRegime(
                 f"no alignment point at E_n={en} for ({a}, {b}, {n})",
                 greedy_bound(p))
         picks.sort(key=lambda item: (item[0], item[1], item[2].case_tag))
         _, k3, w, anchor_ba = picks[0]
-        cert = modify(anchor_ba, Fraction(q.t3 + k3, n), q, window=w)
+        cert = modify(anchor_ba, _alignment_point(q, k3), q, window=w)
 
     if negated:
         cert = Certificate(x_star=-cert.x_star, k=tuple(-kj for kj in cert.k),

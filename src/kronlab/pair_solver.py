@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_arith import (_checked_coprime, _checked_target, bezout_coprime,
-                          nearest_int, nearest_int_distance)
+from .exact_arith import (_checked_coprime, _checked_target, _nearest_ratio,
+                          bezout_coprime)
 
 
 @dataclass(frozen=True)
@@ -53,16 +53,31 @@ class BalancedApprox:
 
 
 def _balanced_at(p: PairProblem, k1: int, k2: int) -> BalancedApprox:
-    """The balanced point of p for the integer shifts (k1, k2)."""
-    x = (p.t1 + k1 + p.t2 + k2) / (p.a + p.b)
-    signed = p.a * x - (p.t1 + k1)
-    return BalancedApprox(x=x, k1=k1, k2=k2, lam=abs(signed),
-                          sign=-1 if signed < 0 else 1)
+    """The balanced point of p for the integer shifts (k1, k2).
+
+    In units of 1/(q1*q2), the targets' denominators, T_j = t_j + k_j; then
+    x = (T1 + T2)/((a+b)*q1*q2) and the signed first residual
+    a*x - T1/(q1*q2) = (a*T2 - b*T1)/((a+b)*q1*q2).
+    """
+    q = p.t1.denominator * p.t2.denominator
+    big_t1 = p.t1.numerator * p.t2.denominator + k1 * q
+    big_t2 = p.t2.numerator * p.t1.denominator + k2 * q
+    signed = p.a * big_t2 - p.b * big_t1
+    den = (p.a + p.b) * q
+    return BalancedApprox(x=Fraction(big_t1 + big_t2, den), k1=k1, k2=k2,
+                          lam=Fraction(abs(signed), den), sign=-1 if signed < 0 else 1)
+
+
+def _pair_residue(p: PairProblem) -> tuple[int, int]:
+    """(num, den) with num/den = a*t2 - b*t1."""
+    q1, q2 = p.t1.denominator, p.t2.denominator
+    return p.a * p.t2.numerator * q1 - p.b * p.t1.numerator * q2, q1 * q2
 
 
 def mu_pair(p: PairProblem) -> Fraction:
     """Exact pair cost; always in [0, 1/(2(a+b))]."""
-    return nearest_int_distance(p.a * p.t2 - p.b * p.t1) / (p.a + p.b)
+    num, den = _pair_residue(p)
+    return Fraction(_nearest_ratio(num, den)[1], (p.a + p.b) * den)
 
 
 def best_pair_approx(p: PairProblem) -> BalancedApprox:
@@ -73,10 +88,10 @@ def best_pair_approx(p: PairProblem) -> BalancedApprox:
     |k1| (ties to the smaller k1), which keeps x in a small window.
     """
     a, b = p.a, p.b
-    m = nearest_int(a * p.t2 - b * p.t1)
+    m = _nearest_ratio(*_pair_residue(p))[0]
     g, h = bezout_coprime(a, b)
     k1, k2 = -h * m, -g * m
-    s = nearest_int(Fraction(-k1, a))
+    s = _nearest_ratio(-k1, a)[0]
     return _balanced_at(p, k1 + a * s, k2 + b * s)
 
 

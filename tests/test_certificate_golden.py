@@ -7,6 +7,11 @@ carries, and its message in ``en_raise``), then greedy_bound's certificate.
 The rows reach every case of the dispatch on both signs; the raise for
 an E_n window without an alignment point is reached by no known input.
 
+tests/golden/certificates-signed.csv holds a second, separately seeded block
+in the same columns whose targets lie in (-3, 3), integers among them, so
+negative numerators and targets >= 1 reach the rounding directly and not only
+through the internal negation.
+
 Regenerate (only on purpose, when a certificate is meant to change):
 
     PYTHONPATH=src python tests/test_certificate_golden.py
@@ -24,6 +29,7 @@ from kronlab.greedy_triple import (NotInAsymptoticRegime, TripleProblem,
 from kronlab.pair_solver import best_pair_approx, negate_approx, second_best_approx
 
 GOLDEN = Path(__file__).parent / "golden" / "certificates.csv"
+SIGNED_GOLDEN = GOLDEN.with_name("certificates-signed.csv")
 INPUTS = ("a", "b", "n", "t1", "t2", "t3")
 CERT = ("x_star", "k", "cost", "method", "negated")
 COLUMNS = INPUTS + tuple(f"en_{f}" for f in CERT) + ("en_raise",) \
@@ -44,6 +50,20 @@ def golden_inputs() -> list[tuple]:
         a, b = rand_coprime_pair(rng, 10)
         n = rng.randrange(b + 1, 3 * b + 5 if i % 3 == 0 else 80 * b)
         rows.append((a, b, n, *(str(rand_fraction(rng, 60)) for _ in range(3))))
+    return rows
+
+
+def signed_inputs() -> list[tuple]:
+    """Seeded triples as in golden_inputs, with targets p/q in (-3, 3),
+    q <= 60; one target in six is an integer."""
+    rng = random.Random(1401)
+    rows = []
+    for i in range(300):
+        a, b = rand_coprime_pair(rng, 10)
+        n = rng.randrange(b + 1, 3 * b + 5 if i % 3 == 0 else 80 * b)
+        qs = (1 if rng.randrange(6) == 0 else rng.randrange(2, 61) for _ in range(3))
+        rows.append((a, b, n, *(str(Fraction(rng.randrange(1 - 3 * q, 3 * q), q))
+                                for q in qs)))
     return rows
 
 
@@ -83,22 +103,34 @@ def branch(row: dict) -> str:
     return "E_n " + min(picks)[3] + " window"
 
 
-def read_golden() -> list[dict]:
-    with GOLDEN.open(newline="") as f:
+def read_golden(path: Path = GOLDEN) -> list[dict]:
+    with path.open(newline="") as f:
         return list(csv.DictReader(f))
 
 
-def test_certificates_match_golden():
-    golden = read_golden()
+def _assert_rows_match(path: Path):
+    golden = read_golden(path)
     assert len(golden) >= 300
     for i, row in enumerate(golden, start=2):  # line 1 is the header
         got = dict(zip(COLUMNS, certificate_row(*(row[c] for c in INPUTS))))
-        assert got == row, (f"certificates.csv line {i} differs:\n"
+        assert got == row, (f"{path.name} line {i} differs:\n"
                             f"  golden: {row}\n  now:    {got}")
 
 
-def test_golden_reaches_every_branch_on_both_signs():
-    golden = read_golden()
+def test_certificates_match_golden():
+    _assert_rows_match(GOLDEN)
+
+
+def test_signed_certificates_match_golden():
+    _assert_rows_match(SIGNED_GOLDEN)
+    targets = [Fraction(row[t]) for row in read_golden(SIGNED_GOLDEN)
+               for t in ("t1", "t2", "t3")]
+    assert all(-3 < t < 3 for t in targets)
+    assert any(t < -1 for t in targets) and any(t >= 1 for t in targets)
+    assert any(t.denominator == 1 and t != 0 for t in targets)
+
+
+def _assert_reaches_every_branch(golden: list[dict]):
     reached = {(branch(row), row["en_negated"], bool(row["en_raise"])) for row in golden}
     for name in ("small-lambda", "L_n window", "E_n best window",
                  "E_n second-best window"):
@@ -113,8 +145,14 @@ def test_golden_reaches_every_branch_on_both_signs():
         {(m, s) for m in ("small-lambda", "greedy-window") for s in ("0", "1")}
 
 
+def test_golden_reaches_every_branch_on_both_signs():
+    for path in (GOLDEN, SIGNED_GOLDEN):
+        _assert_reaches_every_branch(read_golden(path))
+
+
 if __name__ == "__main__":
-    with GOLDEN.open("w", newline="") as f:
-        out = csv.writer(f, lineterminator="\n")
-        out.writerow(COLUMNS)
-        out.writerows(certificate_row(*inp) for inp in golden_inputs())
+    for path, inputs in ((GOLDEN, golden_inputs()), (SIGNED_GOLDEN, signed_inputs())):
+        with path.open("w", newline="") as f:
+            out = csv.writer(f, lineterminator="\n")
+            out.writerow(COLUMNS)
+            out.writerows(certificate_row(*inp) for inp in inputs)

@@ -6,14 +6,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kronlab.closed_form import alpha_formula, binary_mu, congruence_data, ln_value
-from kronlab.exact_arith import (NonCoprimeError, _checked_target, angular_norm,
-                                 bezout_coprime, decimal_approx, nearest_int,
-                                 nearest_int_distance, rational_to_csv,
-                                 rational_to_json)
-from kronlab.greedy_triple import TripleProblem
-from kronlab.pair_solver import PairProblem
+from kronlab.exact_arith import (NonCoprimeError, _checked_target, _nearest_ratio,
+                                 angular_norm, bezout_coprime, decimal_approx,
+                                 nearest_int, nearest_int_distance,
+                                 rational_to_csv, rational_to_json)
+from kronlab.greedy_triple import TripleProblem, certificate_at, modify, z_windows
+from kronlab.pair_solver import PairProblem, best_pair_approx
 
 fractions_st = st.fractions(min_value=-20, max_value=20, max_denominator=997)
+
+# every float below is exact in binary and, as a Fraction, a valid input
+_P = TripleProblem(1, 2, 4, 0, Fraction(1, 2), 0)
+_BA = best_pair_approx(_P.pair())
 
 
 def test_nearest_int_distance_examples():
@@ -33,6 +37,11 @@ def test_nearest_int_distance_examples():
     pytest.param(lambda: alpha_formula(1, 2.0, 5), id="alpha-float-frequency"),
     pytest.param(lambda: ln_value(1, 2, 5.0), id="ln-float-frequency"),
     pytest.param(lambda: binary_mu(1, 2, 5, 0.5), id="binary-mu-float-target"),
+    pytest.param(lambda: z_windows(_BA, 0.2, _P), id="z-window-float-bound"),
+    pytest.param(lambda: z_windows(_BA, True, _P), id="z-window-bool-bound"),
+    pytest.param(lambda: certificate_at(_P, 0.1, "oracle"), id="certificate-float-point"),
+    pytest.param(lambda: certificate_at(_P, False, "oracle"), id="certificate-bool-point"),
+    pytest.param(lambda: modify(_BA, 0.25, _P), id="modify-float-point"),
 ])
 def test_every_entry_point_refuses_inexact_input(build):
     with pytest.raises(ValueError):
@@ -74,6 +83,26 @@ def test_nearest_int_is_nearest(u):
     # downward tie rule
     if u - math.floor(u) == Fraction(1, 2):
         assert k == math.floor(u)
+
+
+def test_nearest_ratio_examples():
+    # exact halves round down, on both signs
+    assert _nearest_ratio(5, 2) == (2, 1)
+    assert _nearest_ratio(-5, 2) == (-3, 1)
+    assert _nearest_ratio(-1, 2) == (-1, 1)
+    assert _nearest_ratio(-3, 6) == (-1, 3)
+    assert _nearest_ratio(-7, 3) == (-2, 1)
+    assert _nearest_ratio(-8, 3) == (-3, 1)
+    assert _nearest_ratio(0, 7) == (0, 0)
+
+
+@given(st.integers(min_value=-10**6, max_value=10**6),
+       st.integers(min_value=1, max_value=1000), st.integers(min_value=1, max_value=50))
+def test_nearest_ratio_agrees_with_nearest_int(num, den, c):
+    u = Fraction(num, den)
+    k, r = _nearest_ratio(c * num, c * den)
+    assert k == nearest_int(u)
+    assert Fraction(r, c * den) == nearest_int_distance(u)
 
 
 def test_bezout_examples():

@@ -10,11 +10,11 @@ from kronlab.exact_arith import angular_norm, bezout_coprime
 from kronlab.greedy_triple import (Certificate, EmptyWindowError,
                                    NotApplicableError, NotInAsymptoticRegime,
                                    TripleProblem, WindowViolationError, ZWindow,
-                                   _z_window, certificate_at, greedy_bound,
-                                   greedy_en_certificate, modify,
+                                   _pick_alignment, _z_window, certificate_at,
+                                   greedy_bound, greedy_en_certificate, modify,
                                    small_lambda_certificate, z_windows)
 from kronlab.oracle import SpectrumProblem, mu_exact
-from kronlab.pair_solver import BalancedApprox, best_pair_approx
+from kronlab.pair_solver import BalancedApprox, PairProblem, best_pair_approx
 
 HALF = Fraction(1, 2)
 
@@ -386,3 +386,93 @@ def test_certificate_at_oracle_method():
     r = mu_exact(SpectrumProblem(p.spectrum(), p.targets()))
     cert = certificate_at(p, r.x_star, "oracle")
     assert cert.cost == r.value and cert.method == "oracle"
+
+
+# Boundary cases of the integer rounding: each fails for an off-by-one
+# ceil, floor or comparison.
+
+def test_pick_alignment_takes_an_exactly_aligned_endpoint():
+    # a window narrower than 1/n holds one alignment point at most; when an
+    # end is exactly aligned (n*end - t3 an integer), that end is the pick
+    rng = random.Random(1404)
+    for _ in range(60):
+        a, b = rand_coprime_pair(rng, 9)
+        n = rng.randrange(b + 1, 80 * b)
+        t1, t2 = rand_fraction(rng) - rng.randrange(3), rand_fraction(rng) + rng.randrange(-2, 2)
+        ba = best_pair_approx(PairProblem(a, b, t1, t2))
+        for w in z_windows(ba, ba.lam + Fraction(1, 8 * n), TripleProblem(a, b, n, t1, t2, 0)):
+            assert w.width() < Fraction(1, n)
+            for end in (w.lo, w.hi):
+                k3 = rng.randrange(-3, 3)
+                p = TripleProblem(a, b, n, t1, t2, n * end - k3)  # n*end - t3 = k3
+                assert _pick_alignment(w, p, p.t3) == k3
+                modify(ba, end, p, window=w)  # the closed window admits its ends
+
+
+def test_pick_alignment_half_tie_takes_the_smaller_k3():
+    # n*anchor - t3 = -7/2, and the window holds both -4 and -3
+    p = TripleProblem(1, 2, 100, 0, 0, Fraction(7, 2))
+    ba = best_pair_approx(p.pair())
+    for w in z_windows(ba, Fraction(1, 50), p):
+        assert w.lo <= (p.t3 - 4) / 100 and (p.t3 - 3) / 100 <= w.hi
+        assert _pick_alignment(w, p, p.t3) == -4
+
+
+def test_small_lambda_half_tie_rounds_down():
+    # n*x - t3 = -5/2 at x = 0: k3 = -3, so z = (5/2 - 3)/100
+    p = TripleProblem(1, 2, 100, 0, 0, Fraction(5, 2))
+    cert = small_lambda_certificate(p, best_pair_approx(p.pair()))
+    assert cert.x_star == Fraction(-1, 200) and cert.k == (0, 0, -3)
+
+
+def test_certificate_negative_half_residuals_round_down():
+    # residuals -9/2, -5/2, -9/2 at x = -1
+    p = TripleProblem(1, 2, 5, Fraction(7, 2), HALF, -HALF)
+    cert = certificate_at(p, Fraction(-1), "oracle")
+    assert cert.k == (-5, -3, -5) and cert.cost == HALF
+
+
+@pytest.mark.parametrize("a, b, n, t1, t2", [
+    (1, 2, 100, Fraction(0), HALF),
+    (2, 5, 300, Fraction(-7, 3), Fraction(5, 4)),
+    (3, 4, 41, Fraction(11, 6), Fraction(-2, 7)),
+])
+def test_modify_gap_boundaries(a, b, n, t1, t2):
+    ba = best_pair_approx(PairProblem(a, b, t1, t2))
+    assert ba.lam > 0
+    for s in (+1, -1):
+        # gap exactly lam: x is kept, and the third residual is lam too
+        z = ba.x + s * ba.lam / n
+        p = TripleProblem(a, b, n, t1, t2, n * z)
+        cert = modify(ba, z, p)
+        assert cert.x_star == ba.x and cert.cost == ba.lam
+        # gap exactly 1 is admissible: x moves by (1 - lam)/(f + n)
+        z = ba.x + Fraction(s, n)
+        p = TripleProblem(a, b, n, t1, t2, n * z)
+        cert = modify(ba, z, p)
+        f = a if (s > 0) == (ba.sign > 0) else b
+        assert cert.x_star == ba.x + s * (1 - ba.lam) / (f + n)
+        assert cert.cost == _recomputed_cost(p, cert)
+        # just beyond 1 is not
+        z = ba.x + s * (Fraction(1, n) + Fraction(1, 10**9))
+        p = TripleProblem(a, b, n, t1, t2, n * z)
+        with pytest.raises(WindowViolationError, match="> 1"):
+            modify(ba, z, p)
+
+
+@pytest.mark.parametrize("a, b, n", [(1, 2, 100), (2, 3, 181), (3, 5, 300), (1, 3, 204)])
+@pytest.mark.parametrize("t3", [Fraction(0), HALF, Fraction(1, 3), Fraction(-5, 7)])
+def test_dispatch_thresholds_are_inclusive(a, b, n, t3):
+    # lam exactly (b-a)/(2n) takes the small-lambda snap
+    p = TripleProblem(a, b, n, 0, Fraction((a + b) * (b - a), 2 * a * n), t3)
+    ba = best_pair_approx(p.pair())
+    assert 2 * n * ba.lam == b - a and ba.sign > 0
+    assert greedy_en_certificate(p) == greedy_bound(p) == small_lambda_certificate(p, ba)
+    # lam exactly 1/(a+b) - L_n takes the L_n window
+    ln = ln_value(a, b, n)
+    p = TripleProblem(a, b, n, 0, Fraction(a + b, a) * (Fraction(1, a + b) - ln), t3)
+    ba = best_pair_approx(p.pair())
+    assert ba.lam == Fraction(1, a + b) - ln and ba.sign > 0
+    w = _z_window(ba, ln, p, +1)
+    z = (t3 + _pick_alignment(w, p, t3)) / n
+    assert greedy_en_certificate(p) == modify(ba, z, p, window=w)
