@@ -5,7 +5,6 @@ Commands
              optional greedy certificate for coprime triples
   constants  closed-form constants and congruence data for one triple
   sweep      one CSV/JSON row per n over a range, optionally oracle-verified
-  witness    extremal target triple attaining the closed-form constant
 
 Exit codes: 0 success, 1 usage/input error, 2 verification mismatch where
 the formula claimed validity, 3 internal invariant breach.
@@ -80,7 +79,6 @@ class Witness(NamedTuple):
     alpha_formula (which is L_n in the R = a gap case)."""
 
     t: tuple[Fraction, Fraction, Fraction]
-    gap_case: bool
     expected: Fraction
 
     def to_json(self, precision: int) -> dict:
@@ -100,8 +98,7 @@ class Witness(NamedTuple):
 
 
 def _witness(a: int, b: int, n: int) -> Witness:
-    gap_case = congruence_data(a, b, n).R == a
-    return Witness(alpha_witness(a, b, n), gap_case, alpha_formula(a, b, n))
+    return Witness(alpha_witness(a, b, n), alpha_formula(a, b, n))
 
 
 def _row_checks(a: int, b: int, n: int) -> bool:
@@ -341,29 +338,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_witness(args) -> int:
-    a, b, n = args.a, args.b, args.n
-    witness = _witness(a, b, n)
-    precision = args.precision
-    fields = [
-        ({"a": a, "b": b, "n": n, "gap_case": witness.gap_case},
-         f"triple: a={a} b={b} n={n} ({'R=a gap case' if witness.gap_case else 'R!=a'})"),
-        (witness.to_json(precision), witness.text()),
-        ({}, f"expected mu = {_fmt(witness.expected, precision)}"),
-    ]
-    if args.verify:
-        oracle_mu = mu_value((a, b, n), witness.t)
-        match = oracle_mu == witness.expected
-        fields.append(({"oracle_mu": rational_to_json(oracle_mu, precision), "verified": match},
-                       f"oracle mu = {_fmt(oracle_mu, precision)} "
-                       f"({'match' if match else 'MISMATCH'})"))
-    _report(args, fields)
-    if args.verify and not match and in_asymptotic_regime(a, b, n):
-        raise VerificationMismatch(f"witness cost {oracle_mu} != {witness.expected} "
-                                   f"for ({a}, {b}, {n}) inside the regime")
-    return 0
-
-
 def _precision(text: str) -> int:
     """argparse type for --precision: an int from 1 to MAX_PRECISION."""
     try:
@@ -431,15 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="worker processes (default 1)")
     _add_common(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
-
-    p_wit = sub.add_parser("witness", help="extremal target attaining the constant")
-    p_wit.add_argument("a", type=int)
-    p_wit.add_argument("b", type=int)
-    p_wit.add_argument("n", type=int)
-    p_wit.add_argument("--verify", action="store_true",
-                       help="evaluate the witness with the oracle")
-    _add_common(p_wit)
-    p_wit.set_defaults(func=cmd_witness)
 
     return parser
 

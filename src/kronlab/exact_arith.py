@@ -39,6 +39,7 @@ def _nearest_ratio(num: int, den: int) -> tuple[int, int]:
 
 def nearest_int(u: Fraction) -> int:
     """Integer nearest to ``u``; exact half-integers round down."""
+    u = _checked_target(u)
     return _nearest_ratio(u.numerator, u.denominator)[0]
 
 
@@ -79,7 +80,7 @@ def nearest_int_distance(u: Fraction) -> Fraction:
     Periodic with period 1 and even: the same value is returned for
     ``u``, ``-u`` and ``u + k`` for any integer ``k``.
     """
-    u = Fraction(u)
+    u = _checked_target(u)
     r = u - math.floor(u)
     return min(r, 1 - r)
 
@@ -100,7 +101,10 @@ def bezout_coprime(a: int, b: int) -> tuple[int, int]:
 
     g is the least positive integer with a*g == 1 (mod b); for b == 1 the
     degenerate pair (1, a-1) is returned so the identity still holds.
+    Raises ValueError on a bool or non-int argument.
     """
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in (a, b)):
+        raise ValueError(f"bezout_coprime needs integers, got ({a!r}, {b!r})")
     if a < 1 or b < 1:
         raise ValueError(f"bezout_coprime needs positive integers, got ({a}, {b})")
     if math.gcd(a, b) != 1:

@@ -120,7 +120,7 @@ class Certificate:
     x_star: Fraction
     k: tuple[int, int, int]
     cost: Fraction
-    method: str  # 'small-lambda' | 'greedy-window' | 'oracle'
+    method: str  # 'small-lambda' | 'greedy-window' (the constructions' labels)
     negated: bool = False
 
 
@@ -302,6 +302,13 @@ def greedy_en_certificate(p: TripleProblem) -> Certificate:
     below the regime the small-lambda snap can cost more than E_n, e.g.
     5/24 > 1/7 for (2, 5, 12) at t = (0, 0, 1/2).  For n in the asymptotic
     regime neither happens, for any residue class R.
+
+    The EmptyWindowError raise in the E_n branch is unreached for coprime
+    a < b <= 12 and b < n < 10*b**2 (a tier-1 test checks the range).  The
+    best window is never empty: lam <= 1/(2(a+b)) <= E_n.  The second-best
+    point costs 1/(a+b) - lam, which exceeds E_n for some lam of this
+    branch only if E_n < L_n and E_n < 1/(a+b) - (b-a)/(2n); no triple of
+    the range meets both.  The raise stays, since a scan is not a proof.
 
     Why negate instead of picking the window by sign, as greedy_bound
     does: the two are not the same certificate.  _pick_alignment breaks a

@@ -102,9 +102,13 @@ def test_constants_usage_errors(capsys):
     assert code == 1 and out == "" and "grid resolution must be >= 2, got 0" in err
     code, out, err = run(capsys, "constants", "1", "2", "100", "--csv")
     assert code == 1 and out == "" and "unrecognized arguments: --csv" in err
-    for command in ("nosuchcommand", "bench"):
-        code, _, err = run(capsys, command, "--set", "1,2,100")
-        assert code == 1 and "invalid choice" in err
+    for command in ("nosuchcommand", "bench", "witness"):
+        code, out, err = run(capsys, command, "--set", "1,2,100")
+        assert code == 1 and out == "" and "invalid choice" in err
+    # the witness and its oracle check are in `constants [--verify]`
+    for argv in (("witness", "1", "2", "100"), ("witness", "1", "2", "100", "--verify")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and "invalid choice" in err
 
 
 def test_exit_code_2_on_in_regime_mismatch(capsys, monkeypatch):
@@ -112,6 +116,26 @@ def test_exit_code_2_on_in_regime_mismatch(capsys, monkeypatch):
     code, out, _ = run(capsys, "constants", "1", "2", "100", "--verify")
     assert code == 2
     assert f"verified: {UNVERIFIED}" in out
+
+
+def test_sweep_exit_code_2_still_prints_its_rows(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_row_checks", lambda a, b, n: False)
+    assert in_asymptotic_regime(1, 2, 100)
+    code, out, err = run(capsys, "sweep", "1", "2", "--from", "100", "--to", "100",
+                         "--verify")
+    assert code == 2 and "verification mismatch" in err and "[100]" in err
+    assert out.splitlines() == [",".join(CSV_COLUMNS),
+                                "1,2,100,1,1,4,51/302,17/101,51/302,true,"
+                                f"{UNVERIFIED}"]
+
+
+def test_case_table_mismatch_exits_2(capsys, monkeypatch):
+    def off_by_a_thousandth(a, b, n, t3):
+        return binary_mu(a, b, n, t3) + Fraction(1, 1000)
+
+    monkeypatch.setattr(cli, "binary_mu", off_by_a_thousandth)
+    code, out, _ = run(capsys, "constants", "1", "2", "100", "--verify")
+    assert code == 2 and f"verified: {UNVERIFIED}" in out
 
 
 def _row_checks_one_call_per_check(a, b, n):
@@ -209,7 +233,7 @@ def test_sweep_refuses_oversized_range(capsys, monkeypatch):
 
 
 def test_counts_below_one_exit_1(capsys):
-    code, _, err = run(capsys, "witness", "1", "2", "100", "--precision", "0")
+    code, _, err = run(capsys, "constants", "1", "2", "100", "--precision", "0")
     assert code == 1 and "--precision" in err
     code, _, err = run(capsys, "mu", "--set", "1,2", "--t", "0,1/2", "--precision", "-1")
     assert code == 1 and "--precision" in err
@@ -219,13 +243,13 @@ def test_counts_below_one_exit_1(capsys):
     ("mu", "--set", "1,2", "--t", "0,1/2"),
     ("constants", "1", "2", "100"),
     ("sweep", "1", "2", "--from", "100", "--to", "100"),
-    ("witness", "1", "2", "100"),
+    ("constants", "1", "2", "100", "--verify"),
 ])
 def test_precision_above_the_limit_exits_1_before_any_work(capsys, monkeypatch, argv):
     def no_command(args):
         raise AssertionError("the command ran")
 
-    for name in ("cmd_mu", "cmd_constants", "cmd_sweep", "cmd_witness"):
+    for name in ("cmd_mu", "cmd_constants", "cmd_sweep"):
         monkeypatch.setattr(cli, name, no_command)
     code, out, err = run(capsys, *argv, "--precision", str(cli.MAX_PRECISION + 1))
     assert code == 1 and out == ""
@@ -340,6 +364,12 @@ def test_precision_flag(capsys):
     assert json.loads(out)["mu"]["approx"] == "0.1667"
 
 
+def test_precision_must_be_an_integer(capsys):
+    code, out, err = run(capsys, "mu", "--set", "1,2", "--t", "0,1/2", "--precision", "abc")
+    assert code == 1 and out == ""
+    assert "--precision" in err and "invalid int value: 'abc'" in err
+
+
 def test_sweep_bad_range_and_io_failure(tmp_path, capsys):
     code, _, err = run(capsys, "sweep", "1", "2", "--from", "10", "--to", "5")
     assert code == 1 and "exceeds" in err
@@ -364,14 +394,6 @@ def test_evaluate_sweep_row_fields():
     assert row.verified == VERIFIED_ORACLE and not row.gap
 
 
-def test_witness_command(capsys):
-    code, out, _ = run(capsys, "witness", "1", "2", "100", "--verify")
-    assert code == 0
-    assert "t2=149/302" in out and "t3=5151/302" in out
-    assert "mod 1: 17/302" in out
-    assert "oracle mu = 51/302" in out and "(match)" in out
-
-
 def test_atomic_out_writes(tmp_path, capsys):
     out_path = tmp_path / "mu.txt"
     code, _, _ = run(capsys, "mu", "--set", "2,3", "--t", "1/2,0",
@@ -379,6 +401,18 @@ def test_atomic_out_writes(tmp_path, capsys):
     assert code == 0
     assert "mu = 1/10" in out_path.read_text()
     assert not any(p.name.startswith("mu.txt.tmp") for p in tmp_path.iterdir())
+
+
+def test_failed_rename_removes_the_temp_file(tmp_path, capsys, monkeypatch):
+    def no_rename(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", no_rename)
+    out_path = tmp_path / "mu.txt"
+    code, out, err = run(capsys, "mu", "--set", "2,3", "--t", "1/2,0",
+                         "--out", str(out_path))
+    assert code == 1 and out == "" and "rename refused" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_malformed_targets(capsys):

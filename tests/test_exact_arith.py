@@ -42,6 +42,12 @@ def test_nearest_int_distance_examples():
     pytest.param(lambda: certificate_at(_P, 0.1, "oracle"), id="certificate-float-point"),
     pytest.param(lambda: certificate_at(_P, False, "oracle"), id="certificate-bool-point"),
     pytest.param(lambda: modify(_BA, 0.25, _P), id="modify-float-point"),
+    pytest.param(lambda: nearest_int_distance(0.1), id="distance-float"),
+    pytest.param(lambda: angular_norm([0.1]), id="angular-norm-float"),
+    pytest.param(lambda: nearest_int(0.5), id="nearest-int-float"),
+    pytest.param(lambda: nearest_int(True), id="nearest-int-bool"),
+    pytest.param(lambda: bezout_coprime(True, 2), id="bezout-bool"),
+    pytest.param(lambda: bezout_coprime(2.0, 3), id="bezout-float"),
 ])
 def test_every_entry_point_refuses_inexact_input(build):
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -372,6 +373,29 @@ def test_greedy_en_raises_when_small_lambda_exceeds_en():
     assert cert.method == "small-lambda" and cert.cost == Fraction(5, 24)
     assert cert.cost == _recomputed_cost(p, cert)
     assert mu_exact(SpectrumProblem(p.spectrum(), p.targets())).value == Fraction(5, 34)
+
+
+def test_en_branch_windows_are_never_empty_for_b_up_to_12():
+    """The E_n branch's EmptyWindowError needs an empty window at E_n.
+
+    The best point's window is empty only if E_n < lam <= 1/(2(a+b)), the
+    pair bound.  The second-best point costs 1/(a+b) - lam with lam above
+    both (b-a)/(2n) and 1/(a+b) - L_n in this branch, so its window is
+    empty for some lam only if E_n < L_n and E_n < 1/(a+b) - (b-a)/(2n).
+    Neither holds on any coprime a < b <= 12 with b < n < 10*b**2.
+    """
+    triples = 0
+    for b in range(2, 13):
+        for a in range(1, b):
+            if math.gcd(a, b) != 1:
+                continue
+            for n in range(b + 1, 10 * b * b):
+                triples += 1
+                en, ln = alpha_formula(a, b, n), ln_value(a, b, n)
+                assert en >= Fraction(1, 2 * (a + b)), (a, b, n)
+                assert en >= ln or en >= Fraction(1, a + b) - Fraction(b - a, 2 * n), \
+                    (a, b, n)
+    assert triples == 34061
 
 
 def test_certificate_k_vector_is_nearest():
