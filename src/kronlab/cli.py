@@ -11,10 +11,16 @@ the formula claimed validity, 3 internal invariant breach.
 
 Reports are deterministic: identical invocations produce byte-identical
 output except for runtime_ms fields (JSON only; never part of CSV).
+
+main(argv) is the in-process entry point and returns the exit code.  The
+parser is built on the first call and reused by every later one in the
+process; build_parser() returns that shared parser, which callers must not
+mutate.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -367,7 +373,11 @@ def _add_common(parser):
                         help="significant digits for decimal approximations")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    one: callers must not mutate it.  It holds no command function; main
+    looks the command up by name when it runs."""
     parser = _Parser(prog="kronlab",
                      description="Exact Kronecker constants of three-element "
                                  "integer sets, with oracle verification.")
@@ -381,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mu.add_argument("--greedy", action="store_true",
                       help="also print a greedy certificate (3-element coprime sets)")
     _add_common(p_mu)
-    p_mu.set_defaults(func=cmd_mu)
 
     p_con = sub.add_parser("constants", help="closed-form constants for one triple")
     p_con.add_argument("a", type=int)
@@ -392,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--grid", type=int, metavar="D",
                        help="also compute the 1/D-grid lower bound")
     _add_common(p_con)
-    p_con.set_defaults(func=cmd_constants)
 
     p_sweep = sub.add_parser("sweep", help="constants for a range of n (CSV by default)")
     p_sweep.add_argument("a", type=int)
@@ -404,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--jobs", type=int, default=1,
                          help="worker processes (default 1)")
     _add_common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
 
     return parser
 
@@ -415,8 +422,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
+    command = {"mu": cmd_mu, "constants": cmd_constants, "sweep": cmd_sweep}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except VerificationMismatch as exc:
         print(f"kronlab: verification mismatch: {exc}", file=sys.stderr)
         return 2

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -20,6 +21,13 @@ from kronlab.greedy_triple import Certificate
 from kronlab.oracle import SpectrumProblem, beta_exact, mu_exact
 
 ACCEPTANCE_PAIRS = [(1, 2), (1, 3), (2, 3), (2, 5), (3, 4), (3, 5), (4, 5)]
+
+
+def _subprocess_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def run(capsys, *argv):
@@ -331,11 +339,8 @@ def test_sweep_stdout_is_byte_identical_across_job_counts(capsys):
 
 def test_import_leaves_multiprocessing_out():
     # only sweep --jobs >= 2 needs a process pool; plain start-up skips it
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, kronlab.cli; print('multiprocessing' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], env=env,
+    result = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
 
@@ -420,3 +425,66 @@ def test_malformed_targets(capsys):
     assert code == 1 and "error" in err
     code, _, _ = run(capsys, "mu", "--set", "2,x", "--t", "0,0")
     assert code == 1
+
+
+# main builds its parser once per process and reuses it; these calls cover
+# every command, a usage error and help output
+REUSE_ARGVS = [
+    ("mu", "--set", "2,5,300", "--t", "1/7,2/3,5/11"),
+    ("constants", "1", "2", "100", "--json"),
+    ("sweep", "1", "2", "--from", "99", "--to", "101"),
+    ("constants", "1", "2"),
+    ("--help",),
+    ("mu", "--help"),
+]
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    main(["constants", "1", "2", "100"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    codes = [main(list(argv)) for argv in REUSE_ARGVS * 2]
+    capsys.readouterr()
+    assert codes == [0, 0, 0, 1, 0, 0] * 2
+    assert built == []
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_commands_are_looked_up_at_call_time(capsys, monkeypatch):
+    main(["constants", "1", "2", "100"])
+    capsys.readouterr()
+    called = []
+    for name in ("cmd_mu", "cmd_constants", "cmd_sweep"):
+        monkeypatch.setattr(cli, name, lambda args, name=name: called.append(name) or 7)
+    assert [main(list(argv)) for argv in REUSE_ARGVS[:3]] == [7, 7, 7]
+    assert called == ["cmd_mu", "cmd_constants", "cmd_sweep"]
+    assert capsys.readouterr().out == ""
+
+
+def test_parser_reuse_leaks_no_state(capsys, monkeypatch):
+    # help layout follows the terminal width, so both sides pin it
+    monkeypatch.setenv("COLUMNS", "80")
+    mu = ("mu", "--set", "3,4,5,11", "--t", "1/3,1/4,0.2,-2/7")
+    help_all, help_mu, help_sweep = ("--help",), ("mu", "--help"), ("sweep", "--help")
+    usage_error = ("constants", "1", "2")
+    mu_json = (*mu, "--json")
+    sweep_jobs = ("sweep", "1", "2", "--from", "96", "--to", "104", "--jobs", "2")
+    # each argv twice, in two orders; --json is always followed by the same
+    # mu without it
+    order = [help_all, usage_error, mu_json, mu, help_mu, sweep_jobs, help_sweep,
+             help_sweep, mu_json, mu, help_all, sweep_jobs, usage_error, help_mu]
+    env = _subprocess_env()
+    fresh = {}
+    for argv in set(order):
+        result = subprocess.run([sys.executable, "-m", "kronlab.cli", *argv], env=env,
+                                capture_output=True, text=True)
+        fresh[argv] = (result.returncode, result.stdout, result.stderr)
+    assert fresh[help_all][0] == 0 and fresh[usage_error][0] == 1
+    for argv in order:
+        assert run(capsys, *argv) == fresh[argv], argv
