@@ -5,10 +5,9 @@ a constructive greedy algorithm producing certified approximates, and an
 independent exact brute-force oracle everything is checked against.
 """
 
-from .closed_form import (CongruenceData, alpha_formula, alpha_witness,
-                          beta_formula, binary_mu, binary_mu_detail,
-                          canonical_binary_pair, congruence_data,
-                          in_asymptotic_regime, ln_value)
+from .closed_form import (CongruenceData, TripleConstants, alpha_formula,
+                          beta_formula, canonical_binary_pair,
+                          in_asymptotic_regime, triple_constants)
 from .exact_arith import angular_norm, bezout_coprime, nearest_int_distance
 from .greedy_triple import (Certificate, NotInAsymptoticRegime, TripleProblem,
                             ZWindow, greedy_bound, greedy_en_certificate,
@@ -22,12 +21,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BalancedApprox", "Certificate", "CongruenceData", "NotInAsymptoticRegime",
-    "OracleResult", "PairProblem", "SpectrumProblem", "TripleProblem",
-    "ZWindow", "alpha_formula", "alpha_grid_lower_bound", "alpha_witness",
+    "OracleResult", "PairProblem", "SpectrumProblem", "TripleConstants",
+    "TripleProblem", "ZWindow", "alpha_formula", "alpha_grid_lower_bound",
     "angular_norm", "best_pair_approx", "beta_exact", "beta_formula",
-    "bezout_coprime", "binary_mu", "binary_mu_detail", "canonical_binary_pair",
-    "congruence_data", "greedy_bound", "greedy_en_certificate",
-    "in_asymptotic_regime", "ln_value", "modify", "mu_exact", "mu_pair",
-    "mu_value", "nearest_int_distance", "second_best_approx",
-    "small_lambda_certificate", "z_windows",
+    "bezout_coprime", "canonical_binary_pair", "greedy_bound",
+    "greedy_en_certificate", "in_asymptotic_regime", "modify", "mu_exact",
+    "mu_pair", "mu_value", "nearest_int_distance", "second_best_approx",
+    "small_lambda_certificate", "triple_constants", "z_windows",
 ]

@@ -28,11 +28,10 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
-from .closed_form import (alpha_formula, alpha_witness, beta_formula,
-                          binary_mu, canonical_binary_pair, congruence_data,
-                          in_asymptotic_regime, ln_value)
+from .closed_form import (TripleConstants, canonical_binary_pair,
+                          in_asymptotic_regime, triple_constants)
 from .exact_arith import (DEFAULT_PRECISION, HALF, decimal_approx,
                           rational_to_csv, rational_to_json)
 from .greedy_triple import NotInAsymptoticRegime, TripleProblem, greedy_en_certificate
@@ -80,43 +79,33 @@ class SweepRow:
     runtime_ms: int
 
 
-class Witness(NamedTuple):
-    """alpha_witness of a triple and the cost the closed forms give it,
-    alpha_formula (which is L_n in the R = a gap case)."""
-
-    t: tuple[Fraction, Fraction, Fraction]
-    expected: Fraction
-
-    def to_json(self, precision: int) -> dict:
-        t1, t2, t3 = self.t
-        return {
-            "t1": rational_to_json(t1, precision),
-            "t2": rational_to_json(t2, precision),
-            "t3_raw": rational_to_json(t3, precision),
-            "t3_mod1": rational_to_json(t3 - math.floor(t3), precision),
-            "expected_mu": rational_to_json(self.expected, precision),
-        }
-
-    def text(self) -> str:
-        t1, t2, t3 = self.t
-        return (f"witness: t1={rational_to_csv(t1)} t2={rational_to_csv(t2)} "
-                f"t3={rational_to_csv(t3)} (mod 1: {rational_to_csv(t3 - math.floor(t3))})")
+def _witness_field(t: tuple, expected: Fraction, precision: int) -> tuple[dict, str]:
+    """Report field of the witness target t and the cost the closed forms give it."""
+    t1, t2, t3 = t
+    t3_mod1 = t3 - math.floor(t3)
+    doc = {
+        "t1": rational_to_json(t1, precision),
+        "t2": rational_to_json(t2, precision),
+        "t3_raw": rational_to_json(t3, precision),
+        "t3_mod1": rational_to_json(t3_mod1, precision),
+        "expected_mu": rational_to_json(expected, precision),
+    }
+    return {"witness": doc}, (
+        f"witness: t1={rational_to_csv(t1)} t2={rational_to_csv(t2)} "
+        f"t3={rational_to_csv(t3)} (mod 1: {rational_to_csv(t3_mod1)}), "
+        f"expected mu = {rational_to_csv(expected)}")
 
 
-def _witness(a: int, b: int, n: int) -> Witness:
-    return Witness(alpha_witness(a, b, n), alpha_formula(a, b, n))
-
-
-def _row_checks(a: int, b: int, n: int) -> bool:
+def _row_checks(tc: TripleConstants) -> bool:
     """Oracle agreement for one triple: case tables, binary constant, witness.
 
     Each distinct target goes to the oracle once per call: the case-table
     and witness targets are looked up among the binary values first, and
     the oracle's value-only path evaluates the rest.
     """
-    spectrum = (a, b, n)
+    spectrum = (tc.a, tc.b, tc.n)
     known = binary_values(spectrum)
-    if max(known.values()) != beta_formula(a, b, n):
+    if max(known.values()) != tc.beta:
         return False
 
     def mu(t):
@@ -124,25 +113,28 @@ def _row_checks(a: int, b: int, n: int) -> bool:
             known[t] = mu_value(spectrum, t)
         return known[t]
 
-    t1, t2 = canonical_binary_pair(a, b)
+    t1, t2 = canonical_binary_pair(tc.a, tc.b)
     for t3 in (Fraction(0), HALF):
-        if mu((t1, t2, t3)) != binary_mu(a, b, n, t3):
+        if mu((t1, t2, t3)) != tc.binary(t3).value:
             return False
-    witness = _witness(a, b, n)
-    return mu(witness.t) == witness.expected
+    t, expected = tc.witness()
+    return mu(t) == expected
+
+
+def _verified(tc: TripleConstants) -> str:
+    """The row's verified flag after the oracle checks of _row_checks."""
+    if not _row_checks(tc):
+        return UNVERIFIED
+    return VERIFIED_WITNESS if tc.congruence.R == tc.a else VERIFIED_ORACLE
 
 
 def evaluate_sweep_row(a: int, b: int, n: int, verify: bool) -> SweepRow:
     t0 = time.perf_counter()
-    cd = congruence_data(a, b, n)
-    alpha = alpha_formula(a, b, n)
-    beta = beta_formula(a, b, n)
-    verified = UNVERIFIED
-    if verify and _row_checks(a, b, n):
-        verified = VERIFIED_WITNESS if cd.R == a else VERIFIED_ORACLE
-    return SweepRow(a=a, b=b, n=n, r=cd.r, R=cd.R, S=cd.S, alpha=alpha,
-                    beta=beta, ln=ln_value(a, b, n), gap=beta < alpha,
-                    verified=verified,
+    tc = triple_constants(a, b, n)
+    cd = tc.congruence
+    return SweepRow(a=a, b=b, n=n, r=cd.r, R=cd.R, S=cd.S, alpha=tc.alpha,
+                    beta=tc.beta, ln=tc.ln, gap=tc.beta < tc.alpha,
+                    verified=_verified(tc) if verify else UNVERIFIED,
                     runtime_ms=int((time.perf_counter() - t0) * 1000))
 
 
@@ -259,27 +251,27 @@ def cmd_mu(args) -> int:
 
 def cmd_constants(args) -> int:
     a, b, n = args.a, args.b, args.n
-    row = evaluate_sweep_row(a, b, n, args.verify)
-    cd = congruence_data(a, b, n)
-    regime = in_asymptotic_regime(a, b, n)
-    witness = _witness(a, b, n)
+    tc = triple_constants(a, b, n)
+    cd = tc.congruence
+    regime = tc.in_regime()
+    verified = _verified(tc) if args.verify else None
+    gap = tc.beta < tc.alpha
     precision = args.precision
     fields = [
         ({"a": a, "b": b, "n": n}, f"triple: a={a} b={b} n={n}"),
         ({"congruence": asdict(cd)},
          f"congruences: r={cd.r} T={cd.T} R={cd.R} r2={cd.r2} S={cd.S} "
          f"g={cd.g} h={cd.h} parity={cd.parity_case}"),
-        _rational("alpha", "alpha", row.alpha, precision),
-        _rational("beta", "beta ", row.beta, precision),
-        _rational("ln", "L_n  ", row.ln, precision),
-        ({"gap": row.gap}, f"gap (alpha > beta) = {'true' if row.gap else 'false'}"),
+        _rational("alpha", "alpha", tc.alpha, precision),
+        _rational("beta", "beta ", tc.beta, precision),
+        _rational("ln", "L_n  ", tc.ln, precision),
+        ({"gap": gap}, f"gap (alpha > beta) = {'true' if gap else 'false'}"),
         ({"in_asymptotic_regime": regime},
          f"asymptotic regime = {'yes' if regime else 'no (small n)'}"),
-        ({"witness": witness.to_json(precision)},
-         f"{witness.text()}, expected mu = {rational_to_csv(witness.expected)}"),
+        _witness_field(*tc.witness(), precision),
     ]
     if args.verify:
-        fields.append(({"verified": row.verified}, f"verified: {row.verified}"))
+        fields.append(({"verified": verified}, f"verified: {verified}"))
     if args.grid is not None:
         value, argmax = alpha_grid_lower_bound((a, b, n), args.grid)
         fields.append(({"grid": {"D": args.grid, "value": rational_to_json(value, precision),
@@ -287,7 +279,7 @@ def cmd_constants(args) -> int:
                        f"grid lower bound (D={args.grid}): {_fmt(value, precision)} "
                        f"at t=({', '.join(rational_to_csv(t) for t in argmax)})"))
     _report(args, fields)
-    if args.verify and row.verified == UNVERIFIED and regime:
+    if verified == UNVERIFIED and regime:
         raise VerificationMismatch(
             f"formula disagrees with oracle for ({a}, {b}, {n}) inside the regime")
     return 0

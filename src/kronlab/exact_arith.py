@@ -68,10 +68,14 @@ def _checked_target(t) -> Fraction:
     """An exact target: int, Fraction or a string Fraction parses ("1/10", "0.1").
 
     Floats are refused: 0.1 would silently become 3602879701896397/2^55.
+    A zero denominator ("1/0") raises ValueError like any other bad string.
     """
     if isinstance(t, bool) or not isinstance(t, (int, Fraction, str)):
         raise ValueError(f"targets must be int, Fraction or str, got {t!r}")
-    return t if type(t) is Fraction else Fraction(t)
+    try:
+        return t if type(t) is Fraction else Fraction(t)
+    except ZeroDivisionError:
+        raise ValueError(f"target {t!r} has a zero denominator") from None
 
 
 def nearest_int_distance(u: Fraction) -> Fraction:

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .closed_form import alpha_formula, ln_value
+from .closed_form import triple_constants
 from .exact_arith import _checked_coprime, _checked_target, _nearest_ratio
 from .pair_solver import (BalancedApprox, PairProblem, best_pair_approx,
                           negate_approx, second_best_approx)
@@ -323,14 +323,15 @@ def greedy_en_certificate(p: TripleProblem) -> Certificate:
     """
     a, b, n = p.a, p.b, p.n
     q = p
+    pair = p.pair()
     negated = False
-    ba = best_pair_approx(q.pair())
+    ba = best_pair_approx(pair)
     if ba.sign < 0:
         q = p.negated()
         ba = negate_approx(ba)
         negated = True
-    en = alpha_formula(a, b, n)
-    ln = ln_value(a, b, n)
+    tc = triple_constants(a, b, n)
+    en, ln = tc.alpha, tc.ln
 
     lam = ba.lam
     if _small_lambda_applies(q, lam):
@@ -345,7 +346,7 @@ def greedy_en_certificate(p: TripleProblem) -> Certificate:
     else:
         try:
             w_best = _z_window(ba, en, q, +1)
-            sb = second_best_approx(q.pair(), ba)
+            sb = second_best_approx(q.pair() if negated else pair, ba)
             w_second = _z_window(sb, en, q, -1)
         except EmptyWindowError as exc:
             raise NotInAsymptoticRegime(str(exc), greedy_bound(p)) from exc

@@ -10,10 +10,9 @@ from fractions import Fraction
 
 from conftest import rand_coprime_pair, rand_fraction
 from kronlab.cli import UNVERIFIED, evaluate_sweep_row
-from kronlab.closed_form import (alpha_formula, alpha_witness, beta_formula,
-                                 binary_mu, binary_mu_detail,
-                                 canonical_binary_pair, congruence_data,
-                                 in_asymptotic_regime, ln_value)
+from kronlab.closed_form import (alpha_formula, beta_formula,
+                                 canonical_binary_pair, in_asymptotic_regime,
+                                 triple_constants)
 from kronlab.exact_arith import bezout_coprime
 from kronlab.greedy_triple import (TripleProblem, greedy_en_certificate,
                                    z_windows)
@@ -65,11 +64,12 @@ def test_c1_binary_constant_equality():
 
 
 def test_c2_binary_case_table_equality():
-    with criterion("criterion 2: binary_mu matches the oracle per case row", 120):
+    with criterion("criterion 2: binary case tables match the oracle per row", 120):
         for a, b, n in family():
+            tc = triple_constants(a, b, n)
             t1, t2 = canonical_binary_pair(a, b)
             for t3 in (Fraction(0), HALF):
-                table = binary_mu_detail(a, b, n, t3)
+                table = tc.binary(t3)
                 exact = mu_exact(SpectrumProblem((a, b, n), (t1, t2, t3))).value
                 assert table.value == exact, (
                     f"case-table mismatch at ({a}, {b}, {n}), t3={t3}: "
@@ -79,15 +79,16 @@ def test_c2_binary_case_table_equality():
 def test_c3_alpha_sandwich_gap_case():
     with criterion("criterion 3: R=a sandwich (witness = L_n, greedy <= L_n)", 300):
         triples = [(a, b, n) for a, b, n in family()
-                   if congruence_data(a, b, n).R == a]
+                   if triple_constants(a, b, n).congruence.R == a]
         assert len(triples) == 2 * len(PAIRS)  # two per congruence window
         for a, b, n in triples:
-            ln = ln_value(a, b, n)
-            assert alpha_formula(a, b, n) == ln
-            witness = alpha_witness(a, b, n)
+            tc = triple_constants(a, b, n)
+            ln = tc.ln
+            assert tc.alpha == ln
+            witness, _ = tc.witness()
             got = mu_exact(SpectrumProblem((a, b, n), witness)).value
             assert got == ln, f"witness cost {got} != {ln} at ({a}, {b}, {n})"
-            assert beta_formula(a, b, n) < ln  # the strict gap, exactly
+            assert tc.beta < ln  # the strict gap, exactly
             for t in _random_targets(seed=n * 7919 + a):
                 cert = greedy_en_certificate(TripleProblem(a, b, n, *t))
                 assert cert.cost <= ln, (
@@ -97,10 +98,11 @@ def test_c3_alpha_sandwich_gap_case():
 def test_c4_alpha_sandwich_equal_case():
     with criterion("criterion 4: R!=a sandwich (witness = E_n, greedy <= E_n)", 300):
         triples = [(a, b, n) for a, b, n in family()
-                   if congruence_data(a, b, n).R != a]
+                   if triple_constants(a, b, n).congruence.R != a]
         for a, b, n in triples:
-            en = alpha_formula(a, b, n)
-            witness = alpha_witness(a, b, n)
+            tc = triple_constants(a, b, n)
+            en = tc.alpha
+            witness, _ = tc.witness()
             got = mu_exact(SpectrumProblem((a, b, n), witness)).value
             assert got == en, f"binary witness cost {got} != {en} at ({a}, {b}, {n})"
             for t in _random_targets(seed=n * 104729 + b):
@@ -130,7 +132,7 @@ def test_c5_window_geometry():
             # E = E_n with complementary best/second-best costs
             en = alpha_formula(a, b, n)
             m = a + b
-            lo = Fraction(1, m) - ln_value(a, b, n)
+            lo = Fraction(1, m) - triple_constants(a, b, n).ln
             lam = lo + (Fraction(1, 2 * m) - lo) * Fraction(rng.randrange(1, 40), 40)
             ba = BalancedApprox(x=x, k1=0, k2=0, lam=lam, sign=1)
             sb = BalancedApprox(x=x - Fraction(sum(bezout_coprime(a, b)), m),
@@ -175,15 +177,15 @@ def test_c8_small_n_honesty():
         for n in range(3, 21):
             row = evaluate_sweep_row(1, 2, n, verify=True)
             # recompute the oracle agreement independently of the flag logic
-            agree = beta_formula(1, 2, n) == beta_exact((1, 2, n))[0]
+            tc = triple_constants(1, 2, n)
+            agree = tc.beta == beta_exact((1, 2, n))[0]
             t1, t2 = canonical_binary_pair(1, 2)
             for t3 in (Fraction(0), HALF):
-                agree = agree and binary_mu(1, 2, n, t3) == mu_exact(
+                agree = agree and tc.binary(t3).value == mu_exact(
                     SpectrumProblem((1, 2, n), (t1, t2, t3))).value
-            expected = (ln_value(1, 2, n) if congruence_data(1, 2, n).R == 1
-                        else alpha_formula(1, 2, n))
+            expected = tc.ln if tc.congruence.R == 1 else tc.alpha
             agree = agree and mu_exact(
-                SpectrumProblem((1, 2, n), alpha_witness(1, 2, n))).value == expected
+                SpectrumProblem((1, 2, n), tc.witness()[0])).value == expected
             if row.verified != UNVERIFIED:
                 assert agree, f"n={n} flagged verified but the oracle disagrees"
             else:

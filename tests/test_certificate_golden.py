@@ -22,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from conftest import rand_coprime_pair, rand_fraction
-from kronlab.closed_form import alpha_formula, ln_value
+from kronlab.closed_form import triple_constants
 from kronlab.greedy_triple import (NotInAsymptoticRegime, TripleProblem,
                                    _pick_alignment, greedy_bound,
                                    greedy_en_certificate, z_windows)
@@ -91,9 +91,10 @@ def branch(row: dict) -> str:
         p, ba = p.negated(), negate_approx(ba)
     if 2 * n * ba.lam <= b - a:
         return "small-lambda"
-    if ba.lam <= Fraction(1, a + b) - ln_value(a, b, n):
+    tc = triple_constants(a, b, n)
+    if ba.lam <= Fraction(1, a + b) - tc.ln:
         return "L_n window"
-    en = alpha_formula(a, b, n)
+    en = tc.alpha
     sb = second_best_approx(p.pair(), ba)
     picks = []
     for name, w in (("best", z_windows(ba, en, p)[0]), ("second-best", z_windows(sb, en, p)[1])):

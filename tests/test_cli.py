@@ -14,9 +14,8 @@ import kronlab.cli as cli
 import kronlab.oracle as oracle
 from kronlab.cli import (CSV_COLUMNS, UNVERIFIED, VERIFIED_ORACLE,
                          VERIFIED_WITNESS, evaluate_sweep_row, main, worker_count)
-from kronlab.closed_form import (alpha_formula, alpha_witness, beta_formula,
-                                 binary_mu, canonical_binary_pair,
-                                 congruence_data, in_asymptotic_regime, ln_value)
+from kronlab.closed_form import (TripleConstants, canonical_binary_pair,
+                                 in_asymptotic_regime, triple_constants)
 from kronlab.greedy_triple import Certificate
 from kronlab.oracle import SpectrumProblem, beta_exact, mu_exact
 
@@ -120,14 +119,14 @@ def test_constants_usage_errors(capsys):
 
 
 def test_exit_code_2_on_in_regime_mismatch(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_row_checks", lambda a, b, n: False)
+    monkeypatch.setattr(cli, "_row_checks", lambda tc: False)
     code, out, _ = run(capsys, "constants", "1", "2", "100", "--verify")
     assert code == 2
     assert f"verified: {UNVERIFIED}" in out
 
 
 def test_sweep_exit_code_2_still_prints_its_rows(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_row_checks", lambda a, b, n: False)
+    monkeypatch.setattr(cli, "_row_checks", lambda tc: False)
     assert in_asymptotic_regime(1, 2, 100)
     code, out, err = run(capsys, "sweep", "1", "2", "--from", "100", "--to", "100",
                          "--verify")
@@ -138,24 +137,28 @@ def test_sweep_exit_code_2_still_prints_its_rows(capsys, monkeypatch):
 
 
 def test_case_table_mismatch_exits_2(capsys, monkeypatch):
-    def off_by_a_thousandth(a, b, n, t3):
-        return binary_mu(a, b, n, t3) + Fraction(1, 1000)
+    binary = TripleConstants.binary
 
-    monkeypatch.setattr(cli, "binary_mu", off_by_a_thousandth)
+    def off_by_a_thousandth(tc, t3):
+        row = binary(tc, t3)
+        return row._replace(value=row.value + Fraction(1, 1000))
+
+    monkeypatch.setattr(TripleConstants, "binary", off_by_a_thousandth)
     code, out, _ = run(capsys, "constants", "1", "2", "100", "--verify")
     assert code == 2 and f"verified: {UNVERIFIED}" in out
 
 
 def _row_checks_one_call_per_check(a, b, n):
     """The row verdict as separate oracle calls: case tables, beta, witness."""
+    tc = triple_constants(a, b, n)
     t1, t2 = canonical_binary_pair(a, b)
     for t3 in (Fraction(0), Fraction(1, 2)):
-        if mu_exact(SpectrumProblem((a, b, n), (t1, t2, t3))).value != binary_mu(a, b, n, t3):
+        if mu_exact(SpectrumProblem((a, b, n), (t1, t2, t3))).value != tc.binary(t3).value:
             return False
-    if beta_exact((a, b, n))[0] != beta_formula(a, b, n):
+    if beta_exact((a, b, n))[0] != tc.beta:
         return False
-    expected = ln_value(a, b, n) if congruence_data(a, b, n).R == a else alpha_formula(a, b, n)
-    return mu_exact(SpectrumProblem((a, b, n), alpha_witness(a, b, n))).value == expected
+    expected = tc.ln if tc.congruence.R == a else tc.alpha
+    return mu_exact(SpectrumProblem((a, b, n), tc.witness()[0])).value == expected
 
 
 def _row_triples():
@@ -183,9 +186,10 @@ def test_row_checks_verdicts_and_single_evaluation(monkeypatch):
     r_equals_a = 0
     for (a, b, n), verdict in reference.items():
         seen.clear()
-        assert cli._row_checks(a, b, n) == verdict, (a, b, n)
+        tc = triple_constants(a, b, n)
+        assert cli._row_checks(tc) == verdict, (a, b, n)
         assert seen and max(seen.values()) == 1, (a, b, n, seen)
-        r_equals_a += congruence_data(a, b, n).R == a
+        r_equals_a += tc.congruence.R == a
     assert r_equals_a >= len(ACCEPTANCE_PAIRS)
 
 
@@ -204,7 +208,7 @@ def test_asymptotic_regime_never_vouches_for_a_refuted_row():
             rows += [(a, b, n) for n in range(b + 1, last_out + 2 * (a + b) + 1)
                      if in_asymptotic_regime(a, b, n)]
     assert len(rows) == 1726
-    assert [row for row in rows if not cli._row_checks(*row)] == []
+    assert [row for row in rows if not cli._row_checks(triple_constants(*row))] == []
 
 
 def test_jobs_below_one_exit_1(capsys):
@@ -425,6 +429,15 @@ def test_malformed_targets(capsys):
     assert code == 1 and "error" in err
     code, _, _ = run(capsys, "mu", "--set", "2,x", "--t", "0,0")
     assert code == 1
+
+
+def test_zero_denominator_target_exits_1_with_one_error_line():
+    proc = subprocess.run([sys.executable, "-m", "kronlab.cli", "mu", "--set", "1,2",
+                           "--t", "1/0,0"], capture_output=True, text=True,
+                          env=_subprocess_env(), timeout=60)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == ["kronlab: error: target '1/0' has a zero denominator"]
 
 
 # main builds its parser once per process and reuses it; these calls cover

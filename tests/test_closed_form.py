@@ -4,25 +4,25 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_coprime_pair
-from kronlab.closed_form import (alpha_formula, alpha_witness, beta_formula,
-                                 binary_mu, binary_mu_detail,
-                                 canonical_binary_pair, congruence_data,
-                                 in_asymptotic_regime, ln_value)
+from kronlab.closed_form import (TripleConstants, alpha_formula, beta_formula,
+                                 canonical_binary_pair, in_asymptotic_regime,
+                                 triple_constants)
+from kronlab.greedy_triple import TripleProblem, greedy_en_certificate
 from kronlab.oracle import SpectrumProblem, mu_exact
-from kronlab.pair_solver import PairProblem, mu_pair
+from kronlab.pair_solver import PairProblem, best_pair_approx, mu_pair
 
 HALF = Fraction(1, 2)
 
 
 def test_congruence_examples():
-    cd = congruence_data(1, 2, 100)
+    cd = triple_constants(1, 2, 100).congruence
     assert (cd.r, cd.T, cd.R, cd.r2, cd.S) == (1, 1, 1, 4, 4)
     assert (cd.g, cd.h, cd.parity_case) == (1, 0, "b-even")
 
-    cd = congruence_data(1, 2, 99)
+    cd = triple_constants(1, 2, 99).congruence
     assert (cd.r, cd.R) == (0, 0)
 
-    cd = congruence_data(2, 3, 300)
+    cd = triple_constants(2, 3, 300).congruence
     assert (cd.T, cd.r, cd.R) == (3, 0, 0)
     assert (cd.g, cd.h, cd.r2, cd.S, cd.parity_case) == (2, 1, 0, 0, "b-odd")
 
@@ -32,7 +32,7 @@ def test_congruence_invariants_random():
     for _ in range(300):
         a, b = rand_coprime_pair(rng, 20)
         n = rng.randrange(b + 1, 2000)
-        cd = congruence_data(a, b, n)
+        cd = triple_constants(a, b, n).congruence
         m = a + b
         assert (a * cd.T) % m == 1 and n % m == cd.r and (cd.r * cd.T) % m == cd.R
         assert n % (2 * m) == cd.r2 and ((cd.g + cd.h) * cd.r2) % (2 * m) == cd.S
@@ -48,7 +48,7 @@ def test_congruence_invariants_random():
 def test_invalid_triples_rejected():
     for bad in [(2, 4, 100), (3, 2, 100), (1, 2, 2), (0, 1, 5)]:
         with pytest.raises(ValueError):
-            congruence_data(*bad)
+            triple_constants(*bad)
 
 
 def test_alpha_examples():
@@ -58,10 +58,10 @@ def test_alpha_examples():
 
 
 def test_ln_examples():
-    assert ln_value(1, 2, 100) == Fraction(51, 302)
-    assert ln_value(2, 3, 300) == Fraction(306, 3012) == Fraction(51, 502)
+    assert triple_constants(1, 2, 100).ln == Fraction(51, 302)
+    assert triple_constants(2, 3, 300).ln == Fraction(306, 3012) == Fraction(51, 502)
     # limit toward the pair constant
-    assert abs(ln_value(1, 2, 10**7) - Fraction(1, 6)) < Fraction(1, 10**7)
+    assert abs(triple_constants(1, 2, 10**7).ln - Fraction(1, 6)) < Fraction(1, 10**7)
 
 
 def test_ln_between_pair_constant_and_alpha():
@@ -69,25 +69,25 @@ def test_ln_between_pair_constant_and_alpha():
     for _ in range(200):
         a, b = rand_coprime_pair(rng, 9)
         n = rng.randrange(60 * b, 60 * b + 120)
-        assert ln_value(a, b, n) > Fraction(1, 2 * (a + b))
-        if in_asymptotic_regime(a, b, n):
-            assert ln_value(a, b, n) <= alpha_formula(a, b, n)
-        assert (ln_value(a, b, n) == alpha_formula(a, b, n)) == \
-            (congruence_data(a, b, n).R == a)
+        tc = triple_constants(a, b, n)
+        assert tc.ln > Fraction(1, 2 * (a + b))
+        if tc.in_regime():
+            assert tc.ln <= tc.alpha
+        assert (tc.ln == tc.alpha) == (tc.congruence.R == a)
 
 
 def test_binary_mu_examples():
-    assert binary_mu(1, 2, 100, Fraction(0)) == Fraction(17, 101)
-    assert binary_mu(1, 2, 100, HALF) == Fraction(1, 6)
-    assert binary_mu(2, 3, 300, HALF) == Fraction(31, 302)
+    assert triple_constants(1, 2, 100).binary(Fraction(0)).value == Fraction(17, 101)
+    assert triple_constants(1, 2, 100).binary(HALF).value == Fraction(1, 6)
+    assert triple_constants(2, 3, 300).binary(HALF).value == Fraction(31, 302)
     with pytest.raises(ValueError):
-        binary_mu(1, 2, 100, Fraction(1, 3))
+        triple_constants(1, 2, 100).binary(Fraction(1, 3))
 
 
 def test_binary_mu_detail_labels():
-    assert "type-2" in binary_mu_detail(1, 2, 100, Fraction(0)).case
-    assert "type-1" in binary_mu_detail(1, 2, 100, HALF).case
-    assert "type-2" in binary_mu_detail(2, 3, 300, HALF).case
+    assert "type-2" in triple_constants(1, 2, 100).binary(Fraction(0)).case
+    assert "type-1" in triple_constants(1, 2, 100).binary(HALF).case
+    assert "type-2" in triple_constants(2, 3, 300).binary(HALF).case
 
 
 def test_beta_examples_and_gap():
@@ -103,7 +103,7 @@ def test_gap_law_random():
         a, b = rand_coprime_pair(rng, 12)
         n = rng.randrange(b + 1, 3000)
         gap = beta_formula(a, b, n) < alpha_formula(a, b, n)
-        assert gap == (congruence_data(a, b, n).R == a)
+        assert gap == (triple_constants(a, b, n).congruence.R == a)
         assert beta_formula(a, b, n) <= alpha_formula(a, b, n)
 
 
@@ -112,9 +112,9 @@ def test_beta_is_max_of_binary_tables_in_regime():
     for _ in range(200):
         a, b = rand_coprime_pair(rng, 9)
         n = rng.randrange(60 * b, 60 * b + 60)
-        assert in_asymptotic_regime(a, b, n)
-        assert beta_formula(a, b, n) == max(binary_mu(a, b, n, Fraction(0)),
-                                            binary_mu(a, b, n, HALF))
+        tc = triple_constants(a, b, n)
+        assert tc.in_regime()
+        assert tc.beta == max(tc.binary(Fraction(0)).value, tc.binary(HALF).value)
 
 
 def test_alpha_limit_envelope():
@@ -153,15 +153,18 @@ def test_binary_pair_parity_rows():
 
 
 def test_alpha_witness_examples():
-    assert alpha_witness(1, 2, 100) == (0, Fraction(149, 302), Fraction(5151, 302))
+    assert triple_constants(1, 2, 100).witness() == (
+        (0, Fraction(149, 302), Fraction(5151, 302)), Fraction(51, 302))
     assert Fraction(5151, 302) % 1 == Fraction(17, 302)
 
-    t1, t2, t3 = alpha_witness(1, 2, 99)
+    (t1, t2, t3), expected = triple_constants(1, 2, 99).witness()
+    assert expected == Fraction(17, 100)
     assert (t1, t2) == (Fraction(0), HALF)  # b even canonical pair
     assert t3 in (Fraction(0), HALF)
     assert mu_exact(SpectrumProblem((1, 2, 99), (t1, t2, t3))).value == Fraction(17, 100)
 
-    assert alpha_witness(2, 3, 300) == (HALF, Fraction(0), HALF)
+    assert triple_constants(2, 3, 300).witness() == ((HALF, Fraction(0), HALF),
+                                                     Fraction(31, 302))
 
 
 def test_alpha_witness_attains_constant():
@@ -170,11 +173,12 @@ def test_alpha_witness_attains_constant():
     for _ in range(40):
         a, b = rand_coprime_pair(rng, 5)
         n = rng.randrange(60 * b, 60 * b + 30)
-        cd = congruence_data(a, b, n)
-        expected = ln_value(a, b, n) if cd.R == a else alpha_formula(a, b, n)
-        witness = alpha_witness(a, b, n)
+        tc = triple_constants(a, b, n)
+        expected = tc.ln if tc.congruence.R == a else tc.alpha
+        witness, cost = tc.witness()
+        assert cost == expected
         assert mu_exact(SpectrumProblem((a, b, n), witness)).value == expected
-        seen_gap += cd.R == a
+        seen_gap += tc.congruence.R == a
     assert seen_gap > 0  # sample covered the gap case
 
 
@@ -195,7 +199,48 @@ def test_in_asymptotic_regime():
     assert not in_asymptotic_regime(1, 2, 3)
     # the three sufficient inequalities, spelled out
     for (a, b, n) in [(1, 2, 100), (2, 3, 300), (4, 5, 304)]:
-        en, ln = alpha_formula(a, b, n), ln_value(a, b, n)
+        tc = triple_constants(a, b, n)
+        en, ln = tc.alpha, tc.ln
+        assert tc.in_regime()
         assert Fraction(3 * b - a, 2 * n) <= en
         assert Fraction(1, a + b) - ln > Fraction(b - a, 2 * n)
         assert en < Fraction(1, a + b)
+
+
+def test_one_record_per_row_and_per_certificate(monkeypatch):
+    """A verified sweep row and a certificate each build one TripleConstants:
+    the row on an R = a and an R != a triple, the certificate on each branch
+    of its dispatch and on both signs of the best balanced point."""
+    from kronlab.cli import VERIFIED_ORACLE, VERIFIED_WITNESS, evaluate_sweep_row
+    a, b, n = 1, 2, 100
+    m, ln = a + b, triple_constants(a, b, n).ln
+    branches = {  # t2 of the target (0, t2, 1/3) -> lam of its best balanced point
+        "small-lambda": (Fraction(m * (b - a), 2 * a * n), Fraction(b - a, 2 * n)),
+        "L_n window": (Fraction(m, a) * (Fraction(1, m) - ln), Fraction(1, m) - ln),
+        "E_n windows": (Fraction(99, 200), Fraction(33, 200)),
+    }
+    problems = {}
+    for name, (t2, lam) in branches.items():
+        for sign in (1, -1):
+            p = TripleProblem(a, b, n, 0, sign * t2, sign * Fraction(1, 3))
+            ba = best_pair_approx(p.pair())
+            assert (ba.lam, ba.sign) == (lam, sign), name
+            assert (name == "E_n windows") == (lam > Fraction(1, m) - ln)
+            problems[name, sign] = p
+
+    built = []
+    init = TripleConstants.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args or kwargs)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TripleConstants, "__init__", counting_init)
+    for triple, flag in (((1, 2, 100), VERIFIED_WITNESS), ((2, 3, 300), VERIFIED_ORACLE)):
+        built.clear()
+        assert evaluate_sweep_row(*triple, True).verified == flag
+        assert len(built) == 1, triple
+    for key, p in problems.items():
+        built.clear()
+        assert greedy_en_certificate(p).negated == (key[1] < 0)
+        assert len(built) == 1, key

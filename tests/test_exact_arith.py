@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kronlab.closed_form import alpha_formula, binary_mu, congruence_data, ln_value
+from kronlab.closed_form import alpha_formula, triple_constants
 from kronlab.exact_arith import (NonCoprimeError, _checked_target, _nearest_ratio,
                                  angular_norm, bezout_coprime, decimal_approx,
                                  nearest_int, nearest_int_distance,
@@ -31,12 +31,13 @@ def test_nearest_int_distance_examples():
     pytest.param(lambda: TripleProblem(1, 2, 100, 0, False, 0), id="triple-bool-target"),
     pytest.param(lambda: TripleProblem(True, 2, 100, 0, 0, 0), id="triple-bool-frequency"),
     pytest.param(lambda: TripleProblem(1, 2, 100.0, 0, 0, 0), id="triple-float-frequency"),
+    pytest.param(lambda: TripleProblem(1, 2, 5, "1/0", 0, 0), id="triple-zero-denominator-target"),
     pytest.param(lambda: PairProblem(1, 2, 0.1, 0), id="pair-float-target"),
     pytest.param(lambda: PairProblem(True, 2, 0, 0), id="pair-bool-frequency"),
-    pytest.param(lambda: congruence_data(True, 2, 5), id="congruence-bool-frequency"),
+    pytest.param(lambda: triple_constants(True, 2, 5), id="congruence-bool-frequency"),
     pytest.param(lambda: alpha_formula(1, 2.0, 5), id="alpha-float-frequency"),
-    pytest.param(lambda: ln_value(1, 2, 5.0), id="ln-float-frequency"),
-    pytest.param(lambda: binary_mu(1, 2, 5, 0.5), id="binary-mu-float-target"),
+    pytest.param(lambda: triple_constants(1, 2, 5.0), id="ln-float-frequency"),
+    pytest.param(lambda: triple_constants(1, 2, 5).binary(0.5), id="binary-mu-float-target"),
     pytest.param(lambda: z_windows(_BA, 0.2, _P), id="z-window-float-bound"),
     pytest.param(lambda: z_windows(_BA, True, _P), id="z-window-bool-bound"),
     pytest.param(lambda: certificate_at(_P, 0.1, "oracle"), id="certificate-float-point"),

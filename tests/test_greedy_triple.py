@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_coprime_pair, rand_fraction
-from kronlab.closed_form import (alpha_formula, congruence_data,
-                                 in_asymptotic_regime, ln_value)
+from kronlab.closed_form import (alpha_formula, in_asymptotic_regime,
+                                 triple_constants)
 from kronlab.exact_arith import angular_norm, bezout_coprime
 from kronlab.greedy_triple import (Certificate, EmptyWindowError,
                                    NotApplicableError, NotInAsymptoticRegime,
@@ -214,7 +214,7 @@ def test_greedy_bound_total_and_within_bound():
 def test_greedy_en_witness_attains_ln_exactly():
     p = TripleProblem(1, 2, 100, Fraction(0), Fraction(149, 302), Fraction(5151, 302))
     cert = greedy_en_certificate(p)
-    assert cert.cost == ln_value(1, 2, 100) == Fraction(51, 302)
+    assert cert.cost == triple_constants(1, 2, 100).ln == Fraction(51, 302)
     assert mu_exact(SpectrumProblem((1, 2, 100), p.targets())).value == Fraction(51, 302)
 
 
@@ -250,7 +250,7 @@ def test_greedy_en_covers_every_residue_class():
         for n in range(60 * b, 60 * b + a + b):
             if not in_asymptotic_regime(a, b, n):
                 continue
-            R = congruence_data(a, b, n).R
+            R = triple_constants(a, b, n).congruence.R
             klass = ("R<a" if R < a else "R=a" if R == a else
                      "a<R<=2a" if R <= 2 * a else "R>2a")
             p = TripleProblem(a, b, n, rand_fraction(rng), rand_fraction(rng),
@@ -283,11 +283,11 @@ def test_window_alignment_identities_all_R_classes():
     for _ in range(200):
         a, b = rand_coprime_pair(rng, 9)
         n = rng.randrange(60 * b, 60 * b + 200)
-        cd = congruence_data(a, b, n)
-        if cd.R == a or not in_asymptotic_regime(a, b, n):
+        tc = triple_constants(a, b, n)
+        cd = tc.congruence
+        if cd.R == a or not tc.in_regime():
             continue
-        en = alpha_formula(a, b, n)
-        ln = ln_value(a, b, n)
+        en, ln = tc.alpha, tc.ln
         lo, hi = Fraction(1, a + b) - ln, Fraction(1, 2 * (a + b))
         lam = lo + (hi - lo) * Fraction(rng.randrange(1, 50), 50)
         x = rand_fraction(rng)
@@ -314,12 +314,12 @@ def test_gap_case_union_span_identity():
         m = a + b
         n0 = rng.randrange(60 * b, 60 * b + 40)
         n = n0 + (a * a - n0) % m  # force n == a^2 (mod a+b)
-        cd = congruence_data(a, b, n)
-        assert cd.R == a
-        if not in_asymptotic_regime(a, b, n):
+        tc = triple_constants(a, b, n)
+        assert tc.congruence.R == a
+        if not tc.in_regime():
             continue
-        en = alpha_formula(a, b, n)
-        assert en == ln_value(a, b, n)
+        en = tc.alpha
+        assert en == tc.ln
         lo, hi = Fraction(1, m) - en, Fraction(1, 2 * m)
         lam = lo + (hi - lo) * Fraction(rng.randrange(1, 50), 50)
         x = rand_fraction(rng)
@@ -391,7 +391,8 @@ def test_en_branch_windows_are_never_empty_for_b_up_to_12():
                 continue
             for n in range(b + 1, 10 * b * b):
                 triples += 1
-                en, ln = alpha_formula(a, b, n), ln_value(a, b, n)
+                tc = triple_constants(a, b, n)
+                en, ln = tc.alpha, tc.ln
                 assert en >= Fraction(1, 2 * (a + b)), (a, b, n)
                 assert en >= ln or en >= Fraction(1, a + b) - Fraction(b - a, 2 * n), \
                     (a, b, n)
@@ -493,7 +494,7 @@ def test_dispatch_thresholds_are_inclusive(a, b, n, t3):
     assert 2 * n * ba.lam == b - a and ba.sign > 0
     assert greedy_en_certificate(p) == greedy_bound(p) == small_lambda_certificate(p, ba)
     # lam exactly 1/(a+b) - L_n takes the L_n window
-    ln = ln_value(a, b, n)
+    ln = triple_constants(a, b, n).ln
     p = TripleProblem(a, b, n, 0, Fraction(a + b, a) * (Fraction(1, a + b) - ln), t3)
     ba = best_pair_approx(p.pair())
     assert ba.lam == Fraction(1, a + b) - ln and ba.sign > 0
