@@ -125,7 +125,7 @@ def _verified(tc: TripleConstants) -> str:
     """The row's verified flag after the oracle checks of _row_checks."""
     if not _row_checks(tc):
         return UNVERIFIED
-    return VERIFIED_WITNESS if tc.congruence.R == tc.a else VERIFIED_ORACLE
+    return VERIFIED_WITNESS if tc.gap else VERIFIED_ORACLE
 
 
 def evaluate_sweep_row(a: int, b: int, n: int, verify: bool) -> SweepRow:
@@ -133,7 +133,7 @@ def evaluate_sweep_row(a: int, b: int, n: int, verify: bool) -> SweepRow:
     tc = triple_constants(a, b, n)
     cd = tc.congruence
     return SweepRow(a=a, b=b, n=n, r=cd.r, R=cd.R, S=cd.S, alpha=tc.alpha,
-                    beta=tc.beta, ln=tc.ln, gap=tc.beta < tc.alpha,
+                    beta=tc.beta, ln=tc.ln, gap=tc.gap,
                     verified=_verified(tc) if verify else UNVERIFIED,
                     runtime_ms=int((time.perf_counter() - t0) * 1000))
 
@@ -185,7 +185,7 @@ def _rational(key: str, label: str, q: Fraction, precision: int) -> tuple[dict, 
 
 def _report(args, fields: list[tuple[dict, str]]) -> None:
     """Emit a command's report from its ordered fields, each a pair of JSON
-    items and a text line: with --json the items merged into one object,
+    items and text lines: with --json the items merged into one object,
     otherwise the lines."""
     if args.json:
         doc = {}
@@ -238,13 +238,13 @@ def cmd_mu(args) -> int:
             "method": cert.method,
             "negated": cert.negated,
         }
-        fields.append(({"certificate": cert_doc},
-                       f"certificate: x_star = {_fmt(cert.x_star, precision)}, "
-                       f"cost = {_fmt(cert.cost, precision)}, method = {cert.method}"
-                       + (", negated" if cert.negated else "")))
+        text = (f"certificate: x_star = {_fmt(cert.x_star, precision)}, "
+                f"cost = {_fmt(cert.cost, precision)}, method = {cert.method}"
+                + (", negated" if cert.negated else ""))
         if regime_note:
             cert_doc["note"] = regime_note
-            fields.append(({}, f"note: {regime_note} (bound certificate shown)"))
+            text += f"\nnote: {regime_note} (bound certificate shown)"
+        fields.append(({"certificate": cert_doc}, text))
     _report(args, fields)
     return 0
 
@@ -255,7 +255,6 @@ def cmd_constants(args) -> int:
     cd = tc.congruence
     regime = tc.in_regime()
     verified = _verified(tc) if args.verify else None
-    gap = tc.beta < tc.alpha
     precision = args.precision
     fields = [
         ({"a": a, "b": b, "n": n}, f"triple: a={a} b={b} n={n}"),
@@ -265,7 +264,7 @@ def cmd_constants(args) -> int:
         _rational("alpha", "alpha", tc.alpha, precision),
         _rational("beta", "beta ", tc.beta, precision),
         _rational("ln", "L_n  ", tc.ln, precision),
-        ({"gap": gap}, f"gap (alpha > beta) = {'true' if gap else 'false'}"),
+        ({"gap": tc.gap}, f"gap (alpha > beta) = {'true' if tc.gap else 'false'}"),
         ({"in_asymptotic_regime": regime},
          f"asymptotic regime = {'yes' if regime else 'no (small n)'}"),
         _witness_field(*tc.witness(), precision),

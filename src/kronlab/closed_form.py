@@ -59,7 +59,8 @@ class TripleConstants:
     """The closed forms of one checked triple; build it with triple_constants.
 
     alpha is the four-case angular constant keyed on R.  beta is the binary
-    constant: alpha unless R = a, where it drops to (n+ab)/(2(a+b)(a+n)).
+    constant: alpha unless R = a, where it drops to (n+ab)/(2(a+b)(a+n));
+    gap is that case, R = a, the only one where beta < alpha.
     ln is L_n = (n+ab)/(2(an+bn+ab)), which equals alpha exactly when R = a;
     it always exceeds the pair constant 1/(2(a+b)) and, for n in the
     asymptotic regime, never exceeds alpha.
@@ -72,13 +73,16 @@ class TripleConstants:
     alpha: Fraction
     beta: Fraction
     ln: Fraction
+    gap: bool
 
     def binary(self, t3: Fraction) -> BinaryCase:
         """Case-table value of mu at (canonical pair, t3), with the row label.
 
         The label names the balanced structure of the optimum: type-1 is the
         pure pair crossing at cost 1/(2(a+b)); type-2 balances the first and
-        third residuals; type-3 balances the second and third.
+        third residuals; type-3 balances the second and third.  The t3 = 1/2
+        table is the t3 = 0 table shifted by a+b in S: binary(1/2) at S has
+        the value and row type of binary(0) at (S + a + b) mod 2(a+b).
         """
         a, b, n, S = self.a, self.b, self.n, self.congruence.S
         m = a + b
@@ -115,7 +119,7 @@ class TripleConstants:
         the case table; its cost is alpha (= beta here).
         """
         a, b, n = self.a, self.b, self.n
-        if self.congruence.R == a:
+        if self.gap:
             t2 = Fraction(a + b, a) * (Fraction(1, a + b) - self.ln)
             t3 = Fraction((a + n) * (n + a * b), 2 * a * (a * n + b * n + a * b))
             return (Fraction(0), t2, t3), self.alpha
@@ -142,7 +146,8 @@ class TripleConstants:
 
 
 def triple_constants(a: int, b: int, n: int) -> TripleConstants:
-    """Check the triple once and derive its congruence data, alpha, beta and L_n."""
+    """Check the triple once and derive its congruence data, alpha, beta, L_n
+    and the gap case."""
     _checked_coprime((a, b, n))
     m = a + b
     T = pow(a, -1, m)
@@ -170,8 +175,10 @@ def triple_constants(a: int, b: int, n: int) -> TripleConstants:
         alpha = Fraction(n + b * R, 2 * m * (b + n))
     else:
         alpha = Fraction(n + 2 * a * a + 2 * a * b - a * R, 2 * m * (a + n))
-    beta = Fraction(n + a * b, 2 * m * (a + n)) if R == a else alpha
-    return TripleConstants(a=a, b=b, n=n, congruence=cd, alpha=alpha, beta=beta, ln=ln)
+    gap = R == a
+    beta = Fraction(n + a * b, 2 * m * (a + n)) if gap else alpha
+    return TripleConstants(a=a, b=b, n=n, congruence=cd, alpha=alpha, beta=beta, ln=ln,
+                           gap=gap)
 
 
 def alpha_formula(a: int, b: int, n: int) -> Fraction:

@@ -4,13 +4,14 @@ Strategy: solve the pair problem {a, b} exactly, then repair the third
 coordinate.  Writing lam for the balanced pair cost at x:
 
   * lam <= (b-a)/(2n): snap x to the nearest z with n*z == t3 (mod 1);
-    all three residuals stay within (3b-a)/(2n).
+    x moves by at most 1/(2n), so all three residuals stay within
+    lam + b/(2n) <= (2b-a)/(2n).
   * otherwise: admissible alignment points z form an interval around x
     (a "z-window") whose endpoints depend on a target bound E >= lam;
     nudging x toward z by the balancing displacement delta keeps the
     worst residual at most E.  With E = (n(a+b)lam + ab)/(2ab+an+bn)
     each window has width exactly 1/n, so an alignment point always
-    exists and mu(t) <= max(E, (3b-a)/(2n)) unconditionally.
+    exists and mu(t) <= max(E, (2b-a)/(2n)) unconditionally.
   * to reach the closed-form constant E_n itself, large lam is handled
     by searching the window of the best balanced point together with the
     window of its complementary "second best" point; a congruence
@@ -171,7 +172,8 @@ def small_lambda_certificate(p: TripleProblem, ba: BalancedApprox) -> Certificat
     """Snap to the nearest alignment point when lam <= (b-a)/(2n).
 
     x_star = z with n*z = t3 + k3 and |n*z - n*x| <= 1/2, so the third
-    residual vanishes and the cost is at most (3b-a)/(2n).
+    residual vanishes, x moves by at most 1/(2n) and the cost is at most
+    lam + b/(2n) <= (2b-a)/(2n).
     """
     if not _small_lambda_applies(p, ba.lam):
         raise NotApplicableError(
@@ -249,10 +251,11 @@ def modify(ba: BalancedApprox, z: Fraction, p: TripleProblem,
                           "greedy-window")
 
 
-def _pick_alignment(w: ZWindow, p: TripleProblem, t3: Fraction):
+def _pick_alignment(w: ZWindow, p: TripleProblem):
     """Best admissible k3 in the window: minimizes |n*anchor - (t3+k3)|,
     ties to the smaller k3.  Returns None when the window holds no
     alignment point."""
+    t3 = p.t3
     lo_num, lo_den = _residual_ratio(p.n, w.lo, t3)
     hi_num, hi_den = _residual_ratio(p.n, w.hi, t3)
     lo_k = -(-lo_num // lo_den)  # ceil(n*lo - t3)
@@ -263,10 +266,21 @@ def _pick_alignment(w: ZWindow, p: TripleProblem, t3: Fraction):
     return min(max(k3, lo_k), hi_k)
 
 
+def _window_step(ba: BalancedApprox, E: Fraction, p: TripleProblem, sign: int) -> Certificate:
+    """Nudge ba toward the best alignment point of its sign's window at E.
+
+    The caller guarantees the window is at least 1/n wide, so it holds an
+    alignment point."""
+    w = _z_window(ba, E, p, sign)
+    k3 = _pick_alignment(w, p)
+    assert k3 is not None, "a window of width >= 1/n holds an alignment point"
+    return modify(ba, _alignment_point(p, k3), p, window=w)
+
+
 def greedy_bound(p: TripleProblem) -> Certificate:
     """Unconditional certificate with cost at most
 
-        max((n(a+b)*mu_pair + ab)/(2ab+an+bn), (3b-a)/(2n)).
+        max((n(a+b)*mu_pair + ab)/(2ab+an+bn), (2b-a)/(2n)).
 
     Total for every valid triple: at this E the window width is exactly
     1/n, so an alignment point always exists.
@@ -278,10 +292,7 @@ def greedy_bound(p: TripleProblem) -> Certificate:
     lam = ba.lam
     E = Fraction(n * (a + b) * lam.numerator + a * b * lam.denominator,
                  (2 * a * b + a * n + b * n) * lam.denominator)
-    w = _z_window(ba, E, p, ba.sign)
-    k3 = _pick_alignment(w, p, p.t3)
-    assert k3 is not None, "window of width 1/n must contain an alignment point"
-    return modify(ba, _alignment_point(p, k3), p, window=w)
+    return _window_step(ba, E, p, ba.sign)
 
 
 def greedy_en_certificate(p: TripleProblem) -> Certificate:
@@ -290,7 +301,7 @@ def greedy_en_certificate(p: TripleProblem) -> Certificate:
     Normalizes the sign of the best balanced point (replacing t by -t if
     needed; the cost is negation-invariant), then dispatches:
 
-      lam <= (b-a)/(2n)        -> small-lambda snap, cost <= (3b-a)/(2n)
+      lam <= (b-a)/(2n)        -> small-lambda snap, cost <= (2b-a)/(2n)
       lam <= 1/(a+b) - L_n     -> positive window at E = L_n (width >= 1/n)
       otherwise                -> positive window of the best point and
                                   negative window of the second-best point,
@@ -303,12 +314,16 @@ def greedy_en_certificate(p: TripleProblem) -> Certificate:
     5/24 > 1/7 for (2, 5, 12) at t = (0, 0, 1/2).  For n in the asymptotic
     regime neither happens, for any residue class R.
 
-    The EmptyWindowError raise in the E_n branch is unreached for coprime
-    a < b <= 12 and b < n < 10*b**2 (a tier-1 test checks the range).  The
-    best window is never empty: lam <= 1/(2(a+b)) <= E_n.  The second-best
-    point costs 1/(a+b) - lam, which exceeds E_n for some lam of this
-    branch only if E_n < L_n and E_n < 1/(a+b) - (b-a)/(2n); no triple of
-    the range meets both.  The raise stays, since a scan is not a proof.
+    The best window of the final case is never empty: lam <= 1/(2(a+b))
+    <= E_n for every valid triple.  By the case of R, E_n >= 1/(2(a+b))
+    reduces to a+b-R >= 1 for R < a, to R >= 1 for a < R <= 2a, and to
+    2(a+b)-R >= 1 for R > 2a; all three hold, as R < a+b always.  For
+    R = a, E_n = L_n > 1/(2(a+b)) since (n+ab)(a+b) > an+bn+ab.  The
+    second-best point costs 1/(a+b) - lam; when that exceeds E_n its window
+    is empty, which is no failure: it adds no alignment point to the pick.
+    So the final case fails only when neither window holds an alignment
+    point, which no known input reaches; that raise stays until a proof
+    that the two windows always hold one.
 
     Why negate instead of picking the window by sign, as greedy_bound
     does: the two are not the same certificate.  _pick_alignment breaks a
@@ -338,21 +353,15 @@ def greedy_en_certificate(p: TripleProblem) -> Certificate:
         cert = small_lambda_certificate(q, ba)
     elif (a + b) * lam.numerator * ln.denominator \
             <= lam.denominator * (ln.denominator - (a + b) * ln.numerator):
-        # lam <= 1/(a+b) - L_n
-        w = _z_window(ba, ln, q, +1)
-        k3 = _pick_alignment(w, q, q.t3)
-        assert k3 is not None, "L_n window has width >= 1/n here"
-        cert = modify(ba, _alignment_point(q, k3), q, window=w)
+        # lam <= 1/(a+b) - L_n: the L_n window is at least 1/n wide
+        cert = _window_step(ba, ln, q, +1)
     else:
-        try:
-            w_best = _z_window(ba, en, q, +1)
-            sb = second_best_approx(q.pair() if negated else pair, ba)
-            w_second = _z_window(sb, en, q, -1)
-        except EmptyWindowError as exc:
-            raise NotInAsymptoticRegime(str(exc), greedy_bound(p)) from exc
+        sb = second_best_approx(q.pair() if negated else pair, ba)
+        anchors = ((ba, +1), (sb, -1)) if sb.lam <= en else ((ba, +1),)
         picks = []
-        for w, anchor_ba in ((w_best, ba), (w_second, sb)):
-            k3 = _pick_alignment(w, q, q.t3)
+        for anchor_ba, sign in anchors:
+            w = _z_window(anchor_ba, en, q, sign)
+            k3 = _pick_alignment(w, q)
             if k3 is not None:
                 num, den = _residual_ratio(n, w.anchor_x, q.t3)
                 picks.append((Fraction(abs(num - k3 * den), den), k3, w, anchor_ba))

@@ -26,7 +26,8 @@ from kronlab.closed_form import triple_constants
 from kronlab.greedy_triple import (NotInAsymptoticRegime, TripleProblem,
                                    _pick_alignment, greedy_bound,
                                    greedy_en_certificate, z_windows)
-from kronlab.pair_solver import best_pair_approx, negate_approx, second_best_approx
+from kronlab.pair_solver import (PairProblem, best_pair_approx, negate_approx,
+                                  second_best_approx)
 
 GOLDEN = Path(__file__).parent / "golden" / "certificates.csv"
 SIGNED_GOLDEN = GOLDEN.with_name("certificates-signed.csv")
@@ -98,7 +99,7 @@ def branch(row: dict) -> str:
     sb = second_best_approx(p.pair(), ba)
     picks = []
     for name, w in (("best", z_windows(ba, en, p)[0]), ("second-best", z_windows(sb, en, p)[1])):
-        k3 = _pick_alignment(w, p, p.t3)
+        k3 = _pick_alignment(w, p)
         if k3 is not None:
             picks.append((abs(n * w.anchor_x - (p.t3 + k3)), k3, w.case_tag, name))
     return "E_n " + min(picks)[3] + " window"
@@ -120,6 +121,21 @@ def _assert_rows_match(path: Path):
 
 def test_certificates_match_golden():
     _assert_rows_match(GOLDEN)
+
+
+def test_small_lambda_cost_within_lam_plus_b_over_2n():
+    """The snap moves x by at most 1/(2n): every small-lambda certificate of
+    both goldens costs at most lam + b/(2n) <= (2b-a)/(2n)."""
+    rows = 0
+    for row in read_golden(GOLDEN) + read_golden(SIGNED_GOLDEN):
+        a, b, n = int(row["a"]), int(row["b"]), int(row["n"])
+        lam = best_pair_approx(PairProblem(a, b, row["t1"], row["t2"])).lam
+        for side in ("en", "gb"):
+            if row[f"{side}_method"] == "small-lambda":
+                rows += 1
+                assert Fraction(row[f"{side}_cost"]) <= lam + Fraction(b, 2 * n), row
+                assert lam + Fraction(b, 2 * n) <= Fraction(2 * b - a, 2 * n)
+    assert rows > 0
 
 
 def test_signed_certificates_match_golden():

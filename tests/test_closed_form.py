@@ -1,4 +1,6 @@
+import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -73,7 +75,7 @@ def test_ln_between_pair_constant_and_alpha():
         assert tc.ln > Fraction(1, 2 * (a + b))
         if tc.in_regime():
             assert tc.ln <= tc.alpha
-        assert (tc.ln == tc.alpha) == (tc.congruence.R == a)
+        assert (tc.ln == tc.alpha) == (tc.congruence.R == a) == tc.gap
 
 
 def test_binary_mu_examples():
@@ -93,6 +95,7 @@ def test_binary_mu_detail_labels():
 def test_beta_examples_and_gap():
     assert beta_formula(1, 2, 100) == Fraction(17, 101)
     assert beta_formula(1, 2, 100) < alpha_formula(1, 2, 100)
+    assert triple_constants(1, 2, 100).gap and not triple_constants(1, 2, 99).gap
     assert beta_formula(1, 2, 99) == Fraction(17, 100)
     assert beta_formula(2, 3, 300) == Fraction(31, 302)
 
@@ -103,8 +106,30 @@ def test_gap_law_random():
         a, b = rand_coprime_pair(rng, 12)
         n = rng.randrange(b + 1, 3000)
         gap = beta_formula(a, b, n) < alpha_formula(a, b, n)
-        assert gap == (triple_constants(a, b, n).congruence.R == a)
+        tc = triple_constants(a, b, n)
+        assert gap == (tc.congruence.R == a) == tc.gap
         assert beta_formula(a, b, n) <= alpha_formula(a, b, n)
+
+
+def test_half_table_is_the_zero_table_shifted_by_a_plus_b():
+    """binary(1/2) at S has the value and row type of binary(0) at
+    (S + a + b) mod 2(a+b): a typo in either case table shows on some pair,
+    with no oracle call."""
+    triples = 0
+    for b in range(2, 14):
+        for a in range(1, b):
+            if math.gcd(a, b) != 1:
+                continue
+            m = a + b
+            for n in range(b + 1, 6 * b * b):
+                tc = triple_constants(a, b, n)
+                cd = tc.congruence
+                shifted = replace(tc, congruence=replace(cd, S=(cd.S + m) % (2 * m)))
+                half, zero = tc.binary(HALF), shifted.binary(Fraction(0))
+                assert half.value == zero.value, (a, b, n)
+                assert half.case.split()[1] == zero.case.split()[1], (a, b, n)
+                triples += 1
+    assert triples == 32269
 
 
 def test_beta_is_max_of_binary_tables_in_regime():

@@ -30,6 +30,7 @@ CASES = {
     # Below the regime the small-lambda snap costs 5/24 > E_n = 1/7: the
     # certificate is shown with the note that it does not certify E_n.
     "mu-greedy-above-en-text": "mu --set 2,5,12 --t 0,0,1/2 --greedy",
+    "mu-greedy-above-en-json": "mu --set 2,5,12 --t 0,0,1/2 --greedy --json",
     "constants-text": "constants 1 2 100",
     "constants-json": "constants 1 2 100 --json",
     "constants-verify-text": "constants 1 2 100 --verify",

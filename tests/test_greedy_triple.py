@@ -376,13 +376,16 @@ def test_greedy_en_raises_when_small_lambda_exceeds_en():
 
 
 def test_en_branch_windows_are_never_empty_for_b_up_to_12():
-    """The E_n branch's EmptyWindowError needs an empty window at E_n.
+    """The E_n branch's windows, checked against the proof in
+    greedy_en_certificate's docstring on a finite range.
 
     The best point's window is empty only if E_n < lam <= 1/(2(a+b)), the
-    pair bound.  The second-best point costs 1/(a+b) - lam with lam above
-    both (b-a)/(2n) and 1/(a+b) - L_n in this branch, so its window is
-    empty for some lam only if E_n < L_n and E_n < 1/(a+b) - (b-a)/(2n).
-    Neither holds on any coprime a < b <= 12 with b < n < 10*b**2.
+    pair bound, which the proof rules out for every triple.  The
+    second-best point costs 1/(a+b) - lam with lam above both (b-a)/(2n)
+    and 1/(a+b) - L_n in this branch, so its window is empty for some lam
+    only if E_n < L_n and E_n < 1/(a+b) - (b-a)/(2n).  That would be no
+    failure: an empty second-best window adds no alignment point to the
+    pick.  Neither holds on any coprime a < b <= 12 with b < n < 10*b**2.
     """
     triples = 0
     for b in range(2, 13):
@@ -430,7 +433,7 @@ def test_pick_alignment_takes_an_exactly_aligned_endpoint():
             for end in (w.lo, w.hi):
                 k3 = rng.randrange(-3, 3)
                 p = TripleProblem(a, b, n, t1, t2, n * end - k3)  # n*end - t3 = k3
-                assert _pick_alignment(w, p, p.t3) == k3
+                assert _pick_alignment(w, p) == k3
                 modify(ba, end, p, window=w)  # the closed window admits its ends
 
 
@@ -440,7 +443,7 @@ def test_pick_alignment_half_tie_takes_the_smaller_k3():
     ba = best_pair_approx(p.pair())
     for w in z_windows(ba, Fraction(1, 50), p):
         assert w.lo <= (p.t3 - 4) / 100 and (p.t3 - 3) / 100 <= w.hi
-        assert _pick_alignment(w, p, p.t3) == -4
+        assert _pick_alignment(w, p) == -4
 
 
 def test_small_lambda_half_tie_rounds_down():
@@ -499,5 +502,5 @@ def test_dispatch_thresholds_are_inclusive(a, b, n, t3):
     ba = best_pair_approx(p.pair())
     assert ba.lam == Fraction(1, a + b) - ln and ba.sign > 0
     w = _z_window(ba, ln, p, +1)
-    z = (t3 + _pick_alignment(w, p, t3)) / n
+    z = (t3 + _pick_alignment(w, p)) / n
     assert greedy_en_certificate(p) == modify(ba, z, p, window=w)
