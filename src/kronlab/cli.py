@@ -10,7 +10,10 @@ Exit codes: 0 success, 1 usage/input error, 2 verification mismatch where
 the formula claimed validity, 3 internal invariant breach.
 
 Reports are deterministic: identical invocations produce byte-identical
-output except for runtime_ms fields (JSON only; never part of CSV).
+output except for runtime_ms fields (JSON only; never part of CSV).  A
+command builds its report from exact values (Fractions, ints, lists and the
+SweepRow, Certificate and CongruenceData records) and _report alone renders
+it: JSON rationals and records in one place, text and CSV as joined lines.
 
 main(argv) is the in-process entry point and returns the exit code.  The
 parser is built on the first call and reused by every later one in the
@@ -26,7 +29,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, is_dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -36,7 +39,7 @@ from .exact_arith import (DEFAULT_PRECISION, HALF, decimal_approx,
                           rational_to_csv, rational_to_json)
 from .greedy_triple import NotInAsymptoticRegime, TripleProblem, greedy_en_certificate
 from .oracle import (SpectrumProblem, alpha_grid_lower_bound, binary_values,
-                     mu_exact, mu_value)
+                     check_candidate_budget, mu_exact, mu_value)
 
 #: sweep refuses ranges of more rows than this, before it evaluates any: a
 #: row costs about 750 B, so the largest accepted sweep holds about 0.9 GB.
@@ -79,17 +82,11 @@ class SweepRow:
     runtime_ms: int
 
 
-def _witness_field(t: tuple, expected: Fraction, precision: int) -> tuple[dict, str]:
+def _witness_field(t: tuple, expected: Fraction) -> tuple[dict, str]:
     """Report field of the witness target t and the cost the closed forms give it."""
     t1, t2, t3 = t
     t3_mod1 = t3 - math.floor(t3)
-    doc = {
-        "t1": rational_to_json(t1, precision),
-        "t2": rational_to_json(t2, precision),
-        "t3_raw": rational_to_json(t3, precision),
-        "t3_mod1": rational_to_json(t3_mod1, precision),
-        "expected_mu": rational_to_json(expected, precision),
-    }
+    doc = {"t1": t1, "t2": t2, "t3_raw": t3, "t3_mod1": t3_mod1, "expected_mu": expected}
     return {"witness": doc}, (
         f"witness: t1={rational_to_csv(t1)} t2={rational_to_csv(t2)} "
         f"t3={rational_to_csv(t3)} (mod 1: {rational_to_csv(t3_mod1)}), "
@@ -146,18 +143,6 @@ def row_to_csv(row: SweepRow) -> str:
     ])
 
 
-def rows_to_csv(rows) -> str:
-    return "\n".join([",".join(CSV_COLUMNS)] + [row_to_csv(row) for row in rows]) + "\n"
-
-
-def row_to_json(row: SweepRow, precision: int) -> dict:
-    """The row's fields in order, rationals as JSON objects."""
-    doc = asdict(row)
-    for key in ("alpha", "beta", "ln"):
-        doc[key] = rational_to_json(doc[key], precision)
-    return doc
-
-
 def _emit(text: str, out_path: str | None) -> None:
     """Write the report; file writes are atomic and UTF-8 with LF endings."""
     if out_path is None:
@@ -180,18 +165,30 @@ def _fmt(q: Fraction, precision: int) -> str:
 
 def _rational(key: str, label: str, q: Fraction, precision: int) -> tuple[dict, str]:
     """Report field of one rational: JSON item ``key``, text line ``label = ...``."""
-    return {key: rational_to_json(q, precision)}, f"{label} = {_fmt(q, precision)}"
+    return {key: q}, f"{label} = {_fmt(q, precision)}"
 
 
 def _report(args, fields: list[tuple[dict, str]]) -> None:
     """Emit a command's report from its ordered fields, each a pair of JSON
     items and text lines: with --json the items merged into one object,
-    otherwise the lines."""
+    otherwise the lines.
+
+    This is the one place a report is serialized.  The JSON items hold
+    exact values; the encoder renders each Fraction as rational_to_json at
+    --precision and each dataclass as its fields in order, and refuses
+    anything else JSON has no form for."""
     if args.json:
+        def render(value):
+            if isinstance(value, Fraction):
+                return rational_to_json(value, args.precision)
+            if is_dataclass(value):
+                return vars(value)
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
         doc = {}
         for items, _ in fields:
             doc.update(items)
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        _emit(json.dumps(doc, indent=2, default=render) + "\n", args.out)
     else:
         _emit("".join(f"{line}\n" for _, line in fields), args.out)
 
@@ -207,12 +204,15 @@ def cmd_mu(args) -> int:
     spectrum = _parse_spectrum(args.set)
     problem = SpectrumProblem(spectrum, args.t.split(","))
     targets = problem.targets
+    if args.greedy:
+        if len(spectrum) != 3:
+            raise ValueError("--greedy needs a 3-element spectrum with coprime a, b")
+        triple = TripleProblem(*spectrum, *targets)
     result = mu_exact(problem)
     precision = args.precision
     fields = [
         ({"spectrum": list(spectrum)}, f"spectrum: {','.join(str(nj) for nj in spectrum)}"),
-        ({"targets": [rational_to_json(t, precision) for t in targets]},
-         f"targets: {', '.join(rational_to_csv(t) for t in targets)}"),
+        ({"targets": list(targets)}, f"targets: {', '.join(rational_to_csv(t) for t in targets)}"),
         _rational("mu", "mu", result.value, precision),
         _rational("x_star", "x_star", result.x_star, precision),
         ({"k_star": list(result.k_star)}, f"k_star = {list(result.k_star)}"),
@@ -220,29 +220,20 @@ def cmd_mu(args) -> int:
          f"candidates examined = {result.candidates_examined}"),
     ]
     if args.greedy:
-        if len(spectrum) != 3:
-            raise ValueError("--greedy needs a 3-element spectrum with coprime a, b")
         regime_note = None
         try:
-            cert = greedy_en_certificate(TripleProblem(*spectrum, *targets))
+            cert = greedy_en_certificate(triple)
         except NotInAsymptoticRegime as exc:
-            cert = exc.certificate
-            regime_note = str(exc)
+            cert, regime_note = exc.certificate, str(exc)
         if cert.cost < result.value:
             raise InvariantBreach(
                 f"certificate cost {cert.cost} below oracle value {result.value}")
-        cert_doc = {
-            "x_star": rational_to_json(cert.x_star, precision),
-            "k": list(cert.k),
-            "cost": rational_to_json(cert.cost, precision),
-            "method": cert.method,
-            "negated": cert.negated,
-        }
+        cert_doc = cert
         text = (f"certificate: x_star = {_fmt(cert.x_star, precision)}, "
                 f"cost = {_fmt(cert.cost, precision)}, method = {cert.method}"
                 + (", negated" if cert.negated else ""))
         if regime_note:
-            cert_doc["note"] = regime_note
+            cert_doc = {**vars(cert), "note": regime_note}
             text += f"\nnote: {regime_note} (bound certificate shown)"
         fields.append(({"certificate": cert_doc}, text))
     _report(args, fields)
@@ -258,7 +249,7 @@ def cmd_constants(args) -> int:
     precision = args.precision
     fields = [
         ({"a": a, "b": b, "n": n}, f"triple: a={a} b={b} n={n}"),
-        ({"congruence": asdict(cd)},
+        ({"congruence": cd},
          f"congruences: r={cd.r} T={cd.T} R={cd.R} r2={cd.r2} S={cd.S} "
          f"g={cd.g} h={cd.h} parity={cd.parity_case}"),
         _rational("alpha", "alpha", tc.alpha, precision),
@@ -267,13 +258,13 @@ def cmd_constants(args) -> int:
         ({"gap": tc.gap}, f"gap (alpha > beta) = {'true' if tc.gap else 'false'}"),
         ({"in_asymptotic_regime": regime},
          f"asymptotic regime = {'yes' if regime else 'no (small n)'}"),
-        _witness_field(*tc.witness(), precision),
+        _witness_field(*tc.witness()),
     ]
     if args.verify:
         fields.append(({"verified": verified}, f"verified: {verified}"))
     if args.grid is not None:
         value, argmax = alpha_grid_lower_bound((a, b, n), args.grid)
-        fields.append(({"grid": {"D": args.grid, "value": rational_to_json(value, precision),
+        fields.append(({"grid": {"D": args.grid, "value": value,
                                  "argmax": [rational_to_csv(t) for t in argmax]}},
                        f"grid lower bound (D={args.grid}): {_fmt(value, precision)} "
                        f"at t=({', '.join(rational_to_csv(t) for t in argmax)})"))
@@ -315,15 +306,13 @@ def cmd_sweep(args) -> int:
     if count > MAX_SWEEP_ROWS:
         raise ValueError(f"--from {args.n_from} --to {args.n_to} asks for {count} rows, "
                          f"above the limit of {MAX_SWEEP_ROWS}")
+    if args.verify:
+        # the oracle's budget grows with n: the last row decides for all
+        check_candidate_budget((a, b, args.n_to))
     work = [(a, b, n, args.verify) for n in range(args.n_from, args.n_to + 1)]
     rows = parallel_map(evaluate_sweep_row, work, args.jobs)
-
-    if args.json:
-        doc = {"pair": [a, b],
-               "rows": [row_to_json(row, args.precision) for row in rows]}
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    else:
-        _emit(rows_to_csv(rows), args.out)
+    _report(args, [({"pair": [a, b]}, ",".join(CSV_COLUMNS)),
+                   ({"rows": rows}, "\n".join(row_to_csv(row) for row in rows))])
 
     bad = [row for row in rows
            if row.verified == UNVERIFIED and args.verify
@@ -349,14 +338,6 @@ def _precision(text: str) -> int:
     return value
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; the exit-code contract wants 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 def _add_common(parser):
     parser.add_argument("--json", action="store_true", help="JSON report")
     parser.add_argument("--out", metavar="PATH", help="write report to PATH (atomic)")
@@ -368,10 +349,11 @@ def _add_common(parser):
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first call and shared by every later
     one: callers must not mutate it.  It holds no command function; main
-    looks the command up by name when it runs."""
-    parser = _Parser(prog="kronlab",
-                     description="Exact Kronecker constants of three-element "
-                                 "integer sets, with oracle verification.")
+    looks the command up by name when it runs.  Its parse_args exits with
+    argparse's own code 2 on a usage error, which main maps to 1."""
+    parser = argparse.ArgumentParser(prog="kronlab",
+                                     description="Exact Kronecker constants of three-element "
+                                                 "integer sets, with oracle verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_mu = sub.add_parser("mu", help="exact approximation cost of a target vector")
@@ -412,7 +394,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
+        # argparse exits 0 after --help and 2 on a usage error
+        return 1 if exc.code else 0
     command = {"mu": cmd_mu, "constants": cmd_constants, "sweep": cmd_sweep}[args.command]
     try:
         return command(args)

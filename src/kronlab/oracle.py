@@ -151,10 +151,7 @@ def _scan(spectrum: tuple[int, ...], targets: tuple[Fraction, ...]
     targets each is walked only up to Y = M/2; the progressions returned are
     always all the full ones.
     """
-    budget = candidate_budget(spectrum)
-    if budget > MAX_CANDIDATE_BUDGET:
-        raise ValueError(f"spectrum {spectrum} allows up to {budget} oracle candidates, "
-                         f"above the limit of {MAX_CANDIDATE_BUDGET}")
+    check_candidate_budget(spectrum)
     D = math.lcm(*(t.denominator for t in targets))
     scaled = [t.numerator * (D // t.denominator) for t in targets]  # t_j*D
     crossings = [((ni + nj) * D, range((si + sj) % D, (ni + nj) * D, D))
@@ -226,6 +223,16 @@ def candidate_budget(spectrum: Sequence[int]) -> int:
         return 2 * (spectrum[0] + 2)
     max_pair = spectrum[-1] + spectrum[-2]
     return d * d * (max_pair + 2)
+
+
+def check_candidate_budget(spectrum: Sequence[int]) -> None:
+    """Raises ValueError when candidate_budget(spectrum) exceeds
+    MAX_CANDIDATE_BUDGET: the one refusal rule of every scan, also for a
+    caller that refuses a batch of spectra before it scans any."""
+    budget = candidate_budget(spectrum)
+    if budget > MAX_CANDIDATE_BUDGET:
+        raise ValueError(f"spectrum {spectrum} allows up to {budget} oracle candidates, "
+                         f"above the limit of {MAX_CANDIDATE_BUDGET}")
 
 
 def _binary_targets(spectrum):

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -12,11 +13,14 @@ import pytest
 
 import kronlab.cli as cli
 import kronlab.oracle as oracle
+from conftest import rand_coprime_pair, rand_fraction
 from kronlab.cli import (CSV_COLUMNS, UNVERIFIED, VERIFIED_ORACLE,
                          VERIFIED_WITNESS, evaluate_sweep_row, main, worker_count)
 from kronlab.closed_form import (TripleConstants, canonical_binary_pair,
                                  in_asymptotic_regime, triple_constants)
-from kronlab.greedy_triple import Certificate
+from kronlab.exact_arith import decimal_approx
+from kronlab.greedy_triple import (Certificate, NotInAsymptoticRegime, TripleProblem,
+                                   greedy_en_certificate)
 from kronlab.oracle import SpectrumProblem, beta_exact, mu_exact
 
 ACCEPTANCE_PAIRS = [(1, 2), (1, 3), (2, 3), (2, 5), (3, 4), (3, 5), (4, 5)]
@@ -60,9 +64,16 @@ def test_mu_greedy_certificate(capsys):
     assert oracle == Fraction(1, 6) <= cert_cost
 
 
-def test_mu_greedy_needs_triple(capsys):
-    code, _, err = run(capsys, "mu", "--set", "1,2", "--t", "0,1/2", "--greedy")
-    assert code == 1 and "greedy" in err
+def test_mu_greedy_needs_triple(capsys, monkeypatch):
+    # the triple is checked before the oracle runs: n = 100000 costs it 0.2 s
+    def no_oracle(problem):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(cli, "mu_exact", no_oracle)
+    code, out, err = run(capsys, "mu", "--set", "1,2", "--t", "0,1/2", "--greedy")
+    assert code == 1 and out == "" and "greedy" in err
+    code, out, err = run(capsys, "mu", "--set", "2,4,100000", "--t", "0,1/3,1/7", "--greedy")
+    assert code == 1 and out == "" and "gcd(2, 4) != 1" in err
 
 
 def test_constants_verified_gap_case(capsys):
@@ -116,6 +127,18 @@ def test_constants_usage_errors(capsys):
     for argv in (("witness", "1", "2", "100"), ("witness", "1", "2", "100", "--verify")):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "" and "invalid choice" in err
+
+
+@pytest.mark.parametrize("argv, last_line", [
+    (("constants", "1", "2", "100", "--csv"),
+     "kronlab: error: unrecognized arguments: --csv"),
+    (("mu", "--set", "1,2", "--t", "0,1/2", "--precision", "abc"),
+     "kronlab mu: error: argument --precision: invalid int value: 'abc'"),
+])
+def test_usage_error_prints_usage_then_one_error_line(capsys, argv, last_line):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage: kronlab") and err.splitlines()[-1] == last_line
 
 
 def test_exit_code_2_on_in_regime_mismatch(capsys, monkeypatch):
@@ -244,6 +267,21 @@ def test_sweep_refuses_oversized_range(capsys, monkeypatch):
     assert code == 0 and len(out.splitlines()) == 4
 
 
+def test_sweep_verify_refuses_an_over_budget_range_before_any_row(capsys, monkeypatch):
+    # the oracle's budget, 9*(n + b + 2), grows with n: the range's last n decides
+    oracle.check_candidate_budget((1, 2, 111107))
+    with pytest.raises(ValueError, match="1000008 oracle candidates"):
+        oracle.check_candidate_budget((1, 2, 111108))
+    scans = []
+    scan = oracle._scan
+    monkeypatch.setattr(oracle, "_scan", lambda *args: scans.append(args) or scan(*args))
+    for n_from in ("111105", "3"):
+        code, out, err = run(capsys, "sweep", "1", "2", "--from", n_from, "--to", "111108",
+                             "--verify")
+        assert code == 1 and out == "" and scans == []
+        assert "spectrum (1, 2, 111108) allows up to 1000008 oracle candidates" in err
+
+
 def test_counts_below_one_exit_1(capsys):
     code, _, err = run(capsys, "constants", "1", "2", "100", "--precision", "0")
     assert code == 1 and "--precision" in err
@@ -366,6 +404,69 @@ def test_sweep_json_rows(capsys):
                 getattr(recomputed, field)
 
 
+def _json_rationals(doc, path=()):
+    """{path: (Fraction, approx)} for every {"num", "den", "approx"} object in doc."""
+    if isinstance(doc, dict) and set(doc) == {"num", "den", "approx"}:
+        return {path: (Fraction(int(doc["num"]), int(doc["den"])), doc["approx"])}
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return {}
+    found = {}
+    for key, value in items:
+        found.update(_json_rationals(value, path + (key,)))
+    return found
+
+
+def _random_reports(rng):
+    """(argv, {path: library value}) for random JSON reports of each command."""
+    for _ in range(12):
+        a, b = rand_coprime_pair(rng, 9)
+        spectrum = (a, b, rng.randrange(b + 1, 300))
+        targets = tuple(rand_fraction(rng) for _ in spectrum)
+        result = mu_exact(SpectrumProblem(spectrum, targets))
+        try:
+            cert = greedy_en_certificate(TripleProblem(*spectrum, *targets))
+        except NotInAsymptoticRegime as exc:
+            cert = exc.certificate
+        expected = {("targets", j): t for j, t in enumerate(targets)}
+        expected.update({("mu",): result.value, ("x_star",): result.x_star,
+                         ("certificate", "x_star"): cert.x_star,
+                         ("certificate", "cost"): cert.cost})
+        yield (["mu", "--set", ",".join(map(str, spectrum)),
+                "--t", ",".join(map(str, targets)), "--greedy"], expected)
+
+        a, b = rand_coprime_pair(rng, 9)
+        n = rng.randrange(b + 1, 300)
+        tc = triple_constants(a, b, n)
+        (t1, t2, t3), cost = tc.witness()
+        expected = {("alpha",): tc.alpha, ("beta",): tc.beta, ("ln",): tc.ln,
+                    ("witness", "t1"): t1, ("witness", "t2"): t2,
+                    ("witness", "t3_raw"): t3, ("witness", "t3_mod1"): t3 % 1,
+                    ("witness", "expected_mu"): cost}
+        yield ["constants", str(a), str(b), str(n), "--verify"], expected
+
+        a, b = rand_coprime_pair(rng, 9)
+        n_from = rng.randrange(b + 1, 300)
+        rows = [triple_constants(a, b, n) for n in range(n_from, n_from + rng.randrange(1, 4))]
+        expected = {("rows", i, field): getattr(tc, field)
+                    for i, tc in enumerate(rows) for field in ("alpha", "beta", "ln")}
+        yield ["sweep", str(a), str(b), "--from", str(n_from), "--to", str(rows[-1].n)], expected
+
+
+def test_json_rationals_parse_back_to_the_library_values(capsys):
+    rng = random.Random(19)
+    for argv, expected in _random_reports(rng):
+        precision = rng.randrange(1, 31)
+        code, out, _ = run(capsys, *argv, "--json", "--precision", str(precision))
+        assert code == 0, argv
+        found = _json_rationals(json.loads(out))
+        assert {path: q for path, (q, _) in found.items()} == expected, argv
+        assert all(approx == decimal_approx(q, precision) for q, approx in found.values())
+
+
 def test_precision_flag(capsys):
     code, out, _ = run(capsys, "mu", "--set", "1,2", "--t", "0,1/2",
                        "--precision", "4", "--json")
@@ -438,6 +539,19 @@ def test_zero_denominator_target_exits_1_with_one_error_line():
     assert proc.returncode == 1 and proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines() == ["kronlab: error: target '1/0' has a zero denominator"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("constants", "1", "2", "100"), 0),
+    (("constants", "2", "4", "100"), 1),
+    (("--help",), 0),
+    (("nosuchcommand",), 1),
+])
+def test_module_entry_exit_codes(argv, code):
+    # entry() turns main's return value into the process exit code
+    proc = subprocess.run([sys.executable, "-m", "kronlab.cli", *argv], capture_output=True,
+                          env=_subprocess_env(), timeout=60)
+    assert proc.returncode == code
 
 
 # main builds its parser once per process and reuses it; these calls cover

@@ -31,6 +31,9 @@ CASES = {
     # certificate is shown with the note that it does not certify E_n.
     "mu-greedy-above-en-text": "mu --set 2,5,12 --t 0,0,1/2 --greedy",
     "mu-greedy-above-en-json": "mu --set 2,5,12 --t 0,0,1/2 --greedy --json",
+    # --precision reaches the certificate's rationals
+    "mu-greedy-precision-json": "mu --set 2,5,300 --t 1/7,2/3,5/11 --greedy --json "
+                                "--precision 30",
     "constants-text": "constants 1 2 100",
     "constants-json": "constants 1 2 100 --json",
     "constants-verify-text": "constants 1 2 100 --verify",
@@ -44,6 +47,8 @@ CASES = {
     "sweep-json": "sweep 1 2 --from 96 --to 104 --json",
     "sweep-verify-csv": "sweep 1 2 --from 96 --to 104 --verify",
     "sweep-verify-json": "sweep 1 2 --from 96 --to 104 --verify --json",
+    # --precision reaches every row's rationals
+    "sweep-json-precision": "sweep 2 3 --from 300 --to 303 --verify --json --precision 5",
     "sweep-small-n-verify-csv": "sweep 1 5 --from 6 --to 12 --verify",
     # one triple's CSV row is a one-row sweep
     "sweep-one-row-csv": "sweep 1 2 --from 100 --to 100",
