@@ -10,10 +10,11 @@ Exit codes: 0 success, 1 usage/input error, 2 verification mismatch where
 the formula claimed validity, 3 internal invariant breach.
 
 Reports are deterministic: identical invocations produce byte-identical
-output except for runtime_ms fields (JSON only; never part of CSV).  A
-command builds its report from exact values (Fractions, ints, lists and the
-SweepRow, Certificate and CongruenceData records) and _report alone renders
-it: JSON rationals and records in one place, text and CSV as joined lines.
+output.  A command builds its report from exact values (Fractions, ints,
+lists and the SweepRow, Certificate and CongruenceData records) and _report
+alone renders it: JSON rationals and records in one place, text and CSV as
+joined lines.  This module is the one home of every report format; the
+library below it computes exact values only.
 
 main(argv) is the in-process entry point and returns the exit code.  The
 parser is built on the first call and reused by every later one in the
@@ -28,15 +29,14 @@ import json
 import math
 import os
 import sys
-import time
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass, fields as dataclass_fields, is_dataclass
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .closed_form import (TripleConstants, canonical_binary_pair,
                           in_asymptotic_regime, triple_constants)
-from .exact_arith import (DEFAULT_PRECISION, HALF, decimal_approx,
-                          rational_to_csv, rational_to_json)
+from .exact_arith import HALF, _checked_coprime
 from .greedy_triple import NotInAsymptoticRegime, TripleProblem, greedy_en_certificate
 from .oracle import (SpectrumProblem, alpha_grid_lower_bound, binary_values,
                      check_candidate_budget, mu_exact, mu_value)
@@ -51,7 +51,8 @@ MAX_SWEEP_ROWS = 10**6
 #: and about 10 kB each.
 MAX_PRECISION = 10**4
 
-CSV_COLUMNS = ("a", "b", "n", "r", "R", "S", "alpha", "beta", "ln", "gap", "verified")
+#: significant digits of a report's decimals when --precision is not given
+DEFAULT_PRECISION = 12
 
 VERIFIED_ORACLE = "oracle-exact"
 VERIFIED_WITNESS = "witness-sandwich"
@@ -79,7 +80,43 @@ class SweepRow:
     ln: Fraction
     gap: bool
     verified: str
-    runtime_ms: int
+
+
+#: the sweep CSV header: SweepRow's fields in order, the keys of a JSON row
+CSV_COLUMNS = tuple(field.name for field in dataclass_fields(SweepRow))
+
+
+def decimal_approx(q: Fraction, precision: int = DEFAULT_PRECISION) -> str:
+    """Decimal rendering at ``precision`` significant digits, half-even.
+
+    Display only; callers must never compare these strings numerically.
+    """
+    with localcontext() as ctx:
+        ctx.prec = precision
+        ctx.rounding = ROUND_HALF_EVEN
+        return str(Decimal(q.numerator) / Decimal(q.denominator))
+
+
+def rational_to_json(q: Fraction, precision: int = DEFAULT_PRECISION) -> dict:
+    return {
+        "num": str(q.numerator),
+        "den": str(q.denominator),
+        "approx": decimal_approx(q, precision),
+    }
+
+
+def rational_to_csv(q: Fraction) -> str:
+    """CSV cell form "num/den" (always includes the denominator)."""
+    return f"{q.numerator}/{q.denominator}"
+
+
+def _csv_cell(value) -> str:
+    """One CSV cell: a Fraction as num/den, a bool as true/false, else str."""
+    if isinstance(value, Fraction):
+        return rational_to_csv(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
 
 
 def _witness_field(t: tuple, expected: Fraction) -> tuple[dict, str]:
@@ -126,21 +163,11 @@ def _verified(tc: TripleConstants) -> str:
 
 
 def evaluate_sweep_row(a: int, b: int, n: int, verify: bool) -> SweepRow:
-    t0 = time.perf_counter()
     tc = triple_constants(a, b, n)
     cd = tc.congruence
     return SweepRow(a=a, b=b, n=n, r=cd.r, R=cd.R, S=cd.S, alpha=tc.alpha,
                     beta=tc.beta, ln=tc.ln, gap=tc.gap,
-                    verified=_verified(tc) if verify else UNVERIFIED,
-                    runtime_ms=int((time.perf_counter() - t0) * 1000))
-
-
-def row_to_csv(row: SweepRow) -> str:
-    return ",".join([
-        str(row.a), str(row.b), str(row.n), str(row.r), str(row.R), str(row.S),
-        rational_to_csv(row.alpha), rational_to_csv(row.beta),
-        rational_to_csv(row.ln), "true" if row.gap else "false", row.verified,
-    ])
+                    verified=_verified(tc) if verify else UNVERIFIED)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -245,6 +272,8 @@ def cmd_constants(args) -> int:
     tc = triple_constants(a, b, n)
     cd = tc.congruence
     regime = tc.in_regime()
+    # the grid refuses an oversized D before the oracle checks run
+    grid = None if args.grid is None else alpha_grid_lower_bound((a, b, n), args.grid)
     verified = _verified(tc) if args.verify else None
     precision = args.precision
     fields = [
@@ -262,10 +291,9 @@ def cmd_constants(args) -> int:
     ]
     if args.verify:
         fields.append(({"verified": verified}, f"verified: {verified}"))
-    if args.grid is not None:
-        value, argmax = alpha_grid_lower_bound((a, b, n), args.grid)
-        fields.append(({"grid": {"D": args.grid, "value": value,
-                                 "argmax": [rational_to_csv(t) for t in argmax]}},
+    if grid is not None:
+        value, argmax = grid
+        fields.append(({"grid": {"D": args.grid, "value": value, "argmax": list(argmax)}},
                        f"grid lower bound (D={args.grid}): {_fmt(value, precision)} "
                        f"at t=({', '.join(rational_to_csv(t) for t in argmax)})"))
     _report(args, fields)
@@ -306,13 +334,16 @@ def cmd_sweep(args) -> int:
     if count > MAX_SWEEP_ROWS:
         raise ValueError(f"--from {args.n_from} --to {args.n_to} asks for {count} rows, "
                          f"above the limit of {MAX_SWEEP_ROWS}")
+    # every later row has a larger n: the first row is valid iff they all are
+    _checked_coprime((a, b, args.n_from))
     if args.verify:
         # the oracle's budget grows with n: the last row decides for all
         check_candidate_budget((a, b, args.n_to))
     work = [(a, b, n, args.verify) for n in range(args.n_from, args.n_to + 1)]
     rows = parallel_map(evaluate_sweep_row, work, args.jobs)
     _report(args, [({"pair": [a, b]}, ",".join(CSV_COLUMNS)),
-                   ({"rows": rows}, "\n".join(row_to_csv(row) for row in rows))])
+                   ({"rows": rows},
+                    "\n".join(",".join(map(_csv_cell, vars(row).values())) for row in rows))])
 
     bad = [row for row in rows
            if row.verified == UNVERIFIED and args.verify

@@ -2,18 +2,14 @@
 
 Every cost, coordinate and constant in kronlab is a `fractions.Fraction`.
 This module supplies the distance-to-nearest-integer operator, the angular
-max-norm built on it, Bezout coefficients for coprime pairs, and the
-serialization helpers used by reports.  Decimal rendering exists for display
-only and is never used in a comparison.
+max-norm built on it, Bezout coefficients for coprime pairs, and the input
+checks every module shares.  Reports render these values in kronlab.cli.
 """
 from __future__ import annotations
 
 import math
-from decimal import Decimal, ROUND_HALF_EVEN, localcontext
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-DEFAULT_PRECISION = 12
 
 HALF = Fraction(1, 2)
 
@@ -119,26 +115,3 @@ def bezout_coprime(a: int, b: int) -> tuple[int, int]:
     h = (a * g - 1) // b
     return g, h
 
-
-def decimal_approx(q: Fraction, precision: int = DEFAULT_PRECISION) -> str:
-    """Decimal rendering at ``precision`` significant digits, half-even.
-
-    Display only; callers must never compare these strings numerically.
-    """
-    with localcontext() as ctx:
-        ctx.prec = precision
-        ctx.rounding = ROUND_HALF_EVEN
-        return str(Decimal(q.numerator) / Decimal(q.denominator))
-
-
-def rational_to_json(q: Fraction, precision: int = DEFAULT_PRECISION) -> dict:
-    return {
-        "num": str(q.numerator),
-        "den": str(q.denominator),
-        "approx": decimal_approx(q, precision),
-    }
-
-
-def rational_to_csv(q: Fraction) -> str:
-    """CSV cell form "num/den" (always includes the denominator)."""
-    return f"{q.numerator}/{q.denominator}"

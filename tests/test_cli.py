@@ -6,22 +6,25 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import kronlab.cli as cli
 import kronlab.oracle as oracle
 from conftest import rand_coprime_pair, rand_fraction
-from kronlab.cli import (CSV_COLUMNS, UNVERIFIED, VERIFIED_ORACLE,
-                         VERIFIED_WITNESS, evaluate_sweep_row, main, worker_count)
+from kronlab.cli import (CSV_COLUMNS, UNVERIFIED, VERIFIED_ORACLE, VERIFIED_WITNESS,
+                         SweepRow, decimal_approx, evaluate_sweep_row, main,
+                         rational_to_csv, rational_to_json, worker_count)
 from kronlab.closed_form import (TripleConstants, canonical_binary_pair,
                                  in_asymptotic_regime, triple_constants)
-from kronlab.exact_arith import decimal_approx
 from kronlab.greedy_triple import (Certificate, NotInAsymptoticRegime, TripleProblem,
                                    greedy_en_certificate)
-from kronlab.oracle import SpectrumProblem, beta_exact, mu_exact
+from kronlab.oracle import SpectrumProblem, alpha_grid_lower_bound, beta_exact, mu_exact
 
 ACCEPTANCE_PAIRS = [(1, 2), (1, 3), (2, 3), (2, 5), (3, 4), (3, 5), (4, 5)]
 
@@ -282,6 +285,20 @@ def test_sweep_verify_refuses_an_over_budget_range_before_any_row(capsys, monkey
         assert "spectrum (1, 2, 111108) allows up to 1000008 oracle candidates" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("1", "2", "--from", "1", "--to", "20000", "--verify"), "strictly increasing"),
+    (("2", "4", "--from", "5", "--to", "20000"), "gcd(2, 4) != 1"),
+], ids=["n-below-b", "non-coprime-pair"])
+def test_sweep_refuses_an_invalid_first_row_before_any_row(capsys, monkeypatch, argv, message):
+    # a pool runs every chunk before a row's error surfaces: refuse before it
+    def no_rows(fn, work, jobs):
+        raise AssertionError("rows were evaluated")
+
+    monkeypatch.setattr(cli, "parallel_map", no_rows)
+    code, out, err = run(capsys, "sweep", *argv, "--jobs", "2")
+    assert code == 1 and out == "" and message in err
+
+
 def test_counts_below_one_exit_1(capsys):
     code, _, err = run(capsys, "constants", "1", "2", "100", "--precision", "0")
     assert code == 1 and "--precision" in err
@@ -321,6 +338,14 @@ def test_grid_refuses_oversized_grid(capsys, monkeypatch):
     # 316^2 targets pass the target limit; their oracle work does not
     monkeypatch.setattr(oracle, "_scan", no_evaluation)
     code, out, err = run(capsys, "constants", "1", "2", "1000", "--grid", "316")
+    assert code == 1 and out == "" and "oracle candidates" in err
+
+    def no_checks(tc):
+        raise AssertionError("the oracle checks ran")
+
+    # with --verify the grid is refused before the oracle checks run
+    monkeypatch.setattr(cli, "_row_checks", no_checks)
+    code, out, err = run(capsys, "constants", "1", "2", "1000", "--grid", "316", "--verify")
     assert code == 1 and out == "" and "oracle candidates" in err
 
 
@@ -393,11 +418,21 @@ def test_sweep_json_rows(capsys):
     assert code == 0
     doc = json.loads(out)
     assert [row["n"] for row in doc["rows"]] == [99, 100, 101]
-    for row in doc["rows"]:
-        assert set(row) == {"a", "b", "n", "r", "R", "S", "alpha", "beta", "ln",
-                            "gap", "verified", "runtime_ms"}
+    # one schema: the CSV header and each JSON row's keys are SweepRow's fields
+    schema = [field.name for field in fields(SweepRow)]
+    code, csv_out, _ = run(capsys, "sweep", "1", "2", "--from", "99", "--to", "101")
+    header, *csv_rows = csv_out.splitlines()
+    assert code == 0 and header.split(",") == list(CSV_COLUMNS) == schema
+    for row, csv_row in zip(doc["rows"], csv_rows, strict=True):
+        assert list(row) == schema
         assert row["verified"] == UNVERIFIED  # no --verify requested
-        # JSON rationals round-trip bit-identically (runtime_ms excluded)
+        # each CSV cell renders the JSON value of its column
+        for value, cell in zip(row.values(), csv_row.split(","), strict=True):
+            if isinstance(value, dict):
+                assert Fraction(cell) == Fraction(int(value["num"]), int(value["den"]))
+            else:
+                assert cell == (json.dumps(value) if isinstance(value, bool) else str(value))
+        # JSON rationals round-trip bit-identically
         recomputed = evaluate_sweep_row(1, 2, row["n"], verify=False)
         for field in ("alpha", "beta", "ln"):
             assert Fraction(int(row[field]["num"]), int(row[field]["den"])) == \
@@ -448,6 +483,12 @@ def _random_reports(rng):
                     ("witness", "expected_mu"): cost}
         yield ["constants", str(a), str(b), str(n), "--verify"], expected
 
+        D = rng.randrange(2, 7)
+        value, argmax = alpha_grid_lower_bound((a, b, n), D)
+        grid = {("grid", "value"): value}
+        grid.update({("grid", "argmax", j): t for j, t in enumerate(argmax)})
+        yield ["constants", str(a), str(b), str(n), "--grid", str(D)], {**expected, **grid}
+
         a, b = rand_coprime_pair(rng, 9)
         n_from = rng.randrange(b + 1, 300)
         rows = [triple_constants(a, b, n) for n in range(n_from, n_from + rng.randrange(1, 4))]
@@ -465,6 +506,26 @@ def test_json_rationals_parse_back_to_the_library_values(capsys):
         found = _json_rationals(json.loads(out))
         assert {path: q for path, (q, _) in found.items()} == expected, argv
         assert all(approx == decimal_approx(q, precision) for q, approx in found.values())
+
+
+@given(st.fractions(min_value=-20, max_value=20, max_denominator=997))
+def test_serialization_round_trips(q):
+    d = rational_to_json(q)
+    assert Fraction(int(d["num"]), int(d["den"])) == q
+    assert Fraction(rational_to_csv(q)) == q
+
+
+def test_decimal_rendering_half_even_and_precision():
+    assert decimal_approx(Fraction(1, 4), 12) == "0.25"
+    assert decimal_approx(Fraction(1, 8), 2) == "0.12"   # 0.125 rounds half-even
+    assert decimal_approx(Fraction(3, 8), 2) == "0.38"   # 0.375 rounds half-even
+    assert decimal_approx(Fraction(1, 3), 5) == "0.33333"
+    assert rational_to_json(Fraction(17, 101))["approx"].startswith("0.168316831683"[:12])
+
+
+def test_csv_form_always_carries_denominator():
+    assert rational_to_csv(Fraction(0)) == "0/1"
+    assert rational_to_csv(Fraction(-3, 7)) == "-3/7"
 
 
 def test_precision_flag(capsys):

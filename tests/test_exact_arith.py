@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from kronlab.closed_form import alpha_formula, triple_constants
 from kronlab.exact_arith import (NonCoprimeError, _checked_target, _nearest_ratio,
-                                 angular_norm, bezout_coprime, decimal_approx,
-                                 nearest_int, nearest_int_distance,
-                                 rational_to_csv, rational_to_json)
+                                 angular_norm, bezout_coprime, nearest_int,
+                                 nearest_int_distance)
 from kronlab.greedy_triple import TripleProblem, certificate_at, modify, z_windows
 from kronlab.pair_solver import PairProblem, best_pair_approx
 
@@ -156,23 +155,3 @@ def test_parse_rational_forms():
     assert _checked_target(" 1/2 ") == Fraction(1, 2)
     with pytest.raises(ValueError):
         _checked_target("one half")
-
-
-@given(fractions_st)
-def test_serialization_round_trips(q):
-    d = rational_to_json(q)
-    assert Fraction(int(d["num"]), int(d["den"])) == q
-    assert Fraction(rational_to_csv(q)) == q
-
-
-def test_decimal_rendering_half_even_and_precision():
-    assert decimal_approx(Fraction(1, 4), 12) == "0.25"
-    assert decimal_approx(Fraction(1, 8), 2) == "0.12"   # 0.125 rounds half-even
-    assert decimal_approx(Fraction(3, 8), 2) == "0.38"   # 0.375 rounds half-even
-    assert decimal_approx(Fraction(1, 3), 5) == "0.33333"
-    assert rational_to_json(Fraction(17, 101))["approx"].startswith("0.168316831683"[:12])
-
-
-def test_csv_form_always_carries_denominator():
-    assert rational_to_csv(Fraction(0)) == "0/1"
-    assert rational_to_csv(Fraction(-3, 7)) == "-3/7"

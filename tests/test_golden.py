@@ -2,10 +2,10 @@
 
 The files in tests/golden/ hold the stdout of ``kronlab <argv>`` for each
 case below, each captured from the code before the CLI refactor it guards
-(one row and witness model; one report per command).  Only wall-clock
-values are masked: ``runtime_ms`` in JSON.
+(one row and witness model; one report per command).  The sweep JSON and
+grid JSON files were re-captured when sweep rows lost their wall-clock
+``runtime_ms`` field and the grid argmax became JSON rationals.
 """
-import re
 from pathlib import Path
 
 import pytest
@@ -57,16 +57,12 @@ CASES = {
 }
 
 
-def _masked(text: str) -> str:
-    return re.sub(r'"runtime_ms": \d+', '"runtime_ms": _', text)
-
-
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(name, capsys):
     assert main(CASES[name].split()) == 0
     out = capsys.readouterr().out
     golden = (GOLDEN / f"{name}.out").read_bytes().decode("utf-8")
-    assert _masked(out) == _masked(golden)
+    assert out == golden
 
 
 def test_every_golden_file_has_a_case():
