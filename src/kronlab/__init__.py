@@ -8,7 +8,7 @@ independent exact brute-force oracle everything is checked against.
 from .closed_form import (CongruenceData, TripleConstants, alpha_formula,
                           beta_formula, canonical_binary_pair,
                           in_asymptotic_regime, triple_constants)
-from .exact_arith import angular_norm, bezout_coprime, nearest_int_distance
+from .exact_arith import bezout_coprime
 from .greedy_triple import (Certificate, NotInAsymptoticRegime, TripleProblem,
                             ZWindow, greedy_bound, greedy_en_certificate,
                             modify, small_lambda_certificate, z_windows)
@@ -23,9 +23,9 @@ __all__ = [
     "BalancedApprox", "Certificate", "CongruenceData", "NotInAsymptoticRegime",
     "OracleResult", "PairProblem", "SpectrumProblem", "TripleConstants",
     "TripleProblem", "ZWindow", "alpha_formula", "alpha_grid_lower_bound",
-    "angular_norm", "best_pair_approx", "beta_exact", "beta_formula",
-    "bezout_coprime", "canonical_binary_pair", "greedy_bound",
-    "greedy_en_certificate", "in_asymptotic_regime", "modify", "mu_exact",
-    "mu_pair", "mu_value", "nearest_int_distance", "second_best_approx",
-    "small_lambda_certificate", "triple_constants", "z_windows",
+    "best_pair_approx", "beta_exact", "beta_formula", "bezout_coprime",
+    "canonical_binary_pair", "greedy_bound", "greedy_en_certificate",
+    "in_asymptotic_regime", "modify", "mu_exact", "mu_pair", "mu_value",
+    "second_best_approx", "small_lambda_certificate", "triple_constants",
+    "z_windows",
 ]

@@ -116,7 +116,7 @@ class TripleConstants:
         The raw t3 may exceed 1; reduce mod 1 freely, the cost is periodic.
 
         R != a: the canonical binary pair plus the t3 in {0, 1/2} maximizing
-        the case table; its cost is alpha (= beta here).
+        the case table, t3 = 0 on a tie; its cost is alpha (= beta here).
         """
         a, b, n = self.a, self.b, self.n
         if self.gap:
@@ -131,7 +131,25 @@ class TripleConstants:
         """Sufficient conditions under which the greedy construction is known
         to certify alpha (E_n):
 
-          (3b-a)/(2n) <= E_n,   1/(a+b) - L_n > (b-a)/(2n),   E_n < 1/(a+b).
+          (1) (3b-a)/(2n) <= E_n,   (2) 1/(a+b) - L_n > (b-a)/(2n).
+
+        They imply E_n < 1/(a+b), so the predicate need not test it.  For
+        R = a, E_n = L_n < 1/(a+b) - (b-a)/(2n) < 1/(a+b) by (2), as a < b.
+        For R != a, write E_n = N/(2(a+b)(c+n)), with c = b when
+        a < R <= 2a and c = a otherwise, so that (1) reads
+        (3b-a)(a+b)(c+n) <= n*N.  E_n >= 1/(a+b) would mean N >= 2(c+n),
+        which bounds n by the case:
+
+          R < a:          N = n + a(a+b-R),    n <= a(a+b-R-2),
+                          N <= 2a(a+b-R-1) < 2a(a+b);
+          a < R <= 2a:    N = n + bR,          n <= b(R-2),
+                          N <= 2b(R-1) <= 2b(2a-1);
+          R > 2a:         N = n + a(2a+2b-R),  n <= a(2a+2b-R-2),
+                          N <= 2a(2a+2b-R-1) <= 4a(b-1).
+
+        Each bound is below (3b-a)(a+b): 2a < 3b-a; (3b-a)(a+b) - 2b(2a-1) =
+        (3b+a)(b-a) + 2b > 0; (3b-a)(a+b) - 4a(b-1) = (3b+a)(b-a) + 4a > 0.
+        So n*N < n(3b-a)(a+b) < (3b-a)(a+b)(c+n) and (1) fails.
 
         A False result does not mean the formulas are wrong for this triple,
         only that they are not backed by the construction; the oracle is the
@@ -141,7 +159,6 @@ class TripleConstants:
         return (
             Fraction(3 * b - a, 2 * n) <= en
             and Fraction(1, a + b) - self.ln > Fraction(b - a, 2 * n)
-            and en < Fraction(1, a + b)
         )
 
 

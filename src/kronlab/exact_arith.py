@@ -1,15 +1,18 @@
 """Exact rational substrate for the whole package.
 
 Every cost, coordinate and constant in kronlab is a `fractions.Fraction`.
-This module supplies the distance-to-nearest-integer operator, the angular
-max-norm built on it, Bezout coefficients for coprime pairs, and the input
-checks every module shares.  Reports render these values in kronlab.cli.
+This module supplies nearest-integer rounding with the package's one tie
+rule, Bezout coefficients for coprime pairs, and the input checks every
+module shares.  It has no distance or norm helper: each layer computes the
+residual distances it needs in integers (the pair solver and the certificates
+through ``_nearest_ratio``, the oracle on its own grids).  Reports render
+these values in kronlab.cli.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 HALF = Fraction(1, 2)
 
@@ -72,28 +75,6 @@ def _checked_target(t) -> Fraction:
         return t if type(t) is Fraction else Fraction(t)
     except ZeroDivisionError:
         raise ValueError(f"target {t!r} has a zero denominator") from None
-
-
-def nearest_int_distance(u: Fraction) -> Fraction:
-    """Distance from ``u`` to the nearest integer, in [0, 1/2].
-
-    Periodic with period 1 and even: the same value is returned for
-    ``u``, ``-u`` and ``u + k`` for any integer ``k``.
-    """
-    u = _checked_target(u)
-    r = u - math.floor(u)
-    return min(r, 1 - r)
-
-
-def angular_norm(v: Sequence[Fraction] | Iterable[Fraction]) -> Fraction:
-    """Max over components of the nearest-integer distance.
-
-    Raises ValueError on an empty vector.
-    """
-    items = [nearest_int_distance(c) for c in v]
-    if not items:
-        raise ValueError("angular_norm of an empty vector")
-    return max(items)
 
 
 def bezout_coprime(a: int, b: int) -> tuple[int, int]:

@@ -92,15 +92,15 @@ class ZWindow:
     """Admissible alignment interval [lo, hi] around anchor_x.
 
     case_tag 'positive-sign' is the window for a balanced point whose
-    first residual is +lam; 'negative-sign' for -lam.
+    first residual is +lam; 'negative-sign' for -lam.  Its readers
+    (_pick_alignment, modify, the E_n pick) need only these four fields, so
+    the bound E and the anchor's lam that fixed the endpoints are not kept.
     """
 
     lo: Fraction
     hi: Fraction
     case_tag: str
     anchor_x: Fraction
-    E: Fraction
-    lam: Fraction
 
     def width(self) -> Fraction:
         return self.hi - self.lo
@@ -202,7 +202,7 @@ def _z_window(ba: BalancedApprox, E: Fraction, p: TripleProblem, sign: int) -> Z
     lo_f, hi_f, tag = (p.b, p.a, "positive-sign") if sign > 0 else (p.a, p.b, "negative-sign")
     return ZWindow(lo=Fraction(lo_f * n * x_ + n * lam_ - (lo_f + n) * e_, lo_f * n * den),
                    hi=Fraction(hi_f * n * x_ + (hi_f + n) * e_ - n * lam_, hi_f * n * den),
-                   case_tag=tag, anchor_x=ba.x, E=E, lam=ba.lam)
+                   case_tag=tag, anchor_x=ba.x)
 
 
 def z_windows(ba: BalancedApprox, E: Fraction, p: TripleProblem) -> tuple[ZWindow, ZWindow]:

@@ -2,16 +2,30 @@
 oracle replaced, kept verbatim as the baseline of the differential tests.
 
 Candidates are the same three families as in ``kronlab.oracle`` (balanced
-crossings, valleys, peaks), built and evaluated as Fractions.
+crossings, valleys, peaks), built and evaluated as Fractions.  The
+nearest-integer distance <u> and the angular norm max_j <v_j> are defined
+here, in Fractions, for every test that checks a cost against them; the
+package computes both in integers and exports neither.
 """
 import itertools
 import math
 from fractions import Fraction
 
-from kronlab.exact_arith import nearest_int, nearest_int_distance
+from kronlab.exact_arith import nearest_int
 from kronlab.oracle import OracleResult, SpectrumProblem
 
 HALF = Fraction(1, 2)
+
+
+def nearest_int_distance(u: Fraction) -> Fraction:
+    """<u>: distance from u to the nearest integer, in [0, 1/2]."""
+    r = u - math.floor(u)
+    return min(r, 1 - r)
+
+
+def angular_norm(v) -> Fraction:
+    """max_j <v_j>; ValueError on an empty vector."""
+    return max(nearest_int_distance(c) for c in v)
 
 
 def _span(total: Fraction, offset: Fraction):

@@ -192,6 +192,16 @@ def test_alpha_witness_examples():
                                                      Fraction(31, 302))
 
 
+def test_witness_tie_picks_t3_zero():
+    """When both case tables give the same value, the witness takes t3 = 0.
+    Every such tie with b <= 30 and n < 6b^2 lies below the regime, so no
+    golden file pins the rule; (1, 6, 9), with R = 2 != a, has the smallest b."""
+    tc = triple_constants(1, 6, 9)
+    assert tc.congruence.R == 2 and not tc.gap
+    assert tc.binary(Fraction(0)).value == tc.binary(HALF).value == Fraction(1, 10)
+    assert tc.witness() == ((Fraction(0), HALF, Fraction(0)), Fraction(1, 10))
+
+
 def test_alpha_witness_attains_constant():
     rng = random.Random(37)
     seen_gap = 0
@@ -222,7 +232,7 @@ def test_in_asymptotic_regime():
     assert in_asymptotic_regime(1, 2, 100)
     assert in_asymptotic_regime(2, 3, 300)
     assert not in_asymptotic_regime(1, 2, 3)
-    # the three sufficient inequalities, spelled out
+    # the two sufficient inequalities, spelled out, and the bound they imply
     for (a, b, n) in [(1, 2, 100), (2, 3, 300), (4, 5, 304)]:
         tc = triple_constants(a, b, n)
         en, ln = tc.alpha, tc.ln
@@ -230,6 +240,31 @@ def test_in_asymptotic_regime():
         assert Fraction(3 * b - a, 2 * n) <= en
         assert Fraction(1, a + b) - ln > Fraction(b - a, 2 * n)
         assert en < Fraction(1, a + b)
+
+
+def test_regime_bound_on_en_is_implied():
+    """in_regime's two clauses imply E_n < 1/(a+b) (proof in its docstring).
+    On every coprime a < b <= 12 and b < n < 6b^2 the predicate equals the
+    one with that bound as a third clause, and E_n stays below 1/(a+b)
+    wherever the two clauses hold."""
+    held = unbounded = 0
+    for b in range(2, 13):
+        for a in range(1, b):
+            if math.gcd(a, b) != 1:
+                continue
+            for n in range(b + 1, 6 * b * b):
+                tc = triple_constants(a, b, n)
+                en = tc.alpha
+                first = Fraction(3 * b - a, 2 * n) <= en
+                second = Fraction(1, a + b) - tc.ln > Fraction(b - a, 2 * n)
+                third = en < Fraction(1, a + b)
+                assert tc.in_regime() == (first and second and third), (a, b, n)
+                if first and second:
+                    assert third, (a, b, n)
+                    held += 1
+                unbounded += not third
+    # both sides occur: 10,306 rows in the regime, 1,768 with E_n >= 1/(a+b)
+    assert held > 10_000 and unbounded > 1_000
 
 
 def test_one_record_per_row_and_per_certificate(monkeypatch):

