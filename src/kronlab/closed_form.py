@@ -1,14 +1,30 @@
 """Closed-form Kronecker constants for triples {a, b, n} with gcd(a,b) = 1.
 
-The angular constant alpha(a,b,n) depends on the residue class of n mod
-(a+b) through R = r*T mod (a+b), where a*T == 1 (mod a+b) and n == r.
-Four cases arise, with R = a (equivalently n == a^2 mod (a+b)) the special
-one where alpha exceeds the binary constant beta.  The binary constant is
-governed by S = (g+h)*n mod (2a+2b) for a parity-specific Bezout pair
-(g, h), via two three/four-row case tables (one per value of the third
-binary target).
+Two residues steer the closed forms: R = r*T mod (a+b), where a*T == 1 and
+n == r (mod a+b), and S = (g+h)*n mod 2(a+b) for a parity-specific pair
+(g, h) with a*g - b*h = 1 (see CongruenceData).  Every constant is read
+from one table of 2(a+b) rows, the binary table for t3 = 0, keyed on a
+position s (_row):
 
-All formulas are exact rational expressions, valid for n large, evaluated
+  type-1   s in {0, 1, 2a+2b-1}   1/(2(a+b))
+  type-3   2 <= s <= 2a           (n + b*s) / (2(a+b)(b+n))
+  type-2   2a < s <= 2a+2b-2      (n + a*(2a+2b-s)) / (2(a+b)(a+n))
+
+  - S == R (mod a+b), because a*(g+h) = 1 + (a+b)*h == 1 == a*T: the two
+    positions S and (S+a+b) mod 2(a+b) are R and R+a+b in some order.
+  - beta is row R if R > a, else row R+a+b.  R < a and R = a land on type-2
+    rows in [a+b, 2a+b]; a < R <= 2a on type-3 rows; R > 2a on type-2 rows.
+    No position reaches a type-1 row: every one lies in [2, 2a+b], and
+    2a+b < 2a+2b-1.
+  - alpha is beta except at R = a (equivalently n == a^2 mod (a+b)), where
+    it is L_n = (n+ab)/(2(an+bn+ab)), above beta: the only gap.
+  - The binary table for t3 = 1/2 is row (S+a+b) mod 2(a+b).  The shift maps
+    its four cases onto the three rows: S in {a+b-1, a+b, a+b+1} onto
+    type-1; S < a+b-1 onto type-2 at S+a+b; a+b+1 < S <= 3a+b onto type-3
+    at S-a-b; S > 3a+b onto type-2 at S-a-b.
+
+So the closed forms are four rational expressions: L_n, 1/(2(a+b)) and the
+type-3 and type-2 rows.  They are exact, valid for n large, and evaluated
 once per triple into a TripleConstants record by triple_constants; for small
 n they still evaluate but must be checked against the oracle (see
 ``TripleConstants.in_regime`` and the sweep verification flags).
@@ -54,16 +70,34 @@ def canonical_binary_pair(a: int, b: int) -> tuple[Fraction, Fraction]:
     return (HALF, Fraction(0)) if b % 2 == 1 else (Fraction(0), HALF)
 
 
+#: binary()'s label for (t3, row type): the type and the positions of its rows.
+_ROWS = (("type-1", "{} in {{0, 1, 2a+2b-1}}"), ("type-3", "2 <= {} <= 2a"),
+         ("type-2", "2a < {} <= 2a+2b-2"))
+_LABELS = {(t3, kind): f"t3={t3} {kind} ({where.format(s)})"
+           for t3, s in ((0, "S"), (HALF, "(S+a+b mod 2a+2b)")) for kind, where in _ROWS}
+
+
+def _row(a: int, b: int, n: int, s: int) -> tuple[Fraction, str]:
+    """(value, row type) of row s, 0 <= s < 2(a+b), of the one case table
+    (module docstring)."""
+    m = a + b
+    if s in (0, 1, 2 * m - 1):
+        return Fraction(1, 2 * m), "type-1"
+    if s <= 2 * a:
+        return Fraction(n + b * s, 2 * m * (b + n)), "type-3"
+    return Fraction(n + a * (2 * m - s), 2 * m * (a + n)), "type-2"
+
+
 @dataclass(frozen=True)
 class TripleConstants:
     """The closed forms of one checked triple; build it with triple_constants.
 
-    alpha is the four-case angular constant keyed on R.  beta is the binary
-    constant: alpha unless R = a, where it drops to (n+ab)/(2(a+b)(a+n));
-    gap is that case, R = a, the only one where beta < alpha.
-    ln is L_n = (n+ab)/(2(an+bn+ab)), which equals alpha exactly when R = a;
-    it always exceeds the pair constant 1/(2(a+b)) and, for n in the
-    asymptotic regime, never exceeds alpha.
+    beta is the binary constant, row R of the case table if R > a and row
+    R+a+b otherwise.  alpha is the angular constant: beta, except in the gap
+    case R = a, where it is ln.  gap is that case, the only one where
+    beta < alpha.  ln is L_n = (n+ab)/(2(an+bn+ab)); it always exceeds the
+    pair constant 1/(2(a+b)) and, for n in the asymptotic regime, never
+    exceeds alpha.
     """
 
     a: int
@@ -78,45 +112,36 @@ class TripleConstants:
     def binary(self, t3: Fraction) -> BinaryCase:
         """Case-table value of mu at (canonical pair, t3), with the row label.
 
-        The label names the balanced structure of the optimum: type-1 is the
-        pure pair crossing at cost 1/(2(a+b)); type-2 balances the first and
-        third residuals; type-3 balances the second and third.  The t3 = 1/2
-        table is the t3 = 0 table shifted by a+b in S: binary(1/2) at S has
-        the value and row type of binary(0) at (S + a + b) mod 2(a+b).
+        t3 = 0 reads row S of the case table and t3 = 1/2 row
+        (S+a+b) mod 2(a+b); the two are rows R and R+a+b in some order, so in
+        the asymptotic regime the larger value is beta.  The label names the
+        row's type and the positions of that type.  The type is the balanced
+        structure of the optimum: type-1 is the pure pair crossing at cost
+        1/(2(a+b)); type-2 balances the first and third residuals; type-3
+        balances the second and third.
         """
         a, b, n, S = self.a, self.b, self.n, self.congruence.S
-        m = a + b
         t3 = _checked_target(t3)
         if t3 == 0:
-            if S in (0, 1, 2 * m - 1):
-                return BinaryCase(Fraction(1, 2 * m), "t3=0 type-1 (S in {0, 1, 2a+2b-1})")
-            if 2 <= S <= 2 * a:
-                return BinaryCase(Fraction(n + b * S, 2 * m * (b + n)),
-                                  "t3=0 type-3 (2 <= S <= 2a)")
-            return BinaryCase(Fraction(n + 2 * a * a + 2 * a * b - a * S, 2 * m * (a + n)),
-                              "t3=0 type-2 (2a < S <= 2a+2b-2)")
-        if t3 == HALF:
-            if S in (m - 1, m, m + 1):
-                return BinaryCase(Fraction(1, 2 * m), "t3=1/2 type-1 (S in {a+b-1, a+b, a+b+1})")
-            if S < m - 1:
-                return BinaryCase(Fraction(n + a * a + a * b - a * S, 2 * m * (a + n)),
-                                  "t3=1/2 type-2 (0 <= S < a+b-1)")
-            if S <= 3 * a + b:
-                return BinaryCase(Fraction(n - a * b - b * b + b * S, 2 * m * (b + n)),
-                                  "t3=1/2 type-3 (a+b+1 < S <= 3a+b)")
-            return BinaryCase(Fraction(n + 3 * a * a + 3 * a * b - a * S, 2 * m * (a + n)),
-                              "t3=1/2 type-2 (3a+b < S < 2a+2b)")
-        raise ValueError(f"t3 must be 0 or 1/2, got {t3}")
+            value, kind = _row(a, b, n, S)
+        elif t3 == HALF:
+            value, kind = _row(a, b, n, (S + a + b) % (2 * (a + b)))
+        else:
+            raise ValueError(f"t3 must be 0 or 1/2, got {t3}")
+        return BinaryCase(value, _LABELS[t3, kind])
 
     def witness(self) -> tuple[tuple[Fraction, Fraction, Fraction], Fraction]:
-        """(t, cost): a rational target triple t whose cost attains alpha.
+        """(t, alpha): a rational target triple t and alpha, the cost the
+        closed forms give it.
 
         R = a: the analytic witness t1 = 0, t2 = ((a+b)/a)(1/(a+b) - L_n),
         t3 = n*z2 where z2 is the upper window endpoint; its cost is L_n.
         The raw t3 may exceed 1; reduce mod 1 freely, the cost is periodic.
 
-        R != a: the canonical binary pair plus the t3 in {0, 1/2} maximizing
-        the case table, t3 = 0 on a tie; its cost is alpha (= beta here).
+        R != a: the canonical binary pair plus the t3 in {0, 1/2} whose case
+        table is larger, t3 = 0 on a tie.  Its cost is that table's value,
+        which is alpha (= beta) only in the asymptotic regime: at (1, 7, 10)
+        the larger table gives 1/11, but alpha = 3/34.
         """
         a, b, n = self.a, self.b, self.n
         if self.gap:
@@ -135,20 +160,18 @@ class TripleConstants:
 
         They imply E_n < 1/(a+b), so the predicate need not test it.  For
         R = a, E_n = L_n < 1/(a+b) - (b-a)/(2n) < 1/(a+b) by (2), as a < b.
-        For R != a, write E_n = N/(2(a+b)(c+n)), with c = b when
-        a < R <= 2a and c = a otherwise, so that (1) reads
+        For R != a, E_n = beta is a type-3 or a type-2 row s of the case
+        table; write it N/(2(a+b)(c+n)), so that (1) reads
         (3b-a)(a+b)(c+n) <= n*N.  E_n >= 1/(a+b) would mean N >= 2(c+n),
-        which bounds n by the case:
+        which bounds n by the row type:
 
-          R < a:          N = n + a(a+b-R),    n <= a(a+b-R-2),
-                          N <= 2a(a+b-R-1) < 2a(a+b);
-          a < R <= 2a:    N = n + bR,          n <= b(R-2),
-                          N <= 2b(R-1) <= 2b(2a-1);
-          R > 2a:         N = n + a(2a+2b-R),  n <= a(2a+2b-R-2),
-                          N <= 2a(2a+2b-R-1) <= 4a(b-1).
+          type-3, 2 <= s <= 2a:   c = b,  N = n + b*s,
+                                  n <= b(s-2),  N <= 2b(s-1) <= 2b(2a-1);
+          type-2, s > 2a:         c = a,  N = n + a(2a+2b-s),
+                                  n <= a(2a+2b-s-2),  N <= 2a(2a+2b-s-1) <= 4a(b-1).
 
-        Each bound is below (3b-a)(a+b): 2a < 3b-a; (3b-a)(a+b) - 2b(2a-1) =
-        (3b+a)(b-a) + 2b > 0; (3b-a)(a+b) - 4a(b-1) = (3b+a)(b-a) + 4a > 0.
+        Both bounds are below (3b-a)(a+b): (3b-a)(a+b) - 2b(2a-1) =
+        (3b+a)(b-a) + 2b > 0 and (3b-a)(a+b) - 4a(b-1) = (3b+a)(b-a) + 4a > 0.
         So n*N < n(3b-a)(a+b) < (3b-a)(a+b)(c+n) and (1) fails.
 
         A False result does not mean the formulas are wrong for this triple,
@@ -163,8 +186,8 @@ class TripleConstants:
 
 
 def triple_constants(a: int, b: int, n: int) -> TripleConstants:
-    """Check the triple once and derive its congruence data, alpha, beta, L_n
-    and the gap case."""
+    """Check the triple once and derive its congruence data, beta, alpha,
+    L_n and the gap case."""
     _checked_coprime((a, b, n))
     m = a + b
     T = pow(a, -1, m)
@@ -184,22 +207,14 @@ def triple_constants(a: int, b: int, n: int) -> TripleConstants:
     cd = CongruenceData(r=r, T=T, R=R, r2=r2, S=S, g=g, h=h, parity_case=parity)
 
     ln = Fraction(n + a * b, 2 * (a * n + b * n + a * b))
-    if R < a:
-        alpha = Fraction(n + a * a + a * b - a * R, 2 * m * (a + n))
-    elif R == a:
-        alpha = ln
-    elif R <= 2 * a:
-        alpha = Fraction(n + b * R, 2 * m * (b + n))
-    else:
-        alpha = Fraction(n + 2 * a * a + 2 * a * b - a * R, 2 * m * (a + n))
     gap = R == a
-    beta = Fraction(n + a * b, 2 * m * (a + n)) if gap else alpha
-    return TripleConstants(a=a, b=b, n=n, congruence=cd, alpha=alpha, beta=beta, ln=ln,
-                           gap=gap)
+    beta = _row(a, b, n, R if R > a else R + m)[0]
+    return TripleConstants(a=a, b=b, n=n, congruence=cd, alpha=ln if gap else beta,
+                           beta=beta, ln=ln, gap=gap)
 
 
 def alpha_formula(a: int, b: int, n: int) -> Fraction:
-    """Four-case closed form for the angular Kronecker constant, keyed on R."""
+    """Angular Kronecker constant, TripleConstants.alpha of the triple."""
     return triple_constants(a, b, n).alpha
 
 

@@ -304,10 +304,12 @@ def alpha_grid_lower_bound(spectrum: Sequence[int], D: int
     t_1 = 0, so only D^(d-1) grid targets are scanned, one at a time.  The
     result is a certified lower bound, monotone under grid refinement
     D -> k*D; it is not claimed to attain the constant.  Raises ValueError,
-    before any target is built, when D < 2, when the grid has more than
-    MAX_GRID_TARGETS targets or steps, or when its candidate budget exceeds
-    MAX_GRID_WORK.
+    before any target is built, when D is not an int (or is a bool), when
+    D < 2, when the grid has more than MAX_GRID_TARGETS targets or steps,
+    or when its candidate budget exceeds MAX_GRID_WORK.
     """
+    if isinstance(D, bool) or not isinstance(D, int):
+        raise ValueError(f"grid resolution must be an int, got {D!r}")
     spectrum = _checked_spectrum(spectrum)
     if D < 2:
         raise ValueError(f"grid resolution must be >= 2, got {D}")

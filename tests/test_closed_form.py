@@ -1,10 +1,10 @@
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import closed_form_reference as reference
 from conftest import rand_coprime_pair
 from kronlab.closed_form import (TripleConstants, alpha_formula, beta_formula,
                                  canonical_binary_pair, in_asymptotic_regime,
@@ -87,8 +87,17 @@ def test_binary_mu_examples():
 
 
 def test_binary_mu_detail_labels():
-    assert "type-2" in triple_constants(1, 2, 100).binary(Fraction(0)).case
-    assert "type-1" in triple_constants(1, 2, 100).binary(HALF).case
+    """One full label of each row type for each t3, all on (1, 2, n)."""
+    labels = {(n, t3): triple_constants(1, 2, n).binary(t3).case
+              for n, t3 in [(96, 0), (100, 0), (98, 0), (100, HALF), (96, HALF), (95, HALF)]}
+    assert labels == {
+        (96, 0): "t3=0 type-1 (S in {0, 1, 2a+2b-1})",
+        (100, 0): "t3=0 type-2 (2a < S <= 2a+2b-2)",
+        (98, 0): "t3=0 type-3 (2 <= S <= 2a)",
+        (100, HALF): "t3=1/2 type-1 ((S+a+b mod 2a+2b) in {0, 1, 2a+2b-1})",
+        (96, HALF): "t3=1/2 type-2 (2a < (S+a+b mod 2a+2b) <= 2a+2b-2)",
+        (95, HALF): "t3=1/2 type-3 (2 <= (S+a+b mod 2a+2b) <= 2a)",
+    }
     assert "type-2" in triple_constants(2, 3, 300).binary(HALF).case
 
 
@@ -111,25 +120,36 @@ def test_gap_law_random():
         assert beta_formula(a, b, n) <= alpha_formula(a, b, n)
 
 
-def test_half_table_is_the_zero_table_shifted_by_a_plus_b():
-    """binary(1/2) at S has the value and row type of binary(0) at
-    (S + a + b) mod 2(a+b): a typo in either case table shows on some pair,
-    with no oracle call."""
+def _agrees_with_reference(a, b, n):
+    tc = triple_constants(a, b, n)
+    R, S = tc.congruence.R, tc.congruence.S
+    tables = [tc.binary(t3) for t3 in (Fraction(0), HALF)]
+    return ((tc.alpha, tc.beta, tc.ln, tc.gap)
+            == (reference.alpha(a, b, n, R), reference.beta(a, b, n, R), reference.ln(a, b, n),
+                R == a)
+            and [(table.value, table.case.split()[1]) for table in tables]
+            == [reference.binary(a, b, n, S, t3) for t3 in (Fraction(0), HALF)])
+
+
+def test_closed_forms_match_the_paper_formulas():
+    """alpha, beta, L_n and both binary tables (value and row type) equal
+    the paper's case-by-case expressions in tests/closed_form_reference.py:
+    on every coprime a < b <= 13 with b < n < 6b^2, and on seeded random
+    triples with b < 2000 and n up to 10^12.  No oracle call."""
     triples = 0
     for b in range(2, 14):
         for a in range(1, b):
             if math.gcd(a, b) != 1:
                 continue
-            m = a + b
             for n in range(b + 1, 6 * b * b):
-                tc = triple_constants(a, b, n)
-                cd = tc.congruence
-                shifted = replace(tc, congruence=replace(cd, S=(cd.S + m) % (2 * m)))
-                half, zero = tc.binary(HALF), shifted.binary(Fraction(0))
-                assert half.value == zero.value, (a, b, n)
-                assert half.case.split()[1] == zero.case.split()[1], (a, b, n)
+                assert _agrees_with_reference(a, b, n), (a, b, n)
                 triples += 1
     assert triples == 32269
+    rng = random.Random(2024)
+    for _ in range(3000):
+        a, b = rand_coprime_pair(rng, 1998)
+        n = rng.randrange(b + 1, 10 ** rng.randrange(4, 13))
+        assert _agrees_with_reference(a, b, n), (a, b, n)
 
 
 def test_beta_is_max_of_binary_tables_in_regime():

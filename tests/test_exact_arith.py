@@ -9,6 +9,7 @@ from kronlab.closed_form import alpha_formula, triple_constants
 from kronlab.exact_arith import (NonCoprimeError, _checked_target, _nearest_ratio,
                                  bezout_coprime, nearest_int)
 from kronlab.greedy_triple import TripleProblem, certificate_at, modify, z_windows
+from kronlab.oracle import alpha_grid_lower_bound
 from kronlab.pair_solver import PairProblem, best_pair_approx
 from oracle_reference import angular_norm, nearest_int_distance
 
@@ -46,6 +47,8 @@ def test_nearest_int_distance_examples():
     pytest.param(lambda: nearest_int(True), id="nearest-int-bool"),
     pytest.param(lambda: bezout_coprime(True, 2), id="bezout-bool"),
     pytest.param(lambda: bezout_coprime(2.0, 3), id="bezout-float"),
+    pytest.param(lambda: alpha_grid_lower_bound((1, 2, 5), 2.0), id="grid-float-resolution"),
+    pytest.param(lambda: alpha_grid_lower_bound((1, 2, 5), "4"), id="grid-str-resolution"),
 ])
 def test_every_entry_point_refuses_inexact_input(build):
     with pytest.raises(ValueError):
