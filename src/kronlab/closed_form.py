@@ -153,36 +153,29 @@ class TripleConstants:
         return (t1, t2, Fraction(0) if v0 >= vh else HALF), self.alpha
 
     def in_regime(self) -> bool:
-        """Sufficient conditions under which the greedy construction is known
-        to certify alpha (E_n):
+        """A sufficient condition under which the greedy construction is
+        known to certify alpha (E_n):
 
-          (1) (3b-a)/(2n) <= E_n,   (2) 1/(a+b) - L_n > (b-a)/(2n).
+          (1) (3b-a)/(2n) <= E_n.
 
-        They imply E_n < 1/(a+b), so the predicate need not test it.  For
-        R = a, E_n = L_n < 1/(a+b) - (b-a)/(2n) < 1/(a+b) by (2), as a < b.
-        For R != a, E_n = beta is a type-3 or a type-2 row s of the case
-        table; write it N/(2(a+b)(c+n)), so that (1) reads
-        (3b-a)(a+b)(c+n) <= n*N.  E_n >= 1/(a+b) would mean N >= 2(c+n),
-        which bounds n by the row type:
+        It implies (2) 1/(a+b) - L_n > (b-a)/(2n) and (3) E_n < 1/(a+b),
+        so the predicate tests neither.  E_n is (n+K)/(2(a+b)(n+c)) with
+        c > 0 and K <= 2ab: a type-3 row s of the case table has K = b*s
+        and c = b, a type-2 row K = a(2a+2b-s) < 2ab and c = a, and L_n
+        K = ab and c = ab/(a+b).  So (1), (3b-a)(a+b)(n+c) <= n(n+K),
+        gives (3b-a)(a+b) < n+K <= n+2ab, that is n > 3b^2 - a^2, which
+        exceeds 2ab as (3b+a)(b-a) > 0.
 
-          type-3, 2 <= s <= 2a:   c = b,  N = n + b*s,
-                                  n <= b(s-2),  N <= 2b(s-1) <= 2b(2a-1);
-          type-2, s > 2a:         c = a,  N = n + a(2a+2b-s),
-                                  n <= a(2a+2b-s-2),  N <= 2a(2a+2b-s-1) <= 4a(b-1).
-
-        Both bounds are below (3b-a)(a+b): (3b-a)(a+b) - 2b(2a-1) =
-        (3b+a)(b-a) + 2b > 0 and (3b-a)(a+b) - 4a(b-1) = (3b+a)(b-a) + 4a > 0.
-        So n*N < n(3b-a)(a+b) < (3b-a)(a+b)(c+n) and (1) fails.
+          (2) reads n^2 > P*n + Q with P = b^2 - a^2 + ab(a+b-2)/(a+b)
+              < b^2 - a^2 + ab and Q = (b-a)ab < n*b/2, and
+              P + Q/n < b^2 - a^2 + ab + b/2 < 3b^2 - a^2 < n.
+          (3) E_n >= 1/(a+b) would mean n+K >= 2(n+c), so n < K <= 2ab.
 
         A False result does not mean the formulas are wrong for this triple,
         only that they are not backed by the construction; the oracle is the
         arbiter there.
         """
-        a, b, n, en = self.a, self.b, self.n, self.alpha
-        return (
-            Fraction(3 * b - a, 2 * n) <= en
-            and Fraction(1, a + b) - self.ln > Fraction(b - a, 2 * n)
-        )
+        return Fraction(3 * self.b - self.a, 2 * self.n) <= self.alpha
 
 
 def triple_constants(a: int, b: int, n: int) -> TripleConstants:

@@ -16,9 +16,10 @@ from typing import Sequence
 
 HALF = Fraction(1, 2)
 
-
-class NonCoprimeError(ValueError):
-    """Raised when a Bezout pair is requested for non-coprime inputs."""
+#: _checked_target refuses a decimal exponent above this, Python's default
+#: limit on the digits of an int string: Fraction would build 10**exponent
+#: first, in time that grows faster than the exponent.
+MAX_EXPONENT_DIGITS = 4300
 
 
 def _nearest_ratio(num: int, den: int) -> tuple[int, int]:
@@ -67,10 +68,17 @@ def _checked_target(t) -> Fraction:
     """An exact target: int, Fraction or a string Fraction parses ("1/10", "0.1").
 
     Floats are refused: 0.1 would silently become 3602879701896397/2^55.
-    A zero denominator ("1/0") raises ValueError like any other bad string.
+    A zero denominator ("1/0") raises ValueError like any other bad string,
+    and so does a decimal exponent above MAX_EXPONENT_DIGITS ("1e-5000"),
+    before Fraction parses the string.
     """
     if isinstance(t, bool) or not isinstance(t, (int, Fraction, str)):
         raise ValueError(f"targets must be int, Fraction or str, got {t!r}")
+    if isinstance(t, str):
+        exponent = t.upper().partition("E")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
+        if exponent.isdecimal() and (len(exponent) > 4 or int(exponent) > MAX_EXPONENT_DIGITS):
+            raise ValueError(f"target {t!r} has a decimal exponent above the limit of "
+                             f"MAX_EXPONENT_DIGITS = {MAX_EXPONENT_DIGITS}")
     try:
         return t if type(t) is Fraction else Fraction(t)
     except ZeroDivisionError:
@@ -89,7 +97,7 @@ def bezout_coprime(a: int, b: int) -> tuple[int, int]:
     if a < 1 or b < 1:
         raise ValueError(f"bezout_coprime needs positive integers, got ({a}, {b})")
     if math.gcd(a, b) != 1:
-        raise NonCoprimeError(f"gcd({a}, {b}) != 1")
+        raise ValueError(f"gcd({a}, {b}) != 1")
     if b == 1:
         return 1, a - 1
     g = pow(a, -1, b)

@@ -32,18 +32,6 @@ from .pair_solver import (BalancedApprox, PairProblem, best_pair_approx,
                           negate_approx, second_best_approx)
 
 
-class NotApplicableError(ValueError):
-    """Dispatch guard: the small-lambda construction needs lam <= (b-a)/(2n)."""
-
-
-class EmptyWindowError(ValueError):
-    """Raised when a z-window is requested with E < lam."""
-
-
-class WindowViolationError(ValueError):
-    """Raised when modify() is handed an alignment point outside its window."""
-
-
 class NotInAsymptoticRegime(RuntimeError):
     """The construction did not certify E_n: n is too small for the
     closed-form constant to be certified by it.
@@ -91,15 +79,13 @@ class TripleProblem:
 class ZWindow:
     """Admissible alignment interval [lo, hi] around anchor_x.
 
-    case_tag 'positive-sign' is the window for a balanced point whose
-    first residual is +lam; 'negative-sign' for -lam.  Its readers
-    (_pick_alignment, modify, the E_n pick) need only these four fields, so
-    the bound E and the anchor's lam that fixed the endpoints are not kept.
+    Its readers (_pick_alignment and modify) need only these three fields,
+    so neither the sign of the window (see _z_window) nor the bound E and
+    the anchor's lam that fixed the endpoints are kept.
     """
 
     lo: Fraction
     hi: Fraction
-    case_tag: str
     anchor_x: Fraction
 
     def width(self) -> Fraction:
@@ -176,7 +162,7 @@ def small_lambda_certificate(p: TripleProblem, ba: BalancedApprox) -> Certificat
     lam + b/(2n) <= (2b-a)/(2n).
     """
     if not _small_lambda_applies(p, ba.lam):
-        raise NotApplicableError(
+        raise ValueError(
             f"lam={ba.lam} exceeds (b-a)/(2n)={Fraction(p.b - p.a, 2 * p.n)}")
     k3 = _nearest_ratio(*_residual_ratio(p.n, ba.x, p.t3))[0]
     return certificate_at(p, _alignment_point(p, k3), "small-lambda")
@@ -197,12 +183,12 @@ def _z_window(ba: BalancedApprox, E: Fraction, p: TripleProblem, sign: int) -> Z
     # over the denominator D*E.denominator: x = x_, lam = lam_, E = e_
     x_, lam_, e_, den = X * E.denominator, L * E.denominator, E.numerator * D, D * E.denominator
     if e_ < lam_:
-        raise EmptyWindowError(f"E={E} < lam={ba.lam}")
+        raise ValueError(f"E={E} < lam={ba.lam}")
     n = p.n
-    lo_f, hi_f, tag = (p.b, p.a, "positive-sign") if sign > 0 else (p.a, p.b, "negative-sign")
+    lo_f, hi_f = (p.b, p.a) if sign > 0 else (p.a, p.b)
     return ZWindow(lo=Fraction(lo_f * n * x_ + n * lam_ - (lo_f + n) * e_, lo_f * n * den),
                    hi=Fraction(hi_f * n * x_ + (hi_f + n) * e_ - n * lam_, hi_f * n * den),
-                   case_tag=tag, anchor_x=ba.x)
+                   anchor_x=ba.x)
 
 
 def z_windows(ba: BalancedApprox, E: Fraction, p: TripleProblem) -> tuple[ZWindow, ZWindow]:
@@ -234,16 +220,16 @@ def modify(ba: BalancedApprox, z: Fraction, p: TripleProblem,
     if num % den:
         raise ValueError(f"n*z - t3 = {Fraction(num, den)} is not an integer")
     if window is not None and not window.contains(z):
-        raise WindowViolationError(f"z={z} outside [{window.lo}, {window.hi}]")
+        raise ValueError(f"z={z} outside [{window.lo}, {window.hi}]")
     X, L, D = _over_common_den(ba)
     # over the denominator gap_den: z - x = diff, |nz - nx| = gap, lam = lam_
     diff = z.numerator * D - X * z.denominator
     gap, lam_, gap_den = n * abs(diff), L * z.denominator, D * z.denominator
     if gap > gap_den:
-        raise WindowViolationError(f"|n*z - n*x| = {Fraction(gap, gap_den)} > 1")
+        raise ValueError(f"|n*z - n*x| = {Fraction(gap, gap_den)} > 1")
     if gap <= lam_:
         return certificate_at(p, ba.x, "greedy-window")
-    slow_side = (diff > 0) if ba.sign > 0 else (diff <= 0)
+    slow_side = (diff > 0) == (ba.sign > 0)
     f = (a + n) if slow_side else (b + n)
     # x_star = x +- (gap - lam)/f, over the denominator gap_den*f
     step = gap - lam_ if diff > 0 else lam_ - gap
@@ -266,14 +252,26 @@ def _pick_alignment(w: ZWindow, p: TripleProblem):
     return min(max(k3, lo_k), hi_k)
 
 
-def _window_step(ba: BalancedApprox, E: Fraction, p: TripleProblem, sign: int) -> Certificate:
-    """Nudge ba toward the best alignment point of its sign's window at E.
+def _aligned_step(p: TripleProblem, E: Fraction, anchors) -> Certificate | None:
+    """Nudge one anchor toward an alignment point of its window at E.
 
-    The caller guarantees the window is at least 1/n wide, so it holds an
-    alignment point."""
-    w = _z_window(ba, E, p, sign)
-    k3 = _pick_alignment(w, p)
-    assert k3 is not None, "a window of width >= 1/n holds an alignment point"
+    anchors is a list of (balanced point, window sign).  Each window offers
+    its _pick_alignment; the step takes the one nearest its own anchor
+    (least |n*anchor - (t3+k3)|), then the smaller k3, then the earlier
+    anchor.  Returns None when no window holds an alignment point.
+    """
+    best = None
+    for ba, sign in anchors:
+        w = _z_window(ba, E, p, sign)
+        k3 = _pick_alignment(w, p)
+        if k3 is not None:
+            num, den = _residual_ratio(p.n, ba.x, p.t3)
+            r = abs(num - k3 * den)  # distance r/den, compared cross-multiplied
+            if best is None or (r * best[1], k3) < (best[0] * den, best[2]):
+                best = r, den, k3, ba, w
+    if best is None:
+        return None
+    _, _, k3, ba, w = best
     return modify(ba, _alignment_point(p, k3), p, window=w)
 
 
@@ -292,7 +290,9 @@ def greedy_bound(p: TripleProblem) -> Certificate:
     lam = ba.lam
     E = Fraction(n * (a + b) * lam.numerator + a * b * lam.denominator,
                  (2 * a * b + a * n + b * n) * lam.denominator)
-    return _window_step(ba, E, p, ba.sign)
+    cert = _aligned_step(p, E, [(ba, ba.sign)])
+    assert cert is not None, "a window of width 1/n holds an alignment point"
+    return cert
 
 
 def greedy_en_certificate(p: TripleProblem) -> Certificate:
@@ -303,9 +303,21 @@ def greedy_en_certificate(p: TripleProblem) -> Certificate:
 
       lam <= (b-a)/(2n)        -> small-lambda snap, cost <= (2b-a)/(2n)
       lam <= 1/(a+b) - L_n     -> positive window at E = L_n (width >= 1/n)
-      otherwise                -> positive window of the best point and
-                                  negative window of the second-best point,
-                                  both at E = E_n
+      otherwise                -> negative window of the second-best point
+                                  (when its lam' <= E_n) and positive window
+                                  of the best point, both at E = E_n
+
+    In the last case the alignment point nearest its own anchor wins, then
+    the smaller k3, then the second-best point.  On a tie of distance the
+    second-best point wins by either rule.  With d and d' the residuals
+    n*anchor - (t3+k3) of the best and the second-best pick, the anchors
+    lie (g+h)/(a+b) apart, so k3 - k3' = n(g+h)/(a+b) - d + d'.  That is
+    positive unless d = -d' >= n(g+h)/(2(a+b)).  modify admits the pick
+    only if d <= 1 (beyond, it raises the same error for either), so
+    n <= 2(a+b)/(g+h).  The case has (b-a)/(2n) < lam <= 1/(2(a+b)), so
+    n > b^2 - a^2; both bounds together leave b = a+1, g+h = 2a-1, hence
+    (1, 2) with n in {4, 5, 6}.  There the best window reaches x - 1/6
+    only if E_n >= (n/3 + n*lam)/(n+2) > 11/36, but E_n = 3/14.
 
     Raises NotInAsymptoticRegime when no alignment point exists in the
     final case (with a greedy_bound fallback attached), and on every branch
@@ -318,10 +330,19 @@ def greedy_en_certificate(p: TripleProblem) -> Certificate:
     <= E_n for every valid triple.  By the case of R, E_n >= 1/(2(a+b))
     reduces to a+b-R >= 1 for R < a, to R >= 1 for a < R <= 2a, and to
     2(a+b)-R >= 1 for R > 2a; all three hold, as R < a+b always.  For
-    R = a, E_n = L_n > 1/(2(a+b)) since (n+ab)(a+b) > an+bn+ab.  The
-    second-best point costs 1/(a+b) - lam; when that exceeds E_n its window
-    is empty, which is no failure: it adds no alignment point to the pick.
-    So the final case fails only when neither window holds an alignment
+    R = a, E_n = L_n > 1/(2(a+b)) since (n+ab)(a+b) > an+bn+ab.  Nor is
+    the second-best one: it costs lam' = 1/(a+b) - lam < E_n, because the
+    case has lam > (b-a)/(2n) and lam > 1/(a+b) - L_n, and no triple has
+    both E_n < L_n and E_n < 1/(a+b) - (b-a)/(2n).  With E_n written
+    (n+K)/(2(a+b)(n+c)) as in TripleConstants.in_regime, the second needs
+    n > (a+b)(b-a) + K - 2c.  The first is false for R = a and on a type-2
+    row R > 2a; it needs n < ab(b-j)/((a+b)(j-1)+a) on a type-3 row
+    s = a+j and n < abR/((a+b)(a-R-1)+b) <= aR on the type-2 row R+a+b,
+    R < a.  The bounds clash: for j = 1, n < b(b-1) against
+    n > b(b-1) + a(b-a); for j >= 2, n < b^2/2 against n > b^2; for R < a,
+    n < aR against n > b + ab.  So the guard lam' <= E_n always holds; it
+    stays so that a slip in this argument cannot make _z_window raise.
+    The final case fails only when neither window holds an alignment
     point, which no known input reaches; that raise stays until a proof
     that the two windows always hold one.
 
@@ -337,14 +358,9 @@ def greedy_en_certificate(p: TripleProblem) -> Certificate:
     5 of 30 000 of its certificates): a new parameter for about 15 lines.
     """
     a, b, n = p.a, p.b, p.n
-    q = p
-    pair = p.pair()
-    negated = False
-    ba = best_pair_approx(pair)
-    if ba.sign < 0:
-        q = p.negated()
-        ba = negate_approx(ba)
-        negated = True
+    ba = best_pair_approx(p.pair())
+    negated = ba.sign < 0
+    q, ba = (p.negated(), negate_approx(ba)) if negated else (p, ba)
     tc = triple_constants(a, b, n)
     en, ln = tc.alpha, tc.ln
 
@@ -354,24 +370,14 @@ def greedy_en_certificate(p: TripleProblem) -> Certificate:
     elif (a + b) * lam.numerator * ln.denominator \
             <= lam.denominator * (ln.denominator - (a + b) * ln.numerator):
         # lam <= 1/(a+b) - L_n: the L_n window is at least 1/n wide
-        cert = _window_step(ba, ln, q, +1)
+        cert = _aligned_step(q, ln, [(ba, +1)])
     else:
-        sb = second_best_approx(q.pair() if negated else pair, ba)
-        anchors = ((ba, +1), (sb, -1)) if sb.lam <= en else ((ba, +1),)
-        picks = []
-        for anchor_ba, sign in anchors:
-            w = _z_window(anchor_ba, en, q, sign)
-            k3 = _pick_alignment(w, q)
-            if k3 is not None:
-                num, den = _residual_ratio(n, w.anchor_x, q.t3)
-                picks.append((Fraction(abs(num - k3 * den), den), k3, w, anchor_ba))
-        if not picks:
-            raise NotInAsymptoticRegime(
-                f"no alignment point at E_n={en} for ({a}, {b}, {n})",
-                greedy_bound(p))
-        picks.sort(key=lambda item: (item[0], item[1], item[2].case_tag))
-        _, k3, w, anchor_ba = picks[0]
-        cert = modify(anchor_ba, _alignment_point(q, k3), q, window=w)
+        sb = second_best_approx(q.pair(), ba)
+        anchors = [(sb, -1), (ba, +1)] if sb.lam <= en else [(ba, +1)]
+        cert = _aligned_step(q, en, anchors)
+    if cert is None:  # only the E_n windows can lack an alignment point
+        raise NotInAsymptoticRegime(
+            f"no alignment point at E_n={en} for ({a}, {b}, {n})", greedy_bound(p))
 
     if negated:
         cert = Certificate(x_star=-cert.x_star, k=tuple(-kj for kj in cert.k),

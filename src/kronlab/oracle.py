@@ -98,10 +98,6 @@ MAX_GRID_WORK = 150_000_000
 MAX_BINARY_SIZE = 12
 
 
-class SpectrumTooLargeError(ValueError):
-    """beta_exact refuses spectra of more than MAX_BINARY_SIZE frequencies."""
-
-
 def _checked_problem(spectrum: Sequence[int], targets: Sequence
                      ) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
     """The spectrum and the targets as tuples, once both pass their checks
@@ -285,7 +281,7 @@ def binary_values(spectrum: Sequence[int]) -> dict[tuple[Fraction, ...], Fractio
     one representative of each toggling pair (see _binary_targets)."""
     spectrum = _checked_spectrum(spectrum)
     if len(spectrum) > MAX_BINARY_SIZE:
-        raise SpectrumTooLargeError(
+        raise ValueError(
             f"|S| = {len(spectrum)} exceeds MAX_BINARY_SIZE = {MAX_BINARY_SIZE}")
     return {t: _mu_value_at(spectrum, t) for t in _binary_targets(spectrum)}
 

@@ -98,11 +98,12 @@ def branch(row: dict) -> str:
     en = tc.alpha
     sb = second_best_approx(p.pair(), ba)
     picks = []
-    for name, w in (("best", z_windows(ba, en, p)[0]), ("second-best", z_windows(sb, en, p)[1])):
+    # the anchors in greedy_en_certificate's order: a tie goes to the first
+    for name, w in (("second-best", z_windows(sb, en, p)[1]), ("best", z_windows(ba, en, p)[0])):
         k3 = _pick_alignment(w, p)
         if k3 is not None:
-            picks.append((abs(n * w.anchor_x - (p.t3 + k3)), k3, w.case_tag, name))
-    return "E_n " + min(picks)[3] + " window"
+            picks.append((abs(n * w.anchor_x - (p.t3 + k3)), k3, name))
+    return "E_n " + min(picks, key=lambda pick: pick[:2])[2] + " window"
 
 
 def read_golden(path: Path = GOLDEN) -> list[dict]:

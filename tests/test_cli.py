@@ -299,6 +299,16 @@ def test_sweep_refuses_an_invalid_first_row_before_any_row(capsys, monkeypatch, 
     assert code == 1 and out == "" and message in err
 
 
+def test_mu_refuses_a_huge_decimal_exponent_before_the_oracle(capsys, monkeypatch):
+    def no_oracle(problem):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(cli, "mu_exact", no_oracle)
+    code, out, err = run(capsys, "mu", "--set", "1,2,100", "--t", "1e-300000,0,0")
+    assert code == 1 and out == ""
+    assert "'1e-300000' has a decimal exponent above the limit of MAX_EXPONENT_DIGITS" in err
+
+
 def test_counts_below_one_exit_1(capsys):
     code, _, err = run(capsys, "constants", "1", "2", "100", "--precision", "0")
     assert code == 1 and "--precision" in err

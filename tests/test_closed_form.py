@@ -252,7 +252,7 @@ def test_in_asymptotic_regime():
     assert in_asymptotic_regime(1, 2, 100)
     assert in_asymptotic_regime(2, 3, 300)
     assert not in_asymptotic_regime(1, 2, 3)
-    # the two sufficient inequalities, spelled out, and the bound they imply
+    # the sufficient inequality, spelled out, and the two bounds it implies
     for (a, b, n) in [(1, 2, 100), (2, 3, 300), (4, 5, 304)]:
         tc = triple_constants(a, b, n)
         en, ln = tc.alpha, tc.ln
@@ -263,10 +263,10 @@ def test_in_asymptotic_regime():
 
 
 def test_regime_bound_on_en_is_implied():
-    """in_regime's two clauses imply E_n < 1/(a+b) (proof in its docstring).
-    On every coprime a < b <= 12 and b < n < 6b^2 the predicate equals the
-    one with that bound as a third clause, and E_n stays below 1/(a+b)
-    wherever the two clauses hold."""
+    """in_regime tests clause (1) alone, which implies clause (2) and
+    E_n < 1/(a+b) (proof in its docstring).  On every coprime a < b <= 12
+    and b < n < 6b^2 the predicate equals the one with all three clauses
+    spelled out, and E_n stays below 1/(a+b) wherever (1) and (2) hold."""
     held = unbounded = 0
     for b in range(2, 13):
         for a in range(1, b):

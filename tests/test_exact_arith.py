@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kronlab.closed_form import alpha_formula, triple_constants
-from kronlab.exact_arith import (NonCoprimeError, _checked_target, _nearest_ratio,
+from kronlab.exact_arith import (MAX_EXPONENT_DIGITS, _checked_target, _nearest_ratio,
                                  bezout_coprime, nearest_int)
 from kronlab.greedy_triple import TripleProblem, certificate_at, modify, z_windows
 from kronlab.oracle import alpha_grid_lower_bound
@@ -122,7 +122,7 @@ def test_bezout_examples():
 @given(st.integers(min_value=1, max_value=500), st.integers(min_value=1, max_value=500))
 def test_bezout_identity_and_canonical_range(a, b):
     if math.gcd(a, b) != 1:
-        with pytest.raises(NonCoprimeError):
+        with pytest.raises(ValueError, match=rf"^gcd\({a}, {b}\) != 1$"):
             bezout_coprime(a, b)
         return
     g, h = bezout_coprime(a, b)
@@ -156,3 +156,22 @@ def test_parse_rational_forms():
     assert _checked_target(" 1/2 ") == Fraction(1, 2)
     with pytest.raises(ValueError):
         _checked_target("one half")
+
+
+@pytest.mark.parametrize("text", [
+    "1e-5000", "1E+5000", " 2.5e-4301 ", "1e0_5000", "1e-00004301", "1e99999",
+    pytest.param("1e" + "9" * 5000, id="5000-digit-exponent"),
+])
+def test_decimal_exponent_above_the_limit_is_refused_before_parsing(text):
+    # Fraction builds 10**exponent first: "1e-10000000" takes seconds
+    with pytest.raises(ValueError, match="above the limit of MAX_EXPONENT_DIGITS = 4300"):
+        _checked_target(text)
+
+
+def test_decimal_exponent_at_the_limit_still_parses():
+    assert MAX_EXPONENT_DIGITS == 4300
+    assert _checked_target("1e-10") == Fraction(1, 10**10)
+    assert _checked_target("0.1") == _checked_target("1/10") == Fraction(1, 10)
+    assert _checked_target("1e-4300") == Fraction(1, 10**4300)
+    assert _checked_target("-3E+0_4300") == -3 * 10**4300
+    assert _checked_target("1e-000") == 1

@@ -8,11 +8,10 @@ from conftest import rand_coprime_pair, rand_fraction
 from kronlab.closed_form import (alpha_formula, in_asymptotic_regime,
                                  triple_constants)
 from kronlab.exact_arith import bezout_coprime
-from kronlab.greedy_triple import (Certificate, EmptyWindowError,
-                                   NotApplicableError, NotInAsymptoticRegime,
-                                   TripleProblem, WindowViolationError, ZWindow,
-                                   _pick_alignment, _z_window, certificate_at,
-                                   greedy_bound, greedy_en_certificate, modify,
+from kronlab.greedy_triple import (Certificate, NotInAsymptoticRegime,
+                                   TripleProblem, ZWindow, _pick_alignment,
+                                   _z_window, certificate_at, greedy_bound,
+                                   greedy_en_certificate, modify,
                                    small_lambda_certificate, z_windows)
 from kronlab.oracle import SpectrumProblem, mu_exact
 from kronlab.pair_solver import BalancedApprox, PairProblem, best_pair_approx
@@ -53,7 +52,7 @@ def test_small_lambda_examples():
 def test_small_lambda_precondition():
     p = TripleProblem(1, 2, 100, Fraction(0), HALF, Fraction(0))
     ba = best_pair_approx(p.pair())  # lam = 1/6 > (b-a)/(2n)
-    with pytest.raises(NotApplicableError):
+    with pytest.raises(ValueError, match=r"^lam=1/6 exceeds \(b-a\)/\(2n\)=1/200$"):
         small_lambda_certificate(p, ba)
 
 
@@ -76,7 +75,7 @@ def test_z_window_boundary_and_error():
     pos, neg = z_windows(ba, ba.lam, p)  # boundary E = lam
     assert pos.lo <= pos.hi and neg.lo <= neg.hi
     assert pos.width() == neg.width() == 2 * ba.lam / 100
-    with pytest.raises(EmptyWindowError):
+    with pytest.raises(ValueError, match=r"^E=499999997/3000000000 < lam=1/6$"):
         z_windows(ba, ba.lam - Fraction(1, 10**9), p)
 
 
@@ -95,17 +94,17 @@ def test_one_window_is_the_matching_member_of_both():
             both = z_windows(ba, E, p)
             expected = (
                 ZWindow(x + (n * lam - (b + n) * E) / (b * n),
-                        x + ((a + n) * E - n * lam) / (a * n), "positive-sign", x),
+                        x + ((a + n) * E - n * lam) / (a * n), x),
                 ZWindow(x + (n * lam - (a + n) * E) / (a * n),
-                        x + ((b + n) * E - n * lam) / (b * n), "negative-sign", x))
+                        x + ((b + n) * E - n * lam) / (b * n), x))
             assert both == expected
             assert (_z_window(ba, E, p, +1), _z_window(ba, E, p, -1)) == both
         if lam > 0:
             E = lam - rand_fraction(rng) * lam - Fraction(1, 10**6) * lam
-            with pytest.raises(EmptyWindowError) as both_error:
+            with pytest.raises(ValueError, match=f"^E={E} < lam={lam}$") as both_error:
                 z_windows(ba, E, p)
             for sign in (+1, -1):
-                with pytest.raises(EmptyWindowError) as one_error:
+                with pytest.raises(ValueError, match=f"^E={E} < lam={lam}$") as one_error:
                     _z_window(ba, E, p, sign)
                 assert str(one_error.value) == str(both_error.value) == f"E={E} < lam={lam}"
 
@@ -175,13 +174,13 @@ def test_modify_rejections():
         modify(ba, ba.x + Fraction(1, 7), p)  # 100*z not aligned with t3
     far = ba.x + Fraction(2, 100) + Fraction(1, 400)
     q = TripleProblem(1, 2, 100, Fraction(0), HALF, 100 * far % 1)
-    with pytest.raises(WindowViolationError):
+    with pytest.raises(ValueError, match=r"^\|n\*z - n\*x\| = 9/4 > 1$"):
         modify(ba, far, q)  # |n z - n x| > 1
     E = _strategy_e(1, 2, 100, ba.lam)
     w = z_windows(ba, E, p)[0]
     outside = w.hi + Fraction(1, 100)
     q = TripleProblem(1, 2, 100, Fraction(0), HALF, 100 * outside % 1)
-    with pytest.raises(WindowViolationError):
+    with pytest.raises(ValueError, match=rf"^z={outside} outside \[{w.lo}, {w.hi}\]$"):
         modify(ba, outside, q, window=w)
 
 
@@ -384,9 +383,9 @@ def test_en_branch_windows_are_never_empty_for_b_up_to_12():
     pair bound, which the proof rules out for every triple.  The
     second-best point costs 1/(a+b) - lam with lam above both (b-a)/(2n)
     and 1/(a+b) - L_n in this branch, so its window is empty for some lam
-    only if E_n < L_n and E_n < 1/(a+b) - (b-a)/(2n).  That would be no
-    failure: an empty second-best window adds no alignment point to the
-    pick.  Neither holds on any coprime a < b <= 12 with b < n < 10*b**2.
+    only if E_n < L_n and E_n < 1/(a+b) - (b-a)/(2n), which the docstring
+    rules out too.  Neither holds on any coprime a < b <= 12 with
+    b < n < 10*b**2.
     """
     triples = 0
     for b in range(2, 13):
@@ -485,7 +484,7 @@ def test_modify_gap_boundaries(a, b, n, t1, t2):
         # just beyond 1 is not
         z = ba.x + s * (Fraction(1, n) + Fraction(1, 10**9))
         p = TripleProblem(a, b, n, t1, t2, n * z)
-        with pytest.raises(WindowViolationError, match="> 1"):
+        with pytest.raises(ValueError, match=r"^\|n\*z - n\*x\| = .* > 1$"):
             modify(ba, z, p)
 
 

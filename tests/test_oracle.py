@@ -14,7 +14,6 @@ from kronlab.exact_arith import nearest_int
 import kronlab.oracle as oracle
 from kronlab.oracle import (MAX_BINARY_SIZE, MAX_CANDIDATE_BUDGET,
                             MAX_GRID_TARGETS, MAX_GRID_WORK, SpectrumProblem,
-                            SpectrumTooLargeError,
                             alpha_grid_lower_bound, beta_exact, binary_values,
                             candidate_budget, mu_exact, mu_value)
 from oracle_reference import mu_exact_reference, nearest_int_distance
@@ -397,7 +396,7 @@ def test_binary_values_cover_every_binary_target():
 
 
 def test_beta_exact_cap():
-    with pytest.raises(SpectrumTooLargeError, match="MAX_BINARY_SIZE = 12"):
+    with pytest.raises(ValueError, match=r"^\|S\| = 13 exceeds MAX_BINARY_SIZE = 12$"):
         beta_exact(tuple(range(1, 14)))
     assert MAX_BINARY_SIZE == 12
     value, _ = beta_exact((1, 2, 3, 4, 5))

@@ -48,6 +48,21 @@ def test_best_pair_examples():
     assert 2 * ba.x - Fraction(1, 3) - ba.k1 == Fraction(1, 21)
 
 
+def test_best_pair_takes_the_smallest_k1():
+    # the representative with the smallest |k1|, ties to the smaller k1
+    rng = random.Random(2323)
+    ties = positive = 0
+    for _ in range(300):
+        a, b = rand_coprime_pair(rng, 25)
+        t1 = rand_fraction(rng, 40) - rng.randrange(3)
+        t2 = rand_fraction(rng, 40) + rng.randrange(3)
+        k1 = best_pair_approx(PairProblem(a, b, t1, t2)).k1
+        assert -a <= 2 * k1 < a, (a, b, t1, t2)
+        ties += 2 * k1 == -a
+        positive += k1 > 0
+    assert ties and positive
+
+
 def test_second_best_examples():
     p = PairProblem(1, 2, Fraction(0), Fraction(1, 2))
     best = best_pair_approx(p)

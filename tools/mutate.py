@@ -1,11 +1,11 @@
 """Mutation check: do the tests of a module notice small faults in it?
 
-Each entry of MUTANTS names one source file, the test module that guards it
-and its mutants; each mutant replaces one token sequence of that file.  The
-script copies src/, tests/, README.md and pyproject.toml into a temporary
-directory, writes the mutated file there, runs the entry's test module on
-the copy and counts the mutant as killed when the tests fail.  The checkout
-itself is only read.
+Each entry of MUTANTS names one source file, the test modules that guard
+it and its mutants; each mutant replaces one token sequence of that file.
+The script copies src/, tests/, README.md and pyproject.toml into a
+temporary directory, writes the mutated file there, runs the entry's test
+modules on the copy and counts the mutant as killed when the tests fail.
+The checkout itself is only read.
 
     python tools/mutate.py                # every mutant
     python tools/mutate.py closed_form    # the mutants of closed_form.py
@@ -14,8 +14,8 @@ itself is only read.
 It prints one line per mutant, then killed/total per file and the
 survivors, and exits 1 when a mutant that is not listed as equivalent
 survives.  Not part of the tier-1 suite: each mutant costs one run of its
-test module, up to its first failure (oracle.py 1-25 s, closed_form.py
-1-4 s).
+test modules, up to their first failure (oracle.py 1-25 s, the other
+files 1-4 s).
 """
 from __future__ import annotations
 
@@ -29,10 +29,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 600
 
-#: source file -> (its test module, [(name, old, new)]): each ``old``
+#: source file -> (its test modules, [(name, old, new)]): each ``old``
 #: occurs exactly once in its file.
 MUTANTS = {
-    Path("src/kronlab/oracle.py"): ("tests/test_oracle.py", [
+    Path("src/kronlab/oracle.py"): (("tests/test_oracle.py",), [
         ("tie-rule", " or Y * best_M < best_Y * M:", ":"),
         ("tie-rule-larger-x", "or Y * best_M < best_Y * M:", "or Y * best_M > best_Y * M:"),
         ("tie-compare-cross-flipped", "or Y * best_M < best_Y * M:",
@@ -67,7 +67,7 @@ MUTANTS = {
         ("binary-last-odd-index", "bits[odd[0]]", "bits[odd[-1]]"),
         ("binary-no-filter", "if not odd or bits[odd[0]] == 0:", "if True:"),
     ]),
-    Path("src/kronlab/closed_form.py"): ("tests/test_closed_form.py", [
+    Path("src/kronlab/closed_form.py"): (("tests/test_closed_form.py",), [
         ("type-1-drops-top-row", "if s in (0, 1, 2 * m - 1):", "if s in (0, 1):"),
         ("type-1-takes-row-2", "if s in (0, 1, 2 * m - 1):", "if s in (0, 1, 2, 2 * m - 1):"),
         ("type-3-ends-before-2a", "if s <= 2 * a:", "if s < 2 * a:"),
@@ -85,11 +85,48 @@ MUTANTS = {
         ("ln-numerator", "ln = Fraction(n + a * b,", "ln = Fraction(n + b,"),
         ("alpha-is-beta-at-gap", "alpha=ln if gap else beta", "alpha=beta"),
         ("witness-tie-picks-half", "v0 >= vh", "v0 > vh"),
-        ("regime-drops-first-clause", "Fraction(3 * b - a, 2 * n) <= en\n            and ", ""),
-        ("regime-drops-second-clause",
-         "\n            and Fraction(1, a + b) - self.ln > Fraction(b - a, 2 * n)", ""),
+        ("regime-drops-first-clause",
+         "return Fraction(3 * self.b - self.a, 2 * self.n) <= self.alpha", "return True"),
         ("S-from-g-minus-h", "S = ((g + h) * r2)", "S = ((g - h) * r2)"),
         ("canonical-pair-on-a-parity", "Fraction(0)) if b % 2 == 1", "Fraction(0)) if a % 2 == 1"),
+    ]),
+    Path("src/kronlab/greedy_triple.py"): (
+        ("tests/test_greedy_triple.py", "tests/test_certificate_golden.py"), [
+        ("small-lambda-threshold-strict", "lam.numerator <= (p.b - p.a) * lam.denominator",
+         "lam.numerator < (p.b - p.a) * lam.denominator"),
+        ("ln-threshold-strict", "<= lam.denominator * (ln", "< lam.denominator * (ln"),
+        ("window-end-factors-swapped", "(p.b, p.a) if sign > 0 else (p.a, p.b)",
+         "(p.a, p.b) if sign > 0 else (p.b, p.a)"),
+        ("modify-factors-swapped", "f = (a + n) if slow_side else (b + n)",
+         "f = (b + n) if slow_side else (a + n)"),
+        ("modify-step-sign-flipped", "step = gap - lam_ if diff > 0 else lam_ - gap",
+         "step = lam_ - gap if diff > 0 else gap - lam_"),
+        ("modify-gap-above-1-admitted", "if gap > gap_den:", "if gap > 2 * gap_den:"),
+        ("modify-gap-1-refused", "if gap > gap_den:", "if gap >= gap_den:"),
+        ("modify-keeps-x-only-below-lam", "if gap <= lam_:", "if gap < lam_:"),
+        ("pick-low-end-floor", "lo_k = -(-lo_num // lo_den)", "lo_k = lo_num // lo_den"),
+        ("pick-high-end-ceil", "hi_k = hi_num // hi_den", "hi_k = -(-hi_num // hi_den)"),
+        ("pick-distance-ignored", "(r * best[1], k3) < (best[0] * den, best[2])",
+         "k3 < best[2]"),
+        ("pick-k3-tie-ignored", "(r * best[1], k3) < (best[0] * den, best[2])",
+         "r * best[1] < best[0] * den"),
+        ("en-anchor-order-reversed", "[(sb, -1), (ba, +1)] if", "[(ba, +1), (sb, -1)] if"),
+        ("en-second-best-guard-strict", "if sb.lam <= en else", "if sb.lam < en else"),
+        ("en-no-second-best-anchor", "[(sb, -1), (ba, +1)] if", "[(ba, +1)] if"),
+        ("en-cost-check-strict", "if cert.cost > en:", "if cert.cost >= en:"),
+        ("greedy-bound-e-numerator", "+ a * b * lam.denominator,", ","),
+        ("negation-keeps-k", "k=tuple(-kj for kj in cert.k)", "k=cert.k"),
+    ]),
+    Path("src/kronlab/pair_solver.py"): (("tests/test_pair_solver.py",), [
+        ("s-rounds-down", "s = _nearest_ratio(-k1, a)[0]", "s = -k1 // a"),
+        ("s-ties-round-up", "s = _nearest_ratio(-k1, a)[0]", "s = (a - 2 * k1) // (2 * a)"),
+        ("second-best-shift-sign-flipped", "best.k1 - best.sign * h, best.k2 - best.sign * g",
+         "best.k1 + best.sign * h, best.k2 + best.sign * g"),
+        ("sign-negative-at-zero", "sign=-1 if signed < 0 else 1", "sign=-1 if signed <= 0 else 1"),
+        ("negate-flips-sign-at-zero", "sign=1 if ba.lam == 0 else -ba.sign", "sign=-ba.sign"),
+        ("bezout-order-swapped", "g, h = bezout_coprime(a, b)", "h, g = bezout_coprime(a, b)"),
+        ("m-rounds-down", "m = _nearest_ratio(*_pair_residue(p))[0]",
+         "m = _pair_residue(p)[0] // _pair_residue(p)[1]"),
     ]),
 }
 
@@ -108,16 +145,25 @@ EQUIVALENT = {
         "and within one progression Y only grows, so it cannot win a tie on x",
     "half-table-shift-subtracted":
         "S - (a+b) and S + (a+b) are the same residue mod 2(a+b)",
-    "regime-drops-second-clause":
-        "clause (1) implies clause (2).  E_n is a row (n+K)/(2(a+b)(n+c)) with "
-        "K <= 2ab, or L_n, so (1) gives n + 2ab > (3b-a)(a+b), that is "
-        "n > 3b^2 - a^2.  (2) reads n^2 > P*n + Q with P < b^2 - a^2 + ab and "
-        "Q = (b-a)ab < n*b/2, and P + Q/n < 3b^2 - a^2 < n",
+    "modify-keeps-x-only-below-lam":
+        "at gap = lam the nudge (gap - lam)/f is 0, so x_star = x either way",
+    "en-anchor-order-reversed":
+        "the order decides only a full tie of distance and k3, and on a tie of "
+        "distance the second-best point's k3 is the smaller (proof in "
+        "greedy_en_certificate's docstring)",
+    "pick-k3-tie-ignored":
+        "on a tie of distance the second-best point, the earlier anchor, has "
+        "the smaller k3 (proof in greedy_en_certificate's docstring)",
+    "en-second-best-guard-strict":
+        "the second-best point costs strictly less than E_n wherever the E_n "
+        "case runs (proof in greedy_en_certificate's docstring), so the guard "
+        "is never an equality",
 }
 
 
-def run_mutant(path: Path, tests: str, name: str, old: str, new: str) -> tuple[bool, float]:
-    """(killed, seconds): the test module on a copy with one mutation of path."""
+def run_mutant(path: Path, tests: tuple[str, ...], name: str, old: str, new: str
+               ) -> tuple[bool, float]:
+    """(killed, seconds): the test modules on a copy with one mutation of path."""
     source = (ROOT / path).read_text()
     if source.count(old) != 1:
         raise SystemExit(f"mutant {name}: {old!r} occurs {source.count(old)} times in {path}, "
@@ -132,7 +178,7 @@ def run_mutant(path: Path, tests: str, name: str, old: str, new: str) -> tuple[b
         start = time.perf_counter()
         try:
             proc = subprocess.run(
-                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", tests],
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
                 cwd=copy, capture_output=True, timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
             return True, time.perf_counter() - start
@@ -156,7 +202,8 @@ def main(argv: list[str]) -> int:
             killed += dead
             if not dead:
                 survivors.append(name)
-        print(f"{path.name}: {killed} of {len(chosen)} mutants killed by {tests}", flush=True)
+        print(f"{path.name}: {killed} of {len(chosen)} mutants killed by {', '.join(tests)}",
+              flush=True)
     for name in survivors:
         print(f"survivor {name}: {EQUIVALENT.get(name, 'NOT EQUIVALENT: a test is missing')}")
     return 1 if set(survivors) - set(EQUIVALENT) else 0
