@@ -133,26 +133,20 @@ def _witness_field(t: tuple, expected: Fraction) -> tuple[dict, str]:
 def _row_checks(tc: TripleConstants) -> bool:
     """Oracle agreement for one triple: case tables, binary constant, witness.
 
-    Each distinct target goes to the oracle once per call: the case-table
-    and witness targets are looked up among the binary values first, and
-    the oracle's value-only path evaluates the rest.
+    Each distinct target goes to the oracle once per call: binary_values
+    gives every binary target, the case-table targets and the R != a
+    witness among them, from one scan per toggling pair, and the oracle's
+    value-only path evaluates the R = a witness.
     """
     spectrum = (tc.a, tc.b, tc.n)
     known = binary_values(spectrum)
     if max(known.values()) != tc.beta:
         return False
-
-    def mu(t):
-        if t not in known:
-            known[t] = mu_value(spectrum, t)
-        return known[t]
-
     t1, t2 = canonical_binary_pair(tc.a, tc.b)
-    for t3 in (Fraction(0), HALF):
-        if mu((t1, t2, t3)) != tc.binary(t3).value:
-            return False
+    if any(known[(t1, t2, t3)] != tc.binary(t3).value for t3 in (Fraction(0), HALF)):
+        return False
     t, expected = tc.witness()
-    return mu(t) == expected
+    return (known[t] if t in known else mu_value(spectrum, t)) == expected
 
 
 def _verified(tc: TripleConstants) -> str:

@@ -238,9 +238,11 @@ def modify(ba: BalancedApprox, z: Fraction, p: TripleProblem,
 
 
 def _pick_alignment(w: ZWindow, p: TripleProblem):
-    """Best admissible k3 in the window: minimizes |n*anchor - (t3+k3)|,
-    ties to the smaller k3.  Returns None when the window holds no
-    alignment point."""
+    """Best admissible k3 in the window: the nearest integer to
+    n*anchor - t3 (halves round down), clamped into the window, so it
+    minimizes |n*anchor - (t3+k3)| with ties to the smaller k3.  Returns
+    (k3, r, den) with r/den that distance, or None when the window holds
+    no alignment point."""
     t3 = p.t3
     lo_num, lo_den = _residual_ratio(p.n, w.lo, t3)
     hi_num, hi_den = _residual_ratio(p.n, w.hi, t3)
@@ -248,30 +250,32 @@ def _pick_alignment(w: ZWindow, p: TripleProblem):
     hi_k = hi_num // hi_den      # floor(n*hi - t3)
     if lo_k > hi_k:
         return None
-    k3 = _nearest_ratio(*_residual_ratio(p.n, w.anchor_x, t3))[0]
-    return min(max(k3, lo_k), hi_k)
+    num, den = _residual_ratio(p.n, w.anchor_x, t3)
+    k3 = min(max(_nearest_ratio(num, den)[0], lo_k), hi_k)
+    return k3, abs(num - k3 * den), den
 
 
 def _aligned_step(p: TripleProblem, E: Fraction, anchors) -> Certificate | None:
     """Nudge one anchor toward an alignment point of its window at E.
 
     anchors is a list of (balanced point, window sign).  Each window offers
-    its _pick_alignment; the step takes the one nearest its own anchor
-    (least |n*anchor - (t3+k3)|), then the smaller k3, then the earlier
-    anchor.  Returns None when no window holds an alignment point.
+    its _pick_alignment; the step takes the one nearest its own anchor, and
+    a tie of distance goes to the earlier anchor.  Returns None when no
+    window holds an alignment point.
     """
     best = None
     for ba, sign in anchors:
         w = _z_window(ba, E, p, sign)
-        k3 = _pick_alignment(w, p)
-        if k3 is not None:
-            num, den = _residual_ratio(p.n, ba.x, p.t3)
-            r = abs(num - k3 * den)  # distance r/den, compared cross-multiplied
-            if best is None or (r * best[1], k3) < (best[0] * den, best[2]):
-                best = r, den, k3, ba, w
+        pick = _pick_alignment(w, p)
+        if pick is None:
+            continue
+        k3, r, den = pick
+        # distance r/den, cross-multiplied; a tie keeps the earlier anchor
+        if best is None or r * best[2] < best[1] * den:
+            best = k3, r, den, ba, w
     if best is None:
         return None
-    _, _, k3, ba, w = best
+    k3, _, _, ba, w = best
     return modify(ba, _alignment_point(p, k3), p, window=w)
 
 
@@ -304,16 +308,17 @@ def greedy_en_certificate(p: TripleProblem) -> Certificate:
       lam <= (b-a)/(2n)        -> small-lambda snap, cost <= (2b-a)/(2n)
       lam <= 1/(a+b) - L_n     -> positive window at E = L_n (width >= 1/n)
       otherwise                -> negative window of the second-best point
-                                  (when its lam' <= E_n) and positive window
-                                  of the best point, both at E = E_n
+                                  and positive window of the best point,
+                                  both at E = E_n
 
-    In the last case the alignment point nearest its own anchor wins, then
-    the smaller k3, then the second-best point.  On a tie of distance the
-    second-best point wins by either rule.  With d and d' the residuals
-    n*anchor - (t3+k3) of the best and the second-best pick, the anchors
-    lie (g+h)/(a+b) apart, so k3 - k3' = n(g+h)/(a+b) - d + d'.  That is
-    positive unless d = -d' >= n(g+h)/(2(a+b)).  modify admits the pick
-    only if d <= 1 (beyond, it raises the same error for either), so
+    In the last case the alignment point nearest its own anchor wins, and a
+    tie of distance goes to the second-best point, the earlier anchor.  On
+    such a tie the second-best pick also has the smaller k3, so this rule
+    picks what a (distance, k3) key would, with no k3 term.  With d and d'
+    the residuals n*anchor - (t3+k3) of the best and the second-best pick,
+    the anchors lie (g+h)/(a+b) apart, so k3 - k3' = n(g+h)/(a+b) - d + d'.
+    That is positive unless d = -d' >= n(g+h)/(2(a+b)).  modify admits the
+    pick only if d <= 1 (beyond, it raises the same error for either), so
     n <= 2(a+b)/(g+h).  The case has (b-a)/(2n) < lam <= 1/(2(a+b)), so
     n > b^2 - a^2; both bounds together leave b = a+1, g+h = 2a-1, hence
     (1, 2) with n in {4, 5, 6}.  There the best window reaches x - 1/6
@@ -340,11 +345,11 @@ def greedy_en_certificate(p: TripleProblem) -> Certificate:
     s = a+j and n < abR/((a+b)(a-R-1)+b) <= aR on the type-2 row R+a+b,
     R < a.  The bounds clash: for j = 1, n < b(b-1) against
     n > b(b-1) + a(b-a); for j >= 2, n < b^2/2 against n > b^2; for R < a,
-    n < aR against n > b + ab.  So the guard lam' <= E_n always holds; it
-    stays so that a slip in this argument cannot make _z_window raise.
-    The final case fails only when neither window holds an alignment
-    point, which no known input reaches; that raise stays until a proof
-    that the two windows always hold one.
+    n < aR against n > b + ab.  So lam' < E_n, and _z_window, which
+    refuses E < lam, takes the second-best point with no guard.  The final
+    case fails only when neither window holds an alignment point, which no
+    known input reaches; that raise stays until a proof that the two
+    windows always hold one.
 
     Why negate instead of picking the window by sign, as greedy_bound
     does: the two are not the same certificate.  _pick_alignment breaks a
@@ -373,8 +378,7 @@ def greedy_en_certificate(p: TripleProblem) -> Certificate:
         cert = _aligned_step(q, ln, [(ba, +1)])
     else:
         sb = second_best_approx(q.pair(), ba)
-        anchors = [(sb, -1), (ba, +1)] if sb.lam <= en else [(ba, +1)]
-        cert = _aligned_step(q, en, anchors)
+        cert = _aligned_step(q, en, [(sb, -1), (ba, +1)])
     if cert is None:  # only the E_n windows can lack an alignment point
         raise NotInAsymptoticRegime(
             f"no alignment point at E_n={en} for ({a}, {b}, {n})", greedy_bound(p))

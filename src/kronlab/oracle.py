@@ -232,9 +232,9 @@ def check_candidate_budget(spectrum: Sequence[int]) -> None:
 
 
 def _binary_targets(spectrum):
-    """The binary targets beta_exact evaluates, in lexicographic order: those
-    with t_j = 0 at the first odd frequency n_j, or all 2^d when every n_j
-    is even.
+    """The binary targets beta_exact evaluates, each with its toggled twin:
+    (t, twin) for the t with t_j = 0 at the first odd frequency n_j, in
+    lexicographic order, or (t, t) for all 2^d when every n_j is even.
 
     The skipped half costs the same.  Toggle a binary t, replacing t_j by
     1/2 - t_j at every odd n_j.  For odd n_j,
@@ -242,14 +242,21 @@ def _binary_targets(spectrum):
     n_j, n_j*(x + 1/2) - t_j = n_j*x - t_j + n_j/2: integer shifts either
     way.  Since 2*t_j is an integer, <n_j*x + t_j> = <n_j*x - t_j>.  So the
     toggled target's F at x + 1/2 is F at x, and both have the same minimum.
-    Each toggling pair differs at the first odd n_j, where the member with
-    t_j = 0 is kept.  It is the lexicographically smaller of the pair, so
-    beta_exact's tie rule picks the argmax it would pick over all 2^d.
+    Of each toggling pair the lexicographically smaller member is kept: the
+    one with t_j = 0 at the first odd n_j, where the pair differs.  So
+    beta_exact's tie rule picks the same argmax from both members as from
+    the kept one alone.
+
+    Target i of the lexicographic order has t_j = 1/2 exactly where bit
+    d-1-j of i is set (bit k belongs to the k-th frequency from the end), so
+    its twin is target i ^ toggle, toggle holding the bits of the odd n_j,
+    and i is kept when i <= i ^ toggle.
     """
-    odd = [j for j, nj in enumerate(spectrum) if nj % 2]
-    for bits in itertools.product((Fraction(0), HALF), repeat=len(spectrum)):
-        if not odd or bits[odd[0]] == 0:
-            yield bits
+    targets = list(itertools.product((Fraction(0), HALF), repeat=len(spectrum)))
+    toggle = sum(1 << k for k, nj in enumerate(reversed(spectrum)) if nj % 2)
+    for i, t in enumerate(targets):
+        if i <= i ^ toggle:
+            yield t, targets[i ^ toggle]
 
 
 def _mu_value_at(spectrum, t):
@@ -277,18 +284,23 @@ def _reduce_max(pairs):
 
 
 def binary_values(spectrum: Sequence[int]) -> dict[tuple[Fraction, ...], Fraction]:
-    """mu_exact value at each binary target beta_exact reduces, keyed by target:
-    one representative of each toggling pair (see _binary_targets)."""
+    """mu_exact value at each of the 2^d binary targets, keyed by target,
+    from one scan per toggling pair: the twin of each scanned target gets
+    its value (see _binary_targets)."""
     spectrum = _checked_spectrum(spectrum)
     if len(spectrum) > MAX_BINARY_SIZE:
         raise ValueError(
             f"|S| = {len(spectrum)} exceeds MAX_BINARY_SIZE = {MAX_BINARY_SIZE}")
-    return {t: _mu_value_at(spectrum, t) for t in _binary_targets(spectrum)}
+    values = {}
+    for t, twin in _binary_targets(spectrum):
+        values[t] = values[twin] = _mu_value_at(spectrum, t)
+    return values
 
 
 def beta_exact(spectrum: Sequence[int]) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Exhaustive binary Kronecker constant: max of mu_exact over {0, 1/2}^d,
-    from one representative of each toggling pair of equal cost."""
+    ties to the lexicographically smallest target, from one scan per
+    toggling pair of equal cost."""
     return _reduce_max(binary_values(spectrum).items())
 
 

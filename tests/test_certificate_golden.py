@@ -98,12 +98,13 @@ def branch(row: dict) -> str:
     en = tc.alpha
     sb = second_best_approx(p.pair(), ba)
     picks = []
-    # the anchors in greedy_en_certificate's order: a tie goes to the first
+    # the anchors in greedy_en_certificate's order: a tie of distance goes
+    # to the first, which min keeps
     for name, w in (("second-best", z_windows(sb, en, p)[1]), ("best", z_windows(ba, en, p)[0])):
-        k3 = _pick_alignment(w, p)
-        if k3 is not None:
-            picks.append((abs(n * w.anchor_x - (p.t3 + k3)), k3, name))
-    return "E_n " + min(picks, key=lambda pick: pick[:2])[2] + " window"
+        pick = _pick_alignment(w, p)
+        if pick is not None:
+            picks.append((abs(n * w.anchor_x - (p.t3 + pick[0])), name))
+    return "E_n " + min(picks, key=lambda pick: pick[0])[1] + " window"
 
 
 def read_golden(path: Path = GOLDEN) -> list[dict]:

@@ -215,6 +215,9 @@ def test_row_checks_verdicts_and_single_evaluation(monkeypatch):
         tc = triple_constants(a, b, n)
         assert cli._row_checks(tc) == verdict, (a, b, n)
         assert seen and max(seen.values()) == 1, (a, b, n, seen)
+        # one scan per toggling pair of binary targets (2^(d-1) = 4), whose
+        # twins cover the case-table targets, plus the R = a witness
+        assert sum(seen.values()) <= 4 + (tc.congruence.R == a), (a, b, n, seen)
         r_equals_a += tc.congruence.R == a
     assert r_equals_a >= len(ACCEPTANCE_PAIRS)
 

@@ -14,7 +14,8 @@ from kronlab.greedy_triple import (Certificate, NotInAsymptoticRegime,
                                    greedy_en_certificate, modify,
                                    small_lambda_certificate, z_windows)
 from kronlab.oracle import SpectrumProblem, mu_exact
-from kronlab.pair_solver import BalancedApprox, PairProblem, best_pair_approx
+from kronlab.pair_solver import (BalancedApprox, PairProblem, best_pair_approx,
+                                  negate_approx, second_best_approx)
 from oracle_reference import angular_norm
 
 HALF = Fraction(1, 2)
@@ -377,7 +378,9 @@ def test_greedy_en_raises_when_small_lambda_exceeds_en():
 
 def test_en_branch_windows_are_never_empty_for_b_up_to_12():
     """The E_n branch's windows, checked against the proof in
-    greedy_en_certificate's docstring on a finite range.
+    greedy_en_certificate's docstring on a finite range: the second check
+    of the proof that lets the branch build both windows with no guard
+    (_z_window raises on E < lam).
 
     The best point's window is empty only if E_n < lam <= 1/(2(a+b)), the
     pair bound, which the proof rules out for every triple.  The
@@ -400,6 +403,62 @@ def test_en_branch_windows_are_never_empty_for_b_up_to_12():
                 assert en >= ln or en >= Fraction(1, a + b) - Fraction(b - a, 2 * n), \
                     (a, b, n)
     assert triples == 34061
+
+
+def _en_case_picks(p: TripleProblem):
+    """(second-best pick, best pick) of the E_n case of greedy_en_certificate
+    for p, each as _pick_alignment returns it, with p's sign normalised the
+    way the construction does it; None when p takes another case."""
+    ba = best_pair_approx(p.pair())
+    if ba.sign < 0:
+        p, ba = p.negated(), negate_approx(ba)
+    a, b, n = p.spectrum()
+    tc = triple_constants(a, b, n)
+    if 2 * n * ba.lam <= b - a or ba.lam <= Fraction(1, a + b) - tc.ln:
+        return None
+    sb = second_best_approx(p.pair(), ba)
+    assert sb.lam < tc.alpha, p  # the E_n windows need no guard
+    return (_pick_alignment(_z_window(sb, tc.alpha, p, -1), p),
+            _pick_alignment(_z_window(ba, tc.alpha, p, +1), p))
+
+
+def test_en_distance_tie_goes_to_the_smaller_k3():
+    """greedy_en_certificate's docstring proves that on a tie of distance
+    the second-best pick has the smaller k3, so ties going to the earlier
+    anchor is the (distance, k3) rule.  Checked here on random E_n-case
+    inputs: coprime a < b < 14, b < n < 4b^2, signed targets of
+    denominator <= 12."""
+    rng = random.Random(2401)
+    inputs = ties = 0
+    for _ in range(20000):
+        b = rng.randrange(2, 14)
+        a = rng.randrange(1, b)
+        if math.gcd(a, b) != 1:
+            continue
+        n = rng.randrange(b + 1, 4 * b * b)
+        qs = [rng.randrange(1, 13) for _ in range(3)]
+        p = TripleProblem(a, b, n, *(Fraction(rng.randrange(-2 * q, 2 * q), q) for q in qs))
+        picks = _en_case_picks(p)
+        if picks is None:
+            continue
+        inputs += 1
+        second, best = picks
+        if second and best and second[1] * best[2] == best[1] * second[2]:
+            ties += 1
+            assert second[0] < best[0], (p, picks)
+    assert (inputs, ties) == (2806, 461)
+
+
+def test_en_distance_tie_pinned():
+    # both picks lie 1/6 from their anchors; the second-best one, listed
+    # first, has k3 = 1 against the best one's 6
+    p = TripleProblem(1, 2, 16, Fraction(1, 4), 0, HALF)
+    (k3s, rs, dens), (k3b, rb, denb) = _en_case_picks(p)
+    assert (k3s, k3b) == (1, 6)
+    assert Fraction(rs, dens) == Fraction(rb, denb) == Fraction(1, 6)
+    cert = greedy_en_certificate(p)
+    assert (cert.x_star, cert.k, cert.cost) == (Fraction(1, 12), (0, 0, 1), Fraction(1, 6))
+    assert not cert.negated
 
 
 def test_certificate_k_vector_is_nearest():
@@ -433,7 +492,8 @@ def test_pick_alignment_takes_an_exactly_aligned_endpoint():
             for end in (w.lo, w.hi):
                 k3 = rng.randrange(-3, 3)
                 p = TripleProblem(a, b, n, t1, t2, n * end - k3)  # n*end - t3 = k3
-                assert _pick_alignment(w, p) == k3
+                got, r, den = _pick_alignment(w, p)
+                assert got == k3 and Fraction(r, den) == n * abs(w.anchor_x - end)
                 modify(ba, end, p, window=w)  # the closed window admits its ends
 
 
@@ -443,7 +503,8 @@ def test_pick_alignment_half_tie_takes_the_smaller_k3():
     ba = best_pair_approx(p.pair())
     for w in z_windows(ba, Fraction(1, 50), p):
         assert w.lo <= (p.t3 - 4) / 100 and (p.t3 - 3) / 100 <= w.hi
-        assert _pick_alignment(w, p) == -4
+        k3, r, den = _pick_alignment(w, p)
+        assert k3 == -4 and Fraction(r, den) == HALF
 
 
 def test_small_lambda_half_tie_rounds_down():
@@ -502,5 +563,5 @@ def test_dispatch_thresholds_are_inclusive(a, b, n, t3):
     ba = best_pair_approx(p.pair())
     assert ba.lam == Fraction(1, a + b) - ln and ba.sign > 0
     w = _z_window(ba, ln, p, +1)
-    z = (t3 + _pick_alignment(w, p)) / n
+    z = (t3 + _pick_alignment(w, p)[0]) / n
     assert greedy_en_certificate(p) == modify(ba, z, p, window=w)

@@ -348,8 +348,8 @@ def test_beta_exact_toggle_and_jobs_consistency():
 
 def test_binary_values_are_what_beta_exact_reduces():
     values = binary_values((2, 5, 40))
-    # one representative per toggling pair: t_2 = 0 at the first odd frequency
-    assert list(values) == [t for t in binary_targets(3) if t[1] == 0]
+    # every binary target, the toggled twin of each scanned one included
+    assert sorted(values) == binary_targets(3)
     value, argmax = beta_exact((2, 5, 40))
     assert value == max(values.values()) == values[argmax]
     # the value-only scans behind binary_values and mu_value agree with mu_exact
@@ -360,9 +360,7 @@ def test_binary_values_are_what_beta_exact_reduces():
         values = binary_values(spectrum)
         for t in binary_targets(3):
             v = mu_exact(SpectrumProblem(spectrum, t)).value
-            assert mu_value(spectrum, t) == v, (spectrum, t)
-            if t in values:
-                assert values[t] == v, (spectrum, t)
+            assert mu_value(spectrum, t) == values[t] == v, (spectrum, t)
 
 
 def toggle_representative(spectrum, t):
@@ -374,10 +372,9 @@ def toggle_representative(spectrum, t):
     return t
 
 
-def test_binary_values_cover_every_binary_target():
-    """The toggle lemma: every binary target costs what its representative
-    in binary_values costs, and the representatives are exactly the targets
-    that are their own, in lexicographic order."""
+def _binary_spectra():
+    """Random spectra of 1 to 6 frequencies below 40, each also doubled (all
+    even), after four small fixed ones."""
     rng = random.Random(1010)
     spectra = [(1,), (2,), (1, 2), (2, 4)]
     for _ in range(40):
@@ -385,14 +382,38 @@ def test_binary_values_cover_every_binary_target():
         spectrum = tuple(sorted(rng.sample(range(1, 40), d)))
         spectra.append(spectrum)
         spectra.append(tuple(2 * nj for nj in spectrum))  # all even
-    for spectrum in spectra:
+    return spectra
+
+
+def test_binary_values_cover_every_binary_target():
+    """The toggle lemma: binary_values holds every binary target, and each
+    costs what mu_value gives it and what its representative costs."""
+    for spectrum in _binary_spectra():
         values = binary_values(spectrum)
         targets = binary_targets(len(spectrum))
-        assert list(values) == [t for t in targets
-                                if toggle_representative(spectrum, t) == t], spectrum
+        assert sorted(values) == targets, spectrum
         for t in targets:
-            assert mu_value(spectrum, t) == values[toggle_representative(spectrum, t)], \
-                (spectrum, t)
+            assert mu_value(spectrum, t) == values[t] \
+                == values[toggle_representative(spectrum, t)], (spectrum, t)
+
+
+def test_binary_values_scans_one_member_of_each_toggling_pair(monkeypatch):
+    """binary_values scans exactly the targets with t_j = 0 at the first odd
+    n_j (every target when all n_j are even), once each, in lexicographic
+    order."""
+    scanned = []
+    scan = oracle._scan
+
+    def recording_scan(spectrum, targets):
+        scanned.append(targets)
+        return scan(spectrum, targets)
+
+    monkeypatch.setattr(oracle, "_scan", recording_scan)
+    for spectrum in _binary_spectra() + [(1, 3, 182), (3, 5, 301), (2, 3, 4, 9)]:
+        scanned.clear()
+        binary_values(spectrum)
+        assert scanned == [t for t in binary_targets(len(spectrum))
+                           if toggle_representative(spectrum, t) == t], spectrum
 
 
 def test_beta_exact_cap():

@@ -13,9 +13,10 @@ The checkout itself is only read.
 
 It prints one line per mutant, then killed/total per file and the
 survivors, and exits 1 when a mutant that is not listed as equivalent
-survives.  Not part of the tier-1 suite: each mutant costs one run of its
-test modules, up to their first failure (oracle.py 1-25 s, the other
-files 1-4 s).
+survives.  Not part of the tier-1 suite, which checks only the table
+(tests/test_mutation_table.py): each mutant costs one run of its test
+modules, up to their first failure (oracle.py 1-25 s, the other files
+1-4 s).
 """
 from __future__ import annotations
 
@@ -63,9 +64,9 @@ MUTANTS = {
         ("walk-extrema-only", "in crossings or extrema:", "in extrema:"),
         ("walk-extrema-too", "in crossings or extrema:", "in crossings + extrema:"),
         ("count-walked-only", "best_M, crossings + extrema", "best_M, crossings or extrema"),
-        ("binary-keep-half-member", "bits[odd[0]] == 0:", "bits[odd[0]] == HALF:"),
-        ("binary-last-odd-index", "bits[odd[0]]", "bits[odd[-1]]"),
-        ("binary-no-filter", "if not odd or bits[odd[0]] == 0:", "if True:"),
+        ("binary-keep-half-member", "if i <= i ^ toggle:", "if i >= i ^ toggle:"),
+        ("binary-last-odd-index", "if i <= i ^ toggle:", "if not i & toggle & -toggle:"),
+        ("binary-no-filter", "if i <= i ^ toggle:", "if True:"),
     ]),
     Path("src/kronlab/closed_form.py"): (("tests/test_closed_form.py",), [
         ("type-1-drops-top-row", "if s in (0, 1, 2 * m - 1):", "if s in (0, 1):"),
@@ -106,13 +107,11 @@ MUTANTS = {
         ("modify-keeps-x-only-below-lam", "if gap <= lam_:", "if gap < lam_:"),
         ("pick-low-end-floor", "lo_k = -(-lo_num // lo_den)", "lo_k = lo_num // lo_den"),
         ("pick-high-end-ceil", "hi_k = hi_num // hi_den", "hi_k = -(-hi_num // hi_den)"),
-        ("pick-distance-ignored", "(r * best[1], k3) < (best[0] * den, best[2])",
-         "k3 < best[2]"),
-        ("pick-k3-tie-ignored", "(r * best[1], k3) < (best[0] * den, best[2])",
-         "r * best[1] < best[0] * den"),
-        ("en-anchor-order-reversed", "[(sb, -1), (ba, +1)] if", "[(ba, +1), (sb, -1)] if"),
-        ("en-second-best-guard-strict", "if sb.lam <= en else", "if sb.lam < en else"),
-        ("en-no-second-best-anchor", "[(sb, -1), (ba, +1)] if", "[(ba, +1)] if"),
+        ("pick-distance-ignored", "r * best[2] < best[1] * den", "k3 < best[0]"),
+        ("pick-tie-takes-later-anchor", "r * best[2] < best[1] * den",
+         "r * best[2] <= best[1] * den"),
+        ("en-anchor-order-reversed", "[(sb, -1), (ba, +1)])", "[(ba, +1), (sb, -1)])"),
+        ("en-no-second-best-anchor", "[(sb, -1), (ba, +1)])", "[(ba, +1)])"),
         ("en-cost-check-strict", "if cert.cost > en:", "if cert.cost >= en:"),
         ("greedy-bound-e-numerator", "+ a * b * lam.denominator,", ","),
         ("negation-keeps-k", "k=tuple(-kj for kj in cert.k)", "k=cert.k"),
@@ -147,17 +146,6 @@ EQUIVALENT = {
         "S - (a+b) and S + (a+b) are the same residue mod 2(a+b)",
     "modify-keeps-x-only-below-lam":
         "at gap = lam the nudge (gap - lam)/f is 0, so x_star = x either way",
-    "en-anchor-order-reversed":
-        "the order decides only a full tie of distance and k3, and on a tie of "
-        "distance the second-best point's k3 is the smaller (proof in "
-        "greedy_en_certificate's docstring)",
-    "pick-k3-tie-ignored":
-        "on a tie of distance the second-best point, the earlier anchor, has "
-        "the smaller k3 (proof in greedy_en_certificate's docstring)",
-    "en-second-best-guard-strict":
-        "the second-best point costs strictly less than E_n wherever the E_n "
-        "case runs (proof in greedy_en_certificate's docstring), so the guard "
-        "is never an equality",
 }
 
 
