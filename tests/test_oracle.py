@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_coprime_pair, rand_fraction, rand_triple
+from kronlab.closed_form import triple_constants
 from kronlab.exact_arith import nearest_int
+import kronlab.cli as cli
 import kronlab.oracle as oracle
 from kronlab.oracle import (MAX_BINARY_SIZE, MAX_CANDIDATE_BUDGET,
                             MAX_GRID_TARGETS, MAX_GRID_WORK, SpectrumProblem,
@@ -81,6 +83,75 @@ def test_mu_exact_examples():
     # Other targets are scanned over [0, 1): the only minimiser is above 1/2.
     r = mu_exact(SpectrumProblem((1,), (Fraction(3, 4),)))
     assert r.value == 0 and r.x_star == Fraction(3, 4)
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The length of every range the oracle iterates, in order: one per
+    window the scan walks (and, under mu_exact, one per progression of the
+    candidate count).  The progressions _scan builds are never iterated
+    there, so they add nothing."""
+    lengths = []
+
+    class CountingRange:
+        def __init__(self, *args):
+            self._range = range(*args)
+
+        def __getattr__(self, name):
+            return getattr(self._range, name)
+
+        def __iter__(self):
+            lengths.append(len(self._range))
+            return iter(self._range)
+
+    monkeypatch.setattr(oracle, "range", CountingRange, raising=False)
+    return lengths
+
+
+@pytest.mark.parametrize("triple, points", [((3, 7, 1001), 501), ((1, 2, 1001), 1182)])
+def test_verified_row_walks_only_the_windows(walks, triple, points):
+    """The scan walks only the Y whose smallest-frequency term can still
+    tie the incumbent.  One verified row of (3, 7, 1001) visits 501 points;
+    the whole crossing progressions up to x = 1/2 hold 4,050 (1,182 of
+    4,022 for (1, 2, 1001)).  A window too wide, a threshold never lowered
+    or the plain walk where windows pay changes the count, not the result."""
+    assert cli._row_checks(triple_constants(*triple))
+    assert sum(walks) == points
+
+
+def test_windowed_walk_equals_fraction_reference(walks):
+    """On acceptance pairs with n from 100 to 1,100 every crossing with n
+    has 8*n_1*D <= M, so the scan walks windows there, fewer points than
+    the plain walk of the crossing progressions.  Binary targets and signed
+    general ones, each against the Fraction reference, which shares no code
+    with the scan."""
+    pairs = [(1, 2), (1, 3), (2, 3), (2, 5), (3, 4), (3, 5), (4, 5)]
+    rng = random.Random(25)
+    for i in range(40):
+        a, b = pairs[i % len(pairs)]
+        spectrum = (a, b, rng.randrange(100, 1101))
+        if i % 2:
+            targets = tuple(rng.choice((Fraction(0), HALF)) for _ in spectrum)
+        else:
+            targets = tuple(rand_fraction(rng, 12) + rng.randrange(-2, 2) for _ in spectrum)
+        p = SpectrumProblem(spectrum, targets)
+        assert mu_exact(p) == mu_exact_reference(p), p
+        walks.clear()
+        *_, progressions = oracle._scan(p.spectrum, p.targets)
+        halve = all(t.denominator <= 2 for t in p.targets)
+        plain = sum(len(range(prog.start, M // 2 + 1 if halve else M, prog.step))
+                    for M, prog in progressions[:3])
+        assert sum(walks) < plain, p
+
+
+@pytest.mark.parametrize("a, b", [(1, 2), (3, 7)])
+def test_rows_near_n_100000_verify(a, b):
+    """The closed forms agree with the windowed scan far beyond the sizes
+    the Fraction reference can reach, on rows of both cases: R = a (the
+    witness) at n = 100,000 for (1, 2) and n = 99,999 for (3, 7)."""
+    for n in range(99_999, 100_002):
+        tc = triple_constants(a, b, n)
+        assert cli._row_checks(tc), (a, b, n)
 
 
 def test_result_invariants():
@@ -467,7 +538,7 @@ def test_grid_refuses_oversized_grid_before_building_it(monkeypatch):
         alpha_grid_lower_bound((1, 2, 1000), 316)
     assert 128 ** 2 * candidate_budget((1, 2, 1000)) <= MAX_GRID_WORK
     assert 129 ** 2 * candidate_budget((1, 2, 1000)) > MAX_GRID_WORK
-    # the 1/316 grid stays admitted at n = 100 (6.1-6.5 s measured, Python 3.11, 2-CPU x86)
+    # the 1/316 grid stays admitted at n = 100 (3.1-4.8 s measured, Python 3.11, 2-CPU x86)
     assert 316 ** 2 * candidate_budget((1, 2, 100)) <= MAX_GRID_WORK
 
 
