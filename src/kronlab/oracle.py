@@ -53,21 +53,31 @@ frequency n_1 admits.  A point Y of progression M can be kept only if its
 n_1 term is at most thr, that is, if n_1*Y - o_1 lies within thr of some
 multiple k*M, with o_1 = t_1*M.  For each k those Y form the window
 [ceil((o_1 + k*M - thr)/n_1), floor((o_1 + k*M + thr)/n_1)].  The scan
-walks the windows for k = k_0, k_0 + 1, ..., each on the progression's
-residue modulo D and each from after the end of the previous one, so
-overlapping windows are walked once and Y only grows, as in a plain walk.
-A point between two windows has its n_1 term above the thr in force when
-the scan passes it, so the plain walk would reject it too and leave the
-incumbent as it is: both walks keep the same points in the same order and
-return the same result.  thr is read afresh at each k; a stale thr is
-only larger, so it admits more points, never fewer.  The ends are
-inclusive, so a point whose n_1 term equals thr is walked, and the
-smallest-x tie rule still sees every tie.  The walked share is about
-2*mu, since each of the ~n_1 windows holds about 2*thr/n_1 of the M
-values.  A window costs a few operations of its own, so the windows are
-used only when 8*n_1*D <= M, that is, when they number at most an eighth
-of the points; otherwise the whole progression is one window, the plain
-walk.
+walks the windows in increasing k, each time the first window that ends
+at or after the first point not yet passed, from that point on and on the
+progression's residue modulo D, so overlapping windows are walked once
+and Y only grows, as in a plain walk.  A point between two windows has
+its n_1 term above the thr in force when the scan passes it, so the plain
+walk would reject it too and leave the incumbent as it is: both walks
+keep the same points in the same order and return the same result.  thr
+is read afresh for each window; a stale thr is only larger, so it admits
+more points, never fewer.  The ends are inclusive, so a point whose n_1
+term equals thr is walked, and the smallest-x tie rule still sees every
+tie.  The walked share is about 2*mu, since each of the ~n_1 windows
+holds about 2*thr/n_1 of the M values.  A window costs a few operations
+of its own, so the windows are used only when 8*n_1*D <= M, that is,
+when they number at most an eighth of the points; otherwise the whole
+progression is one window, the plain walk.
+
+Within each window of n_1 the scan walks, by the same argument, only the
+sub-windows of the second-smallest frequency n_2: for each k those Y with
+n_2*Y - o_2 within thr of k*M, o_2 = t_2*M, clipped to the window of n_1.
+They follow the same rule, 8*n_2*D <= M, and otherwise the window of n_1
+is walked as one sub-window.  So a pair sum M/D below 8*n_2 takes no
+sub-windows: neither a d = 2 spectrum, nor the (n_1, n_2) crossing of a
+triple.  Where both levels are taken, a point is walked only if both of
+its two smallest terms are within thr, and the walked share falls to
+about (2*mu)^2.
 
 Half-integer targets (every 2*t_j an integer, as in beta's {0, 1/2}^d) make
 F symmetric: F(1 - x) = max_j <-(n_j*x + t_j)> = max_j <n_j*x - t_j + 2*t_j>
@@ -110,9 +120,9 @@ MAX_GRID_TARGETS = 10**5
 
 #: alpha_grid_lower_bound also refuses grids whose D^(d-1) targets allow more
 #: than this many oracle candidates in all (candidate_budget per target).  At
-#: the measured 0.007-0.076 us per budgeted candidate (Python 3.11, 2-CPU x86,
-#: two runs each; (1,2,100), (1,2,1000), (2,5,300), (3,7,2000), (1,2,3,50)),
-#: the largest accepted grid takes 1-11 s; the slowest is (1,2,3,50), whose
+#: the measured 0.006-0.091 us per budgeted candidate (Python 3.11, 2-CPU x86,
+#: four runs each; (1,2,100), (1,2,1000), (2,5,300), (3,7,2000), (1,2,3,50)),
+#: the largest accepted grid takes 1-14 s; the slowest is (1,2,3,50), whose
 #: small pairs are too short for windows and are walked whole.
 MAX_GRID_WORK = 150_000_000
 
@@ -167,10 +177,11 @@ def _scan(spectrum: tuple[int, ...], targets: tuple[Fraction, ...]
     hold every minimiser; the valleys and peaks are walked when d = 1.  The
     walked progressions are scanned one after another, not merged, so a
     point in several of them is evaluated once in each.  Each is walked in
-    increasing Y, in the windows of the smallest frequency, or as one window
-    when those would be too many.  With half-integer targets each is walked
-    only up to Y = M/2; the progressions returned are always all the full
-    ones.
+    increasing Y, in the windows of the smallest frequency and, within each
+    of those, in the sub-windows of the second-smallest; a level whose
+    windows would be too many walks its span as one window.  With
+    half-integer targets each is walked only up to Y = M/2; the progressions
+    returned are always all the full ones.
     """
     check_candidate_budget(spectrum)
     D = math.lcm(*(t.denominator for t in targets))
@@ -193,46 +204,58 @@ def _scan(spectrum: tuple[int, ...], targets: tuple[Fraction, ...]
     # is kept only at a smaller x.  It starts at value 1 and x = 1, above
     # every candidate, so the first candidate wins.
     best, best_Y, best_M = 1, 1, 1
-    n1 = spectrum[0]
+    # With d = 1 the one frequency stands in for n2: the extrema's
+    # M = 2*n1*D is too short for windows of either.
+    i2 = min(1, len(spectrum) - 1)
+    n1, n2 = spectrum[0], spectrum[i2]
     for M, progression in crossings or extrema:
         scale = M // D  # t_k*M = (t_k*D)*scale
         (n0, o0), *rest = [(nk, sk * scale) for nk, sk in order]
-        o1 = scaled[0] * scale
+        o1, o2 = scaled[0] * scale, scaled[i2] * scale
         half = M // 2
         thr = best * M // best_M
         lo, end = progression.start, half + 1 if halve else M
-        # One window per k, the Y with n1*Y - o1 within thr of k*M, from the
-        # first k whose window reaches lo; or the single window [lo, end)
-        # when the windows would outnumber an eighth of the points.
+        # Window by window, the Y with n1*Y - o1 within thr of k*M, for the
+        # first k (c = o1 + k*M) whose window reaches lo; or the single
+        # window [lo, end) when the windows would outnumber an eighth of the
+        # points.  Within it, the sub-windows of n2 by the same rule, each
+        # reaching first.
         windowed = 8 * n1 * D <= M
-        k = -((o1 + thr - n1 * lo) // M)
+        windowed2 = 8 * n2 * D <= M
         while lo < end:
             first, hi = lo, end
             if windowed:
-                c = o1 + k * M
+                c = o1 - (o1 + thr - n1 * lo) // M * M
                 first = max(lo, -((thr - c) // n1))
                 first += (progression.start - first) % D
                 hi = min(end, (c + thr) // n1 + 1)
-                k += 1
-            for Y in range(first, hi, D):
-                worst = (n0 * Y - o0) % M
-                if worst > half:
-                    worst = M - worst
-                if worst > thr:
-                    continue
-                for nk, ok in rest:
-                    r = (nk * Y - ok) % M
-                    if r > half:
-                        r = M - r
-                    if r > worst:
-                        worst = r
-                        if worst > thr:
-                            break
-                else:
-                    if worst * best_M < best * M or Y * best_M < best_Y * M:
-                        best, best_Y, best_M = worst, Y, M
-                        thr = worst
-            lo = max(lo, hi)
+            while first < hi:
+                sub, sub_hi = first, hi
+                if windowed2:
+                    c = o2 - (o2 + thr - n2 * first) // M * M
+                    sub = max(first, -((thr - c) // n2))
+                    sub += (progression.start - sub) % D
+                    sub_hi = min(hi, (c + thr) // n2 + 1)
+                for Y in range(sub, sub_hi, D):
+                    worst = (n0 * Y - o0) % M
+                    if worst > half:
+                        worst = M - worst
+                    if worst > thr:
+                        continue
+                    for nk, ok in rest:
+                        r = (nk * Y - ok) % M
+                        if r > half:
+                            r = M - r
+                        if r > worst:
+                            worst = r
+                            if worst > thr:
+                                break
+                    else:
+                        if worst * best_M < best * M or Y * best_M < best_Y * M:
+                            best, best_Y, best_M = worst, Y, M
+                            thr = worst
+                first = sub_hi
+            lo = hi
     return best, best_Y, best_M, crossings + extrema
 
 

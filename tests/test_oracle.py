@@ -88,8 +88,8 @@ def test_mu_exact_examples():
 @pytest.fixture
 def walks(monkeypatch):
     """The length of every range the oracle iterates, in order: one per
-    window the scan walks (and, under mu_exact, one per progression of the
-    candidate count).  The progressions _scan builds are never iterated
+    sub-window the scan walks (and, under mu_exact, one per progression of
+    the candidate count).  The progressions _scan builds are never iterated
     there, so they add nothing."""
     lengths = []
 
@@ -108,13 +108,19 @@ def walks(monkeypatch):
     return lengths
 
 
-@pytest.mark.parametrize("triple, points", [((3, 7, 1001), 501), ((1, 2, 1001), 1182)])
+@pytest.mark.parametrize("triple, points", [
+    ((3, 7, 1001), 140), ((1, 2, 1001), 431), ((2, 5, 1001), 392), ((1, 2, 10001), 4181)],
+    ids=["3-7-1001", "1-2-1001", "2-5-1001", "1-2-10001"])
 def test_verified_row_walks_only_the_windows(walks, triple, points):
-    """The scan walks only the Y whose smallest-frequency term can still
-    tie the incumbent.  One verified row of (3, 7, 1001) visits 501 points;
-    the whole crossing progressions up to x = 1/2 hold 4,050 (1,182 of
-    4,022 for (1, 2, 1001)).  A window too wide, a threshold never lowered
-    or the plain walk where windows pay changes the count, not the result."""
+    """The scan walks only the Y whose two smallest frequencies' terms can
+    still tie the incumbent.  One verified row of (3, 7, 1001) visits 140
+    points, 501 in the windows of n_1 alone, of the 4,050 that the whole
+    crossing progressions hold up to x = 1/2; (1, 2, 1001) visits 431 (1,182
+    and 4,022), (2, 5, 1001) 392 (991 and 4,038), and (1, 2, 10001), where
+    mu is large and the n_2 level pays most, 4,181 (11,682 and 40,022).  A
+    window too wide, a threshold never lowered or the plain walk where
+    windows pay changes the count, not the result; on (2, 5, 1001) so does
+    a window of n_1 that starts one Y early."""
     assert cli._row_checks(triple_constants(*triple))
     assert sum(walks) == points
 
@@ -142,6 +148,62 @@ def test_windowed_walk_equals_fraction_reference(walks):
         plain = sum(len(range(prog.start, M // 2 + 1 if halve else M, prog.step))
                     for M, prog in progressions[:3])
         assert sum(walks) < plain, p
+
+
+def _second_level_problem(rng, i):
+    """A problem whose largest crossing has 8*n_2*D <= M: a binary, signed
+    general or tied target on a triple, or a d = 4 spectrum with a large top
+    frequency.  The tied ones are (s, m, c*m) with c >= 8, whose pair m, c*m
+    has tied minimisers in every 1/m period (see tied_problems)."""
+    kind = i % 4
+    if kind == 0:
+        a, b = rand_coprime_pair(rng, 8)
+        return SpectrumProblem((a, b, rng.randrange(8 * b, 1101)),
+                               tuple(rng.choice((Fraction(0), HALF)) for _ in range(3)))
+    if kind == 1:
+        a, b = rand_coprime_pair(rng, 8)
+        return SpectrumProblem((a, b, rng.randrange(8 * b, 1101)),
+                               tuple(rand_fraction(rng, 12) + rng.randrange(-2, 2)
+                                     for _ in range(3)))
+    if kind == 2:
+        m, c, q = rng.randrange(3, 40), rng.randrange(8, 13), rng.randrange(2, 4)
+        t_m = Fraction(rng.randrange(-q, 2 * q), q)
+        t_cm = c * t_m + Fraction(rng.randrange(1, q), q)
+        return SpectrumProblem((rng.randrange(1, m), m, c * m),
+                               (Fraction(rng.randrange(-q, 2 * q), q), t_m, t_cm))
+    a, b = rand_coprime_pair(rng, 8)
+    c = rng.randrange(b + 1, 30)
+    return SpectrumProblem((a, b, c, rng.randrange(8 * b, 801)),
+                           tuple(rand_fraction(rng, 6) + rng.randrange(-1, 2) for _ in range(4)))
+
+
+def test_second_level_walk_equals_fraction_reference(walks):
+    """Inside each window of n_1 the scan walks only the sub-windows of n_2
+    when 8*n_2*D <= M.  On problems where that holds, mu_exact equals the
+    Fraction reference, which shares no code with the scan.  The walk also
+    visits fewer points than the windows of n_1 alone would: those hold
+    every point of a progression with 8*n_1*D > M, and elsewhere every point
+    whose n_1 term is within the minimum, since their thr never falls below
+    it.  So only the n_2 level can have skipped some.  A problem of value 0
+    leaves it nothing to skip, so the counts are summed over each kind."""
+    rng = random.Random(26)
+    walked, admitted = [0] * 4, [0] * 4  # per kind of problem
+    for i in range(40):
+        p = _second_level_problem(rng, i)
+        assert mu_exact(p) == mu_exact_reference(p), p
+        walks.clear()
+        best, _, best_M, progressions = oracle._scan(p.spectrum, p.targets)
+        n1, t1 = p.spectrum[0], p.targets[0]
+        D = math.lcm(*(t.denominator for t in p.targets))
+        assert 8 * p.spectrum[1] <= p.spectrum[-2] + p.spectrum[-1], p  # on the largest M
+        halve = all(t.denominator <= 2 for t in p.targets)
+        for M, prog in progressions[:math.comb(len(p.spectrum), 2)]:
+            o1 = t1.numerator * M // t1.denominator
+            for Y in range(prog.start, M // 2 + 1 if halve else M, prog.step):
+                r = (n1 * Y - o1) % M
+                admitted[i % 4] += 8 * n1 * D > M or min(r, M - r) * best_M <= best * M
+        walked[i % 4] += sum(walks)
+    assert all(w < n for w, n in zip(walked, admitted)), (walked, admitted)
 
 
 @pytest.mark.parametrize("a, b", [(1, 2), (3, 7)])
