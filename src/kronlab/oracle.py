@@ -92,9 +92,26 @@ of [0, 1).
 
 mu_exact also counts the distinct candidates (candidates_examined) over the
 full progressions of all three families, walked or not, halved or not, so
-the count is the size of the candidate set.  The value-only path behind
-mu_value, binary_values, beta_exact and alpha_grid_lower_bound builds no
-such set.  Every path applies the MAX_CANDIDATE_BUDGET refusal.
+the count is the size of the candidate set.  It counts without building
+that set.  With m = M/D, the progression of residue s modulo D is the coset
+s/M + (1/m)*Z modulo 1, whose m points x = s/M + k/m, k in [0, m), are
+distinct.  Each point is counted in the first progression that holds it:
+point k of progression i (m_i, s_i) lies in an earlier progression j exactly
+when s_i/M_i + k/m_i - s_j/M_j is a multiple of 1/m_j, that is (multiplied
+by D*m_i*m_j) when
+
+    D*m_j*k == s_j*m_i - s_i*m_j  (mod D*m_i).
+
+With g = gcd(m_i, m_j) this congruence has a solution only when D*g
+divides the right-hand side rhs, and then its solutions are the one residue
+k0 = (rhs/(D*g)) * (m_j/g)^-1 modulo m_i/g.  So each earlier progression
+covers one arithmetic progression of k or none, marked in a bytearray of
+m_i bytes by one slice assignment, and progression i adds its unmarked
+points.  For P progressions (P <= d(d-1)/2 + d) that is P(P-1)/2 gcds and
+modular inverses and sum(m_i) bytes, at most candidate_budget; no point is
+iterated and no common grid is built.  The value-only path behind mu_value,
+binary_values, beta_exact and alpha_grid_lower_bound counts nothing.  Every
+path applies the MAX_CANDIDATE_BUDGET refusal.
 
 This module deliberately shares no code with the closed forms, the pair
 solver or the greedy construction it is used to check: it imports only the
@@ -264,22 +281,47 @@ def mu_exact(p: SpectrumProblem) -> OracleResult:
 
     Ties broken toward the smallest x_star, then the lexicographically
     smallest k_star (nearest integers, halves rounding down).
-    candidates_examined counts the distinct candidates.  Raises ValueError
-    when candidate_budget(spectrum) exceeds MAX_CANDIDATE_BUDGET.
+    candidates_examined counts the distinct candidates, coset by coset and
+    without iterating any of them.  Raises ValueError when
+    candidate_budget(spectrum) exceeds MAX_CANDIDATE_BUDGET.
     """
     spectrum, targets = p.spectrum, p.targets
     best, best_Y, best_M, progressions = _scan(spectrum, targets)
     x_star = Fraction(best_Y, best_M)
     k_star = tuple(nearest_int(nj * x_star - tj) for nj, tj in zip(spectrum, targets))
-    # Distinct candidates: every progression mapped onto the common grid x = X/L.
-    L = math.lcm(*(M for M, _ in progressions))
-    grid = [range(prog.start * (L // M), L, prog.step * (L // M)) for M, prog in progressions]
     return OracleResult(value=Fraction(best, best_M), x_star=x_star, k_star=k_star,
-                        candidates_examined=len(set().union(*grid)))
+                        candidates_examined=_distinct_count(progressions))
+
+
+def _distinct_count(progressions: list[tuple[int, range]]) -> int:
+    """The number of distinct x = Y/M over the (M, range of Y) progressions
+    _scan returns, each counted in the first progression that holds it
+    (see the module docstring)."""
+    total = 0
+    for i, (M, prog) in enumerate(progressions):
+        D, s = prog.step, prog.start
+        m = M // D
+        covered = bytearray(m)
+        for Mj, prog_j in progressions[:i]:
+            mj = Mj // D
+            g = math.gcd(m, mj)
+            rhs = prog_j.start * m - s * mj
+            if rhs % (D * g):
+                continue
+            step = m // g
+            k0 = rhs // (D * g) * pow(mj // g, -1, step) % step
+            covered[k0::step] = b"\x01" * ((m - 1 - k0) // step + 1)
+        total += m - covered.count(1)
+    return total
 
 
 def candidate_budget(spectrum: Sequence[int]) -> int:
-    """Documented ceiling on candidates_examined: d^2 * (max pair sum + 2)."""
+    """Documented ceiling on candidates_examined: d^2 * (max pair sum + 2).
+
+    The progressions hold (d + 1)*sum(n_j) points counted with multiplicity
+    (2*n_1 when d = 1), at most (d^2 - 1)*(max pair sum) since
+    sum(n_j) <= (d - 1)*(max pair sum), so the ceiling also bounds the bytes
+    mu_exact's count allocates."""
     d = len(spectrum)
     if d == 1:
         return 2 * (spectrum[0] + 2)

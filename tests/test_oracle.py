@@ -18,7 +18,7 @@ from kronlab.oracle import (MAX_BINARY_SIZE, MAX_CANDIDATE_BUDGET,
                             MAX_GRID_TARGETS, MAX_GRID_WORK, SpectrumProblem,
                             alpha_grid_lower_bound, beta_exact, binary_values,
                             candidate_budget, mu_exact, mu_value)
-from oracle_reference import mu_exact_reference, nearest_int_distance
+from oracle_reference import _candidates, mu_exact_reference, nearest_int_distance
 
 HALF = Fraction(1, 2)
 
@@ -88,9 +88,9 @@ def test_mu_exact_examples():
 @pytest.fixture
 def walks(monkeypatch):
     """The length of every range the oracle iterates, in order: one per
-    sub-window the scan walks (and, under mu_exact, one per progression of
-    the candidate count).  The progressions _scan builds are never iterated
-    there, so they add nothing."""
+    sub-window the scan walks.  The progressions _scan builds are never
+    iterated, neither by the scan nor by mu_exact's candidate count, which
+    reads only their starts and steps, so they add nothing."""
     lengths = []
 
     class CountingRange:
@@ -225,6 +225,40 @@ def test_result_invariants():
         residuals = [nj * r.x_star - tj for nj, tj in zip(p.spectrum, p.targets)]
         assert max(abs(res - k) for res, k in zip(residuals, r.k_star)) == r.value
         assert r.candidates_examined <= candidate_budget(p.spectrum)
+
+
+def _count_problems():
+    """Problems of 1 to 6 frequencies for the candidate count, each spectrum
+    at all-zero, half-integer and signed general targets (negative ones and
+    ones >= 1 among them): fixed spectra whose pair sums share factors, then
+    random ones below 40, each also tripled."""
+    rng = random.Random(27)
+    spectra = [(1, 2, 3, 5, 8, 13), (2, 4, 6, 10), (3, 4, 5, 11), (6, 10, 15), (1,), (4, 12)]
+    for i in range(30):
+        spectrum = tuple(sorted(rng.sample(range(1, 40), 1 + i % 6)))
+        spectra += [spectrum, tuple(3 * nj for nj in spectrum)]
+    for spectrum in spectra:
+        d = len(spectrum)
+        yield SpectrumProblem(spectrum, (Fraction(0),) * d)
+        yield SpectrumProblem(spectrum, tuple(rng.choice((Fraction(0), HALF)) for _ in range(d)))
+        yield SpectrumProblem(spectrum, tuple(rand_fraction(rng, 12) + rng.randrange(-3, 3)
+                                              for _ in range(d)))
+
+
+def test_candidate_count_equals_reference_up_to_d_6():
+    """mu_exact counts the distinct candidates coset by coset; the Fraction
+    reference builds the set.  The hypothesis tests stop at d = 4."""
+    for p in _count_problems():
+        assert mu_exact(p).candidates_examined == len(_candidates(p)), p
+
+
+@pytest.mark.parametrize("targets, count", [
+    ((Fraction(1, 7), Fraction(2, 9), Fraction(3, 11)), 444_012),
+    ((Fraction(0), HALF, HALF), 444_000)])
+def test_candidate_count_at_n_111000(targets, count):
+    """The count near the largest n the budget admits for d = 3, equal to
+    the size of the union of every progression on the common lcm grid."""
+    assert mu_exact(SpectrumProblem((1, 2, 111_000), targets)).candidates_examined == count
 
 
 def test_candidate_completeness_against_scan():

@@ -113,6 +113,13 @@ MUTANTS = {
         ("walk-extrema-only", "in crossings or extrema:", "in extrema:"),
         ("walk-extrema-too", "in crossings or extrema:", "in crossings + extrema:"),
         ("count-walked-only", "best_M, crossings + extrema", "best_M, crossings or extrema"),
+        ("count-no-divisibility-check",
+         "            if rhs % (D * g):\n                continue\n", ""),
+        ("count-step-whole-coset", "step = m // g", "step = m"),
+        ("count-no-inverse", "k0 = rhs // (D * g) * pow(mj // g, -1, step) % step",
+         "k0 = rhs // (D * g) % step"),
+        ("count-against-itself", "in progressions[:i]:", "in progressions[:i + 1]:"),
+        ("count-subtracts-uncovered", "m - covered.count(1)", "m - covered.count(0)"),
         ("binary-keep-half-member", "if i <= i ^ toggle:", "if i >= i ^ toggle:"),
         ("binary-last-odd-index", "if i <= i ^ toggle:", "if not i & toggle & -toggle:"),
         ("binary-no-filter", "if i <= i ^ toggle:", "if True:"),
