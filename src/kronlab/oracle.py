@@ -48,36 +48,59 @@ result is the smallest minimising x.  At each point it walks, the largest
 frequency's term is evaluated first, and most points are rejected on it
 alone.
 
-Within a progression the scan walks only the points that the smallest
+Within a progression the scan walks only points that the smallest
 frequency n_1 admits.  A point Y of progression M can be kept only if its
-n_1 term is at most thr, that is, if n_1*Y - o_1 lies within thr of some
-multiple k*M, with o_1 = t_1*M.  For each k those Y form the window
-[ceil((o_1 + k*M - thr)/n_1), floor((o_1 + k*M + thr)/n_1)].  The scan
-walks the windows in increasing k, each time the first window that ends
-at or after the first point not yet passed, from that point on and on the
-progression's residue modulo D, so overlapping windows are walked once
-and Y only grows, as in a plain walk.  A point between two windows has
-its n_1 term above the thr in force when the scan passes it, so the plain
-walk would reject it too and leave the incumbent as it is: both walks
-keep the same points in the same order and return the same result.  thr
-is read afresh for each window; a stale thr is only larger, so it admits
-more points, never fewer.  The ends are inclusive, so a point whose n_1
-term equals thr is walked, and the smallest-x tie rule still sees every
-tie.  The walked share is about 2*mu, since each of the ~n_1 windows
-holds about 2*thr/n_1 of the M values.  A window costs a few operations
-of its own, so the windows are used only when 8*n_1*D <= M, that is,
-when they number at most an eighth of the points; otherwise the whole
-progression is one window, the plain walk.
+n_1 term is at most thr, that is, if r = n_1*Y - o_1 lies within thr of
+some multiple of M, with o_1 = t_1*M.  Any walk that visits every such
+point, in whatever order, returns what a walk of every point returns: a
+point it skips has its n_1 term, so its value, above the thr in force when
+the walk passes it, and thr never falls below the final minimum, so that
+point is neither the minimum nor a tie of it; among the points it visits
+the tie rule makes the order irrelevant.  thr is read afresh for each
+range of points the walk hands to the evaluation loop; a stale thr is only
+larger, so it admits more points, never fewer.  Every bound is inclusive,
+so a point whose n_1 term equals thr is walked, and the smallest-x tie
+rule sees every tie.  Two walks feed one evaluation loop, and one rule
+picks between them: the window walk when 8*n_2*D <= M, with n_2 the
+second-smallest frequency, the residue walk otherwise.
 
-Within each window of n_1 the scan walks, by the same argument, only the
-sub-windows of the second-smallest frequency n_2: for each k those Y with
+The residue walk.  With m = M/D and Y = s + D*k, k in [0, m),
+n_1*Y - o_1 = c_0 + n_1*D*k with c_0 = n_1*s - o_1, and n_1*D*k modulo
+M = D*m is D*(n_1*k mod m), which runs over the multiples of D*g,
+g = gcd(n_1, m).  So r modulo M lies in the class c_0 + D*g*Z, and each
+member r of the class is met by the k with
+
+    (n_1/g)*k == (r - c_0)/(D*g)  (mod m/g),
+
+the one residue k_0 = (r - c_0)/(D*g) * (n_1/g)^-1 modulo m/g (the
+congruence the candidate count below solves too), and by its g lifts
+Y = s + D*k_0 + l*M/g, l in [0, g), whose n_1 term is |r|/M.  So the scan
+takes one gcd and one modular inverse per progression, then walks the
+members of the class in (-M/2, M/2], each once, outward from 0 in
+increasing |r| (the nonnegative one first on a tie), each with its lifts
+below the end.  It stops at the first r with |r| > thr, since every later
+r is at least as far out and thr only falls, or at the first r outside
+(-M/2, M/2], whose points were walked already.  So it walks exactly the
+points whose n_1 term is within the thr in force, about 2*mu of the
+progression, and computes no window per k.  With d = 2 a crossing's value
+is its n_1 term (at a crossing both terms are equal), so the first r that
+holds a point gives the minimum and only its ties follow.
+
+The window walk.  The Y whose r lies within thr of k*M form, for each k,
+the window [ceil((o_1 + k*M - thr)/n_1), floor((o_1 + k*M + thr)/n_1)].
+The scan walks the windows in increasing k, each time the first window
+that ends at or after the first point not yet passed, from that point on
+and on the progression's residue modulo D, so overlapping windows are
+walked once and Y only grows.  Within each window of n_1 it walks, by the
+same argument, only the sub-windows of n_2: for each k those Y with
 n_2*Y - o_2 within thr of k*M, o_2 = t_2*M, clipped to the window of n_1.
-They follow the same rule, 8*n_2*D <= M, and otherwise the window of n_1
-is walked as one sub-window.  So a pair sum M/D below 8*n_2 takes no
-sub-windows: neither a d = 2 spectrum, nor the (n_1, n_2) crossing of a
-triple.  Where both levels are taken, a point is walked only if both of
-its two smallest terms are within thr, and the walked share falls to
-about (2*mu)^2.
+A point is walked only if both of its two smallest terms are within thr,
+so the walked share falls to about (2*mu)^2.  A window costs a few
+operations of its own, so the windows are taken only where the
+sub-windows number at most an eighth of the points, 8*n_2*D <= M (those
+of n_1 are then fewer still).  So neither a d = 2 spectrum nor the
+(n_1, n_2) crossing of a triple takes windows: they and the valleys and
+peaks of d = 1 are walked by residue.
 
 Half-integer targets (every 2*t_j an integer, as in beta's {0, 1/2}^d) make
 F symmetric: F(1 - x) = max_j <-(n_j*x + t_j)> = max_j <n_j*x - t_j + 2*t_j>
@@ -137,10 +160,11 @@ MAX_GRID_TARGETS = 10**5
 
 #: alpha_grid_lower_bound also refuses grids whose D^(d-1) targets allow more
 #: than this many oracle candidates in all (candidate_budget per target).  At
-#: the measured 0.006-0.091 us per budgeted candidate (Python 3.11, 2-CPU x86,
+#: the measured 0.004-0.065 us per budgeted candidate (Python 3.11, 2-CPU x86,
 #: four runs each; (1,2,100), (1,2,1000), (2,5,300), (3,7,2000), (1,2,3,50)),
-#: the largest accepted grid takes 1-14 s; the slowest is (1,2,3,50), whose
-#: small pairs are too short for windows and are walked whole.
+#: the largest accepted grid takes 0.6-5.6 s; the slowest is (1,2,3,50), whose
+#: small pairs (3 to 5 points) are too short for windows and are walked by
+#: residue, nearly whole.
 MAX_GRID_WORK = 150_000_000
 
 #: binary_values and beta_exact refuse spectra of more frequencies than this:
@@ -193,12 +217,15 @@ def _scan(spectrum: tuple[int, ...], targets: tuple[Fraction, ...]
     Only the crossings are walked when there are any (d >= 2), since they
     hold every minimiser; the valleys and peaks are walked when d = 1.  The
     walked progressions are scanned one after another, not merged, so a
-    point in several of them is evaluated once in each.  Each is walked in
-    increasing Y, in the windows of the smallest frequency and, within each
-    of those, in the sub-windows of the second-smallest; a level whose
-    windows would be too many walks its span as one window.  With
-    half-integer targets each is walked only up to Y = M/2; the progressions
-    returned are always all the full ones.
+    point in several of them is evaluated once in each.  Each is walked
+    only where the smallest frequency's term is within the incumbent: where
+    8*n_2*D <= M, in increasing Y, in the windows of n_1 and within each in
+    the sub-windows of n_2; elsewhere by the residue r of n_1's term,
+    outward from r = 0 until |r| exceeds the incumbent, each r with the Y
+    that one modular inverse gives it.  The order of the points cannot
+    change the result, which the tie rule fixes as the smallest
+    (value, x).  With half-integer targets each is walked only up to
+    Y = M/2; the progressions returned are always all the full ones.
     """
     check_candidate_budget(spectrum)
     D = math.lcm(*(t.denominator for t in targets))
@@ -208,8 +235,8 @@ def _scan(spectrum: tuple[int, ...], targets: tuple[Fraction, ...]
     extrema = [(2 * nj * D, range(2 * sj % D, 2 * nj * D, D))
                for nj, sj in zip(spectrum, scaled)]
     # Largest frequency first: it moves fastest, so its term alone exceeds
-    # the incumbent for most points of a window, which are rejected before
-    # the loop.
+    # the incumbent for most points walked, which are rejected before the
+    # loop.
     order = list(zip(spectrum, scaled))[::-1]
     # F(1 - x) = F(x) when every 2*t_j is an integer: the smallest minimiser
     # is at most 1/2, which is its own mirror and must be walked.
@@ -222,57 +249,77 @@ def _scan(spectrum: tuple[int, ...], targets: tuple[Fraction, ...]
     # every candidate, so the first candidate wins.
     best, best_Y, best_M = 1, 1, 1
     # With d = 1 the one frequency stands in for n2: the extrema's
-    # M = 2*n1*D is too short for windows of either.
+    # M = 2*n1*D is too short for windows.
     i2 = min(1, len(spectrum) - 1)
     n1, n2 = spectrum[0], spectrum[i2]
+
+    def walk(M, start, end):
+        """Ranges of Y in [start, end), on the residue start modulo D, that
+        hold every point whose term of n1 is within thr, read afresh for each
+        range: the windows of n1 and n2 or the residues of n1."""
+        m = M // D
+        o1 = scaled[0] * m
+        if 8 * n2 * D <= M:
+            # Window by window, the Y with n1*Y - o1 within thr of k*M, for
+            # the first k (c = o1 + k*M) whose window reaches lo; within it,
+            # the sub-windows of n2 by the same rule, each reaching first and
+            # aligned to the residue (which aligns the window of n1 too).
+            o2 = scaled[i2] * m
+            lo = start
+            while lo < end:
+                c = o1 - (o1 + thr - n1 * lo) // M * M
+                first = max(lo, -((thr - c) // n1))
+                hi = min(end, (c + thr) // n1 + 1)
+                while first < hi:
+                    c = o2 - (o2 + thr - n2 * first) // M * M
+                    sub = max(first, -((thr - c) // n2))
+                    sub += (start - sub) % D
+                    sub_hi = min(hi, (c + thr) // n2 + 1)
+                    yield range(sub, sub_hi, D)
+                    first = sub_hi
+                lo = hi
+            return
+        # Residue by residue, r = n1*Y - o1 in the class c0 + D*g*Z, from
+        # the members nearest 0 outward, each with the Y of its lifts.
+        g = math.gcd(n1, m)
+        step, lift, period = D * g, M // g, m // g
+        inverse = pow(n1 // g, -1, period)
+        c0 = n1 * start - o1
+        pos = c0 % step
+        neg = pos - step
+        while True:
+            if pos <= -neg:
+                r, pos = pos, pos + step
+            else:
+                r, neg = neg, neg - step
+            if abs(r) > thr or not -M < 2 * r <= M:
+                return
+            yield range(start + (r - c0) // step * inverse % period * D, end, lift)
+
     for M, progression in crossings or extrema:
         scale = M // D  # t_k*M = (t_k*D)*scale
         (n0, o0), *rest = [(nk, sk * scale) for nk, sk in order]
-        o1, o2 = scaled[0] * scale, scaled[i2] * scale
         half = M // 2
         thr = best * M // best_M
-        lo, end = progression.start, half + 1 if halve else M
-        # Window by window, the Y with n1*Y - o1 within thr of k*M, for the
-        # first k (c = o1 + k*M) whose window reaches lo; or the single
-        # window [lo, end) when the windows would outnumber an eighth of the
-        # points.  Within it, the sub-windows of n2 by the same rule, each
-        # reaching first.
-        windowed = 8 * n1 * D <= M
-        windowed2 = 8 * n2 * D <= M
-        while lo < end:
-            first, hi = lo, end
-            if windowed:
-                c = o1 - (o1 + thr - n1 * lo) // M * M
-                first = max(lo, -((thr - c) // n1))
-                first += (progression.start - first) % D
-                hi = min(end, (c + thr) // n1 + 1)
-            while first < hi:
-                sub, sub_hi = first, hi
-                if windowed2:
-                    c = o2 - (o2 + thr - n2 * first) // M * M
-                    sub = max(first, -((thr - c) // n2))
-                    sub += (progression.start - sub) % D
-                    sub_hi = min(hi, (c + thr) // n2 + 1)
-                for Y in range(sub, sub_hi, D):
-                    worst = (n0 * Y - o0) % M
-                    if worst > half:
-                        worst = M - worst
-                    if worst > thr:
-                        continue
-                    for nk, ok in rest:
-                        r = (nk * Y - ok) % M
-                        if r > half:
-                            r = M - r
-                        if r > worst:
-                            worst = r
-                            if worst > thr:
-                                break
-                    else:
-                        if worst * best_M < best * M or Y * best_M < best_Y * M:
-                            best, best_Y, best_M = worst, Y, M
-                            thr = worst
-                first = sub_hi
-            lo = hi
+        for ys in walk(M, progression.start, half + 1 if halve else M):
+            for Y in ys:
+                worst = (n0 * Y - o0) % M
+                if worst > half:
+                    worst = M - worst
+                if worst > thr:
+                    continue
+                for nk, ok in rest:
+                    r = (nk * Y - ok) % M
+                    if r > half:
+                        r = M - r
+                    if r > worst:
+                        worst = r
+                        if worst > thr:
+                            break
+                else:
+                    if worst * best_M < best * M or Y * best_M < best_Y * M:
+                        best, best_Y, best_M = worst, Y, M
+                        thr = worst
     return best, best_Y, best_M, crossings + extrema
 
 

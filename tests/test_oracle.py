@@ -88,7 +88,8 @@ def test_mu_exact_examples():
 @pytest.fixture
 def walks(monkeypatch):
     """The length of every range the oracle iterates, in order: one per
-    sub-window the scan walks.  The progressions _scan builds are never
+    sub-window of the window walk and one per residue of the residue walk,
+    the lifts of that residue.  The progressions _scan builds are never
     iterated, neither by the scan nor by mu_exact's candidate count, which
     reads only their starts and steps, so they add nothing."""
     lengths = []
@@ -109,25 +110,45 @@ def walks(monkeypatch):
 
 
 @pytest.mark.parametrize("triple, points", [
-    ((3, 7, 1001), 140), ((1, 2, 1001), 431), ((2, 5, 1001), 392), ((1, 2, 10001), 4181)],
+    ((3, 7, 1001), 126), ((1, 2, 1001), 428), ((2, 5, 1001), 386), ((1, 2, 10001), 4178)],
     ids=["3-7-1001", "1-2-1001", "2-5-1001", "1-2-10001"])
 def test_verified_row_walks_only_the_windows(walks, triple, points):
-    """The scan walks only the Y whose two smallest frequencies' terms can
-    still tie the incumbent.  One verified row of (3, 7, 1001) visits 140
-    points, 501 in the windows of n_1 alone, of the 4,050 that the whole
-    crossing progressions hold up to x = 1/2; (1, 2, 1001) visits 431 (1,182
-    and 4,022), (2, 5, 1001) 392 (991 and 4,038), and (1, 2, 10001), where
-    mu is large and the n_2 level pays most, 4,181 (11,682 and 40,022).  A
-    window too wide, a threshold never lowered or the plain walk where
-    windows pay changes the count, not the result; on (2, 5, 1001) so does
-    a window of n_1 that starts one Y early."""
+    """The scan walks only the Y whose smallest frequencies' terms can still
+    tie the incumbent: the n-crossings in the windows of n_1 and n_2, the
+    short (a, b) crossing by the residues of n_1.  One verified row of
+    (3, 7, 1001) visits 126 points of the 4,050 that the whole crossing
+    progressions hold up to x = 1/2; (1, 2, 1001) visits 428 of 4,022,
+    (2, 5, 1001) 386 of 4,038, and (1, 2, 10001), where mu is large and the
+    n_2 level pays most, 4,178 of 40,022.  A window too wide, a threshold
+    never lowered, a walk of the wrong kind or residues walked out of order
+    change the count, not the result; on (2, 5, 1001) so does a window of
+    n_1 that starts one Y early."""
     assert cli._row_checks(triple_constants(*triple))
+    assert sum(walks) == points
+
+
+@pytest.mark.parametrize("spectrum, targets, points", [
+    ((12, 30), (HALF, Fraction(0)), 6),
+    ((13, 50, 77, 190), (Fraction(1, 4), Fraction(-2, 3), Fraction(3, 5), Fraction(7, 6)), 224)],
+    ids=["d2", "d4"])
+def test_mu_walks_only_the_residues(walks, spectrum, targets, points):
+    """Off the windows the scan walks each progression by the residue r of
+    n_1's term, outward from 0, and stops past thr.  On (12, 30) at
+    (1/2, 0), M = 84 and g = gcd(12, 42) = 6: the minimum 6/84 lies on the
+    residues 6 and -6, each with 3 lifts up to x = 1/2, so the walk visits
+    those 6 of the 21 points; with d = 2 every crossing's value is its n_1
+    term, so no other point is walked.  The d = 4 problem (D = 60, every
+    pair sum below 8*n_2) visits 224 of its 990 crossing points; residues
+    walked in another order, lifts too many or a stop rule too late change
+    that count."""
+    r = mu_exact(SpectrumProblem(spectrum, targets))
+    assert r == mu_exact_reference(SpectrumProblem(spectrum, targets))
     assert sum(walks) == points
 
 
 def test_windowed_walk_equals_fraction_reference(walks):
     """On acceptance pairs with n from 100 to 1,100 every crossing with n
-    has 8*n_1*D <= M, so the scan walks windows there, fewer points than
+    has 8*n_2*D <= M, so the scan walks windows there, fewer points than
     the plain walk of the crossing progressions.  Binary targets and signed
     general ones, each against the Fraction reference, which shares no code
     with the scan."""
@@ -177,15 +198,29 @@ def _second_level_problem(rng, i):
                            tuple(rand_fraction(rng, 6) + rng.randrange(-1, 2) for _ in range(4)))
 
 
+def _admitted_by_n1(p, progressions, best, best_M):
+    """How many points of the walked progressions have an n_1 term within
+    the minimum best/best_M: every walk must visit each of them."""
+    n1, t1 = p.spectrum[0], p.targets[0]
+    halve = all(t.denominator <= 2 for t in p.targets)
+    count = 0
+    for M, prog in progressions[:math.comb(len(p.spectrum), 2)] or progressions:
+        o1 = t1.numerator * M // t1.denominator
+        for Y in range(prog.start, M // 2 + 1 if halve else M, prog.step):
+            r = (n1 * Y - o1) % M
+            count += min(r, M - r) * best_M <= best * M
+    return count
+
+
 def test_second_level_walk_equals_fraction_reference(walks):
     """Inside each window of n_1 the scan walks only the sub-windows of n_2
     when 8*n_2*D <= M.  On problems where that holds, mu_exact equals the
     Fraction reference, which shares no code with the scan.  The walk also
-    visits fewer points than the windows of n_1 alone would: those hold
-    every point of a progression with 8*n_1*D > M, and elsewhere every point
-    whose n_1 term is within the minimum, since their thr never falls below
-    it.  So only the n_2 level can have skipped some.  A problem of value 0
-    leaves it nothing to skip, so the counts are summed over each kind."""
+    visits fewer points than the points whose n_1 term is within the
+    minimum: the windows of n_1 alone and the residues of n_1 each hold all
+    of those, since their thr never falls below it.  So only the n_2 level
+    can have skipped some.  A problem of value 0 leaves it nothing to skip,
+    so the counts are summed over each kind."""
     rng = random.Random(26)
     walked, admitted = [0] * 4, [0] * 4  # per kind of problem
     for i in range(40):
@@ -193,17 +228,68 @@ def test_second_level_walk_equals_fraction_reference(walks):
         assert mu_exact(p) == mu_exact_reference(p), p
         walks.clear()
         best, _, best_M, progressions = oracle._scan(p.spectrum, p.targets)
-        n1, t1 = p.spectrum[0], p.targets[0]
-        D = math.lcm(*(t.denominator for t in p.targets))
         assert 8 * p.spectrum[1] <= p.spectrum[-2] + p.spectrum[-1], p  # on the largest M
-        halve = all(t.denominator <= 2 for t in p.targets)
-        for M, prog in progressions[:math.comb(len(p.spectrum), 2)]:
-            o1 = t1.numerator * M // t1.denominator
-            for Y in range(prog.start, M // 2 + 1 if halve else M, prog.step):
-                r = (n1 * Y - o1) % M
-                admitted[i % 4] += 8 * n1 * D > M or min(r, M - r) * best_M <= best * M
         walked[i % 4] += sum(walks)
+        admitted[i % 4] += _admitted_by_n1(p, progressions, best, best_M)
     assert all(w < n for w, n in zip(walked, admitted)), (walked, admitted)
+
+
+def _residue_walk_problem(rng, i):
+    """A problem whose every walked progression has 8*n_2*D > M, so that the
+    scan walks each by the residues of n_1: one frequency (its valleys and
+    peaks), a pair, a triple with n_3 < 7*n_2, or a tied input (s, m, c*m)
+    with c < 7 (see tied_problems), at half-integer targets (the walk stops
+    at x = 1/2) or signed general ones.  Every other problem has its
+    spectrum multiplied by f in 2..4, so that gcd(n_1, M/D) > 1 and each
+    residue holds several Y; the other triples have n_1 = 1, one Y each."""
+    kind, f = i % 4, (1, rng.randrange(2, 5))[i // 4 % 2]
+    if kind == 2:
+        m, c, q = rng.randrange(3, 30), rng.randrange(2, 7), rng.randrange(2, 4)
+        t_m = Fraction(rng.randrange(-q, 2 * q), q)
+        t_cm = c * t_m + Fraction(rng.randrange(1, q), q)
+        return SpectrumProblem((f * rng.randrange(1, m), f * m, f * c * m),
+                               (Fraction(rng.randrange(-q, 2 * q), q), t_m, t_cm))
+    n2 = rng.randrange(2, 40)
+    if kind == 0:
+        spectrum = (rng.randrange(1, 60),)
+    elif kind == 1:
+        spectrum = (rng.randrange(1, n2), n2)
+    else:
+        spectrum = (rng.randrange(1, n2) if f > 1 else 1, n2, rng.randrange(n2 + 1, 7 * n2))
+    if i // 8 % 2:
+        targets = tuple(Fraction(rng.randrange(-2, 4), 2) for _ in spectrum)
+    else:
+        targets = tuple(rand_fraction(rng, 12) + rng.randrange(-2, 2) for _ in spectrum)
+    return SpectrumProblem(tuple(f * nj for nj in spectrum), targets)
+
+
+def test_residue_walk_equals_fraction_reference(walks):
+    """Where 8*n_2*D > M the scan walks the residues r of n_1's term
+    outward from 0, each with the Y that one modular inverse gives it.  On
+    problems where every walked progression is walked so, mu_exact equals
+    the Fraction reference, which shares no code with the scan, and the walk
+    visits every point whose n_1 term is within the minimum.  With d <= 2 a
+    point's value is its n_1 term (at a crossing both terms are equal), so
+    there it visits exactly those points and no other."""
+    rng = random.Random(28)
+    kinds = set()
+    for i in range(80):
+        p = _residue_walk_problem(rng, i)
+        assert mu_exact(p) == mu_exact_reference(p), p
+        walks.clear()
+        best, _, best_M, progressions = oracle._scan(p.spectrum, p.targets)
+        D = math.lcm(*(t.denominator for t in p.targets))
+        n1, n2 = p.spectrum[0], p.spectrum[min(1, len(p.spectrum) - 1)]
+        walked = progressions[:math.comb(len(p.spectrum), 2)] or progressions
+        assert all(8 * n2 * D > M for M, _ in walked), p
+        admitted = _admitted_by_n1(p, progressions, best, best_M)
+        assert sum(walks) == admitted if len(p.spectrum) <= 2 else sum(walks) >= admitted, p
+        kinds.add((len(p.spectrum), all(t.denominator <= 2 for t in p.targets),
+                   any(math.gcd(n1, M // D) > 1 for M, _ in walked)))
+    # d = 2 and 3, half-integer or not, with and without several Y a residue;
+    # d = 1 has g = gcd(n_1, 2*n_1) = n_1, several Y a residue unless n_1 = 1
+    assert set(itertools.product((2, 3), (False, True), (False, True))) \
+        | {(1, False, True), (1, True, True)} <= kinds, kinds
 
 
 @pytest.mark.parametrize("a, b", [(1, 2), (3, 7)])
@@ -634,7 +720,7 @@ def test_grid_refuses_oversized_grid_before_building_it(monkeypatch):
         alpha_grid_lower_bound((1, 2, 1000), 316)
     assert 128 ** 2 * candidate_budget((1, 2, 1000)) <= MAX_GRID_WORK
     assert 129 ** 2 * candidate_budget((1, 2, 1000)) > MAX_GRID_WORK
-    # the 1/316 grid stays admitted at n = 100 (3.1-4.8 s measured, Python 3.11, 2-CPU x86)
+    # the 1/316 grid stays admitted at n = 100 (2.4-2.8 s measured, Python 3.11, 2-CPU x86)
     assert 316 ** 2 * candidate_budget((1, 2, 100)) <= MAX_GRID_WORK
 
 

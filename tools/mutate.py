@@ -15,11 +15,13 @@ It prints one line per mutant, then killed/total per file and the
 survivors, and exits 1 when a mutant that is not listed as equivalent
 survives.  Not part of the tier-1 suite, which checks only the table
 (tests/test_mutation_table.py): each mutant costs one run of its test
-modules, up to their first failure (1-8 s each), or TIMEOUT_S for the
-two that hang.
+modules, up to their first failure (1-8 s each).  The tests run under the
+tools/time_limit.py plugin, so a mutant that makes a test loop forever fails
+that test after its LIMIT_S.
 """
 from __future__ import annotations
 
+import os
 import shutil
 import subprocess
 import sys
@@ -28,20 +30,20 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-#: A mutant whose tests run longer than this is counted as killed: a window
-#: of the oracle's walk that ends before the point it starts from never lets
-#: the walk end.  The slowest entry's tests take about 30 s unmutated.
+#: A mutant whose tests run longer than this is counted as killed, a backstop
+#: behind the per-test limit of tools/time_limit.py: a window of the oracle's
+#: walk that ends before the point it starts from never lets the walk end.
+#: The slowest entry's tests take about 30 s unmutated.
 TIMEOUT_S = 120
 
 #: One window of the oracle's walk, and one sub-window within it, from the
 #: choice of k to the bounds, for the mutants of their width.
 _WINDOW = ("c = o1 - (o1 + thr - n1 * lo) // M * M\n"
            "                first = max(lo, -((thr - c) // n1))\n"
-           "                first += (progression.start - first) % D\n"
            "                hi = min(end, (c + thr) // n1 + 1)")
 _SUB_WINDOW = ("c = o2 - (o2 + thr - n2 * first) // M * M\n"
                "                    sub = max(first, -((thr - c) // n2))\n"
-               "                    sub += (progression.start - sub) % D\n"
+               "                    sub += (start - sub) % D\n"
                "                    sub_hi = min(hi, (c + thr) // n2 + 1)")
 
 #: source file -> (its test modules, [(name, old, new)]): each ``old``
@@ -56,16 +58,16 @@ MUTANTS = {
          "if worst * M < best * best_M or"),
         ("threshold-rounded-up", "thr = best * M // best_M", "thr = -(-best * M // best_M)"),
         ("drop-threshold-refresh",
-         "best_Y, best_M = worst, Y, M\n                            thr = worst",
+         "best_Y, best_M = worst, Y, M\n                        thr = worst",
          "best_Y, best_M = worst, Y, M"),
         ("half-integer-test-thirds", "t.denominator <= 2 for", "t.denominator <= 3 for"),
         ("half-integer-test-integers", "t.denominator <= 2 for", "t.denominator < 2 for"),
         ("half-range-excludes-midpoint", "half + 1 if halve else M", "half if halve else M"),
-        ("halve-every-target", "if halve else M\n", "if halve else half + 1\n"),
-        ("prune-first-term-on-ties", "if worst > thr:\n                        continue",
-         "if worst >= thr:\n                        continue"),
-        ("prune-other-terms-on-ties", "if worst > thr:\n                                break",
-         "if worst >= thr:\n                                break"),
+        ("halve-every-target", "if halve else M)", "if halve else half + 1)"),
+        ("prune-first-term-on-ties", "if worst > thr:\n                    continue",
+         "if worst >= thr:\n                    continue"),
+        ("prune-other-terms-on-ties", "if worst > thr:\n                            break",
+         "if worst >= thr:\n                            break"),
         ("crossing-start-plus-1", "range((si + sj) % D,", "range((si + sj) % D + 1,"),
         ("crossing-start-minus-1", "range((si + sj) % D,", "range((si + sj) % D - 1,"),
         ("valley-start-plus-1", "range(2 * sj % D,", "range(2 * sj % D + 1,"),
@@ -75,7 +77,8 @@ MUTANTS = {
         ("drop-last-valley-progression", "for nj, sj in zip(spectrum, scaled)]",
          "for nj, sj in zip(spectrum[:-1], scaled[:-1])]"),
         ("offset-scaled-by-D", "(nk, sk * scale)", "(nk, sk * D)"),
-        ("window-offset-unscaled", "o1, o2 = scaled[0] * scale,", "o1, o2 = scaled[0],"),
+        ("walk-rule-inverted", "if 8 * n2 * D <= M:", "if 8 * n2 * D > M:"),
+        ("window-offset-unscaled", "o1 = scaled[0] * m", "o1 = scaled[0]"),
         ("window-first-k-plus-1", "c = o1 - (o1 + thr - n1 * lo) // M * M",
          "c = o1 - (o1 + thr - n1 * lo) // M * M + M"),
         ("window-start-plus-1", "first = max(lo, -((thr - c) // n1))",
@@ -87,11 +90,7 @@ MUTANTS = {
          "hi = min(end, -(-(c + thr) // n1) + 1)"),
         ("window-width-thr-minus-1", _WINDOW, _WINDOW.replace("thr", "(thr - 1)")),
         ("window-width-thr-plus-1", _WINDOW, _WINDOW.replace("thr", "(thr + 1)")),
-        ("window-residue-dropped", "\n                first += (progression.start - first) % D", ""),
-        ("window-rule-inverted", "windowed = 8 * n1 * D <= M", "windowed = 8 * n1 * D > M"),
-        ("always-windowed", "windowed = 8 * n1 * D <= M", "windowed = True"),
-        ("never-windowed", "windowed = 8 * n1 * D <= M", "windowed = False"),
-        ("sub-window-offset-unscaled", ", scaled[i2] * scale", ", scaled[i2]"),
+        ("sub-window-offset-unscaled", "o2 = scaled[i2] * m", "o2 = scaled[i2]"),
         ("sub-window-first-k-plus-1", "c = o2 - (o2 + thr - n2 * first) // M * M",
          "c = o2 - (o2 + thr - n2 * first) // M * M + M"),
         ("sub-window-start-plus-1", "sub = max(first, -((thr - c) // n2))",
@@ -104,11 +103,15 @@ MUTANTS = {
          "sub_hi = min(hi, -(-(c + thr) // n2) + 1)"),
         ("sub-window-width-thr-minus-1", _SUB_WINDOW, _SUB_WINDOW.replace("thr", "(thr - 1)")),
         ("sub-window-width-thr-plus-1", _SUB_WINDOW, _SUB_WINDOW.replace("thr", "(thr + 1)")),
-        ("sub-window-residue-dropped", "\n                    sub += (progression.start - sub) % D",
-         ""),
-        ("sub-window-rule-inverted", "windowed2 = 8 * n2 * D <= M", "windowed2 = 8 * n2 * D > M"),
-        ("always-sub-windowed", "windowed2 = 8 * n2 * D <= M", "windowed2 = True"),
-        ("never-sub-windowed", "windowed2 = 8 * n2 * D <= M", "windowed2 = False"),
+        ("sub-window-residue-dropped", "\n                    sub += (start - sub) % D", ""),
+        ("residue-class-step-D", "step, lift, period = D * g,", "step, lift, period = D,"),
+        ("residue-lifts-step-D", "lift, period = D * g, M // g,", "lift, period = D * g, D,"),
+        ("residue-inverse-dropped", "* inverse % period", "% period"),
+        ("residue-c0-negated", "c0 = n1 * start - o1", "c0 = o1 - n1 * start"),
+        ("residue-stop-drops-ties", "if abs(r) > thr or", "if abs(r) >= thr or"),
+        ("residue-stop-late", "if abs(r) > thr or", "if abs(r) > thr + 1 or"),
+        ("residue-tie-negative-first", "if pos <= -neg:", "if pos < -neg:"),
+        ("residue-walk-one-side", "if pos <= -neg:", "if True:"),
         ("walk-crossings-only", "in crossings or extrema:", "in crossings:"),
         ("walk-extrema-only", "in crossings or extrema:", "in extrema:"),
         ("walk-extrema-too", "in crossings or extrema:", "in crossings + extrema:"),
@@ -187,8 +190,9 @@ MUTANTS = {
 
 #: Mutants that change no result, with the reason.  Those that change only
 #: the oracle's work (a wider window, a stale thr, more progressions or
-#: points walked) are not listed: tests/test_oracle.py pins the points one
-#: verified row walks, which kills them.
+#: points walked, residues walked in another order) are not listed:
+#: tests/test_oracle.py pins the points that four verified rows and two mu
+#: problems walk, which kills them.
 EQUIVALENT = {
     "half-table-shift-subtracted":
         "S - (a+b) and S + (a+b) are the same residue mod 2(a+b)",
@@ -211,11 +215,14 @@ def run_mutant(path: Path, tests: tuple[str, ...], name: str, old: str, new: str
         for file in ("pyproject.toml", "README.md"):
             shutil.copy(ROOT / file, copy)
         (copy / path).write_text(source.replace(old, new))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(ROOT / "tools"), os.environ.get("PYTHONPATH")]))}
         start = time.perf_counter()
         try:
             proc = subprocess.run(
-                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
-                cwd=copy, capture_output=True, timeout=TIMEOUT_S)
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                 "-p", "time_limit", *tests],
+                cwd=copy, env=env, capture_output=True, timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
             return True, time.perf_counter() - start
         return proc.returncode != 0, time.perf_counter() - start
