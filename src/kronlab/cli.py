@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
 from dataclasses import dataclass, fields as dataclass_fields, is_dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Sequence
 
 from .closed_form import (TripleConstants, canonical_binary_pair,
@@ -189,27 +189,62 @@ def _rational(key: str, label: str, q: Fraction, precision: int) -> tuple[dict, 
     return {key: q}, f"{label} = {_fmt(q, precision)}"
 
 
+def _json(value, precision: int, indent: str = "\n") -> str:
+    """JSON text of an exact report value, byte for byte what the standard
+    library's encoder writes with indent=2 and ASCII escaping; ``indent`` is
+    the newline and indentation that precede the value's closing bracket.
+
+    Dispatches on the exact type: str (through json's ASCII escaper), int,
+    bool and None as themselves; a Fraction as rational_to_json at
+    ``precision``; a dataclass as its fields in order; a dict (str keys),
+    list or tuple two spaces deeper per level, "{}" or "[]" when empty.
+    Raises TypeError on anything else, a float or a set included."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    if kind is Fraction:
+        value, kind = rational_to_json(value, precision), dict
+    elif is_dataclass(kind):
+        value, kind = vars(value), dict
+    inner = indent + "  "
+    sep = "," + inner
+    if kind is dict:
+        if not value:
+            return "{}"
+        return "{" + inner + sep.join([f"{encode_basestring_ascii(key)}: "
+                                       f"{_json(item, precision, inner)}"
+                                       for key, item in value.items()]) + indent + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        return "[" + inner + sep.join([_json(item, precision, inner)
+                                       for item in value]) + indent + "]"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def _report(args, fields: list[tuple[dict, str]]) -> None:
     """Emit a command's report from its ordered fields, each a pair of JSON
     items and text lines: with --json the items merged into one object,
     otherwise the lines.
 
     This is the one place a report is serialized.  The JSON items hold
-    exact values; the encoder renders each Fraction as rational_to_json at
-    --precision and each dataclass as its fields in order, and refuses
-    anything else JSON has no form for."""
+    exact values, and _json writes them in one pass: each Fraction as
+    rational_to_json at --precision, each dataclass as its fields in order,
+    in the standard library's indent=2 layout, refusing anything else JSON
+    has no form for."""
     if args.json:
-        def render(value):
-            if isinstance(value, Fraction):
-                return rational_to_json(value, args.precision)
-            if is_dataclass(value):
-                return vars(value)
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
         doc = {}
         for items, _ in fields:
             doc.update(items)
-        _emit(json.dumps(doc, indent=2, default=render) + "\n", args.out)
+        _emit(_json(doc, args.precision) + "\n", args.out)
     else:
         _emit("".join(f"{line}\n" for _, line in fields), args.out)
 
@@ -302,7 +337,9 @@ def worker_count(jobs: int, tasks: int) -> int:
     the task count and the CPU count.  Raises ValueError when jobs < 1."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    return min(jobs, tasks, os.cpu_count() or 1)
+    workers = min(jobs, tasks)
+    # below 2 the CPU count cannot lower it
+    return workers if workers < 2 else min(workers, os.cpu_count() or 1)
 
 
 def parallel_map(fn: Callable, work: Sequence[tuple], jobs: int) -> list:

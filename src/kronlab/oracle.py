@@ -148,7 +148,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact_arith import HALF, _checked_spectrum, _checked_target, nearest_int
+from .exact_arith import HALF, _checked_spectrum, _checked_target, _nearest_ratio
 
 #: mu_exact refuses spectra whose candidate_budget exceeds this, before it
 #: allocates anything: d = 3 admits n up to about 110000.
@@ -263,7 +263,8 @@ def _scan(spectrum: tuple[int, ...], targets: tuple[Fraction, ...]
             # Window by window, the Y with n1*Y - o1 within thr of k*M, for
             # the first k (c = o1 + k*M) whose window reaches lo; within it,
             # the sub-windows of n2 by the same rule, each reaching first and
-            # aligned to the residue (which aligns the window of n1 too).
+            # aligned to the residue (which aligns the window of n1 too); a
+            # sub-window that holds no point of the residue is not handed on.
             o2 = scaled[i2] * m
             lo = start
             while lo < end:
@@ -275,7 +276,8 @@ def _scan(spectrum: tuple[int, ...], targets: tuple[Fraction, ...]
                     sub = max(first, -((thr - c) // n2))
                     sub += (start - sub) % D
                     sub_hi = min(hi, (c + thr) // n2 + 1)
-                    yield range(sub, sub_hi, D)
+                    if sub < sub_hi:
+                        yield range(sub, sub_hi, D)
                     first = sub_hi
                 lo = hi
             return
@@ -327,17 +329,22 @@ def mu_exact(p: SpectrumProblem) -> OracleResult:
     """Exact minimum of x -> max_j <n_j*x - t_j> over x in [0, 1).
 
     Ties broken toward the smallest x_star, then the lexicographically
-    smallest k_star (nearest integers, halves rounding down).
-    candidates_examined counts the distinct candidates, coset by coset and
-    without iterating any of them.  Raises ValueError when
-    candidate_budget(spectrum) exceeds MAX_CANDIDATE_BUDGET.
+    smallest k_star (nearest integers, halves rounding down).  k_star comes
+    from the scan's integers: with x_star = Y/M and t_j = p_j/q_j,
+    n_j*x_star - t_j = (n_j*Y*q_j - p_j*M)/(M*q_j), and k_j is
+    _nearest_ratio of that numerator and denominator, the nearest_int of
+    n_j*x_star - t_j without Fraction arithmetic.  candidates_examined
+    counts the distinct candidates, coset by coset and without iterating
+    any of them.  Raises ValueError when candidate_budget(spectrum) exceeds
+    MAX_CANDIDATE_BUDGET.
     """
     spectrum, targets = p.spectrum, p.targets
     best, best_Y, best_M, progressions = _scan(spectrum, targets)
-    x_star = Fraction(best_Y, best_M)
-    k_star = tuple(nearest_int(nj * x_star - tj) for nj, tj in zip(spectrum, targets))
-    return OracleResult(value=Fraction(best, best_M), x_star=x_star, k_star=k_star,
-                        candidates_examined=_distinct_count(progressions))
+    k_star = tuple(_nearest_ratio(nj * best_Y * tj.denominator - tj.numerator * best_M,
+                                  best_M * tj.denominator)[0]
+                   for nj, tj in zip(spectrum, targets))
+    return OracleResult(value=Fraction(best, best_M), x_star=Fraction(best_Y, best_M),
+                        k_star=k_star, candidates_examined=_distinct_count(progressions))
 
 
 def _distinct_count(progressions: list[tuple[int, range]]) -> int:

@@ -6,7 +6,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -255,6 +255,24 @@ def test_worker_count_refuses_below_one_and_clamps():
     for jobs in (0, -3):
         with pytest.raises(ValueError, match=str(jobs)):
             worker_count(jobs, 10)
+
+
+def test_worker_count_asks_for_the_cpu_count_only_above_one_worker(capsys, monkeypatch):
+    """Below two workers the CPU count cannot lower the count, so neither
+    worker_count nor a one-row sweep asks for it."""
+    def no_cpu_count():
+        raise AssertionError("os.cpu_count was called")
+
+    monkeypatch.setattr(os, "cpu_count", no_cpu_count)
+    assert worker_count(1, 5) == 1
+    assert worker_count(4, 1) == 1
+    with pytest.raises(ValueError, match="at least 1"):
+        worker_count(0, 5)
+    code, out, _ = run(capsys, "sweep", "1", "2", "--from", "100", "--to", "100", "--verify")
+    golden = Path(__file__).parent / "golden" / "sweep-one-row-verify-csv.out"
+    assert code == 0 and out == golden.read_text(encoding="utf-8")
+    with pytest.raises(AssertionError, match="cpu_count"):
+        worker_count(4, 5)
 
 
 def test_sweep_refuses_oversized_range(capsys, monkeypatch):
@@ -526,6 +544,72 @@ def test_serialization_round_trips(q):
     d = rational_to_json(q)
     assert Fraction(int(d["num"]), int(d["den"])) == q
     assert Fraction(rational_to_csv(q)) == q
+
+
+def _reference_render(precision):
+    """The encoder hook the JSON writer replaced: json.dumps(doc, indent=2,
+    default=_reference_render(precision)) wrote every report before it."""
+    def render(value):
+        if isinstance(value, Fraction):
+            return rational_to_json(value, precision)
+        if is_dataclass(value):
+            return vars(value)
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return render
+
+
+#: strings that need escaping: quotes, backslashes, control characters,
+#: non-ASCII inside and beyond the basic plane
+_ESCAPED = ['', 'a"b', "back\\slash", "tab\tnew\nline\r", "\x00\x1f\x7f", "caf\u00e9",
+            "\u2264 E_n", "\U0001f600", "\u2028", "/"]
+
+
+def _random_document(rng, depth):
+    """A random report-like value: containers to depth 4, empty ones among
+    them, and every scalar kind a report holds."""
+    kind = rng.randrange(12 if depth < 4 else 7)
+    if kind == 0:
+        return rng.choice(_ESCAPED) + "".join(chr(rng.randrange(0, 0x3000))
+                                              for _ in range(rng.randrange(4)))
+    if kind == 1:
+        return rng.choice([-1, 1]) * rng.randrange(2 ** rng.choice([3, 40, 70, 200]))
+    if kind == 2:
+        return rng.choice([True, False, None])
+    if kind in (3, 4):
+        return Fraction(rng.randrange(-10**30, 10**30), rng.randrange(1, 10**rng.randrange(1, 25)))
+    if kind == 5:
+        return SweepRow(a=1, b=2, n=rng.randrange(3, 10**6), r=0, R=1, S=2,
+                        alpha=Fraction(1, 3), beta=Fraction(-2, 7), ln=Fraction(5, 11),
+                        gap=rng.random() < 0.5, verified=UNVERIFIED)
+    if kind == 6:
+        return Certificate(x_star=Fraction(-1, 24), k=(0, 0, -1), cost=Fraction(5, 24),
+                           method="small-lambda", negated=rng.random() < 0.5)
+    size = rng.choice([0, 1, 2, 3, 5])
+    items = [_random_document(rng, depth + 1) for _ in range(size)]
+    if kind in (7, 8):
+        keys = [rng.choice(_ESCAPED) + str(i) for i in range(size)]
+        return dict(zip(keys, items))
+    return items if kind in (9, 10) else tuple(items)
+
+
+def test_json_writer_writes_the_bytes_of_the_encoder_it_replaced():
+    """cli._json writes what json.dumps(indent=2) with the old hook wrote, on
+    random nested documents, at the default precision and at 1 and 60."""
+    rng = random.Random(29)
+    for _ in range(400):
+        doc = {"doc": _random_document(rng, 0), "more": _random_document(rng, 1)}
+        precision = rng.choice([1, 12, 60])
+        assert cli._json(doc, precision) == json.dumps(
+            doc, indent=2, default=_reference_render(precision)), doc
+    for empty in ({}, [], (), {"a": {}, "b": [[]]}):
+        assert cli._json(empty, 12) == json.dumps(empty, indent=2)
+    for bad in ({1, 2}, [frozenset()], {"x": {"y": {1}}}, 1.5, [0.25]):
+        with pytest.raises(TypeError):
+            cli._json(bad, 12)
+    # The old encoder refuses a set too.  It wrote a float, which no report
+    # holds (tests/test_no_floats.py); the writer refuses it.
+    with pytest.raises(TypeError):
+        json.dumps({1, 2}, indent=2, default=_reference_render(12))
 
 
 def test_decimal_rendering_half_even_and_precision():

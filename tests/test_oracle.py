@@ -109,10 +109,11 @@ def walks(monkeypatch):
     return lengths
 
 
-@pytest.mark.parametrize("triple, points", [
-    ((3, 7, 1001), 126), ((1, 2, 1001), 428), ((2, 5, 1001), 386), ((1, 2, 10001), 4178)],
+@pytest.mark.parametrize("triple, points, ranges", [
+    ((3, 7, 1001), 126, 20), ((1, 2, 1001), 428, 15), ((2, 5, 1001), 386, 25),
+    ((1, 2, 10001), 4178, 15)],
     ids=["3-7-1001", "1-2-1001", "2-5-1001", "1-2-10001"])
-def test_verified_row_walks_only_the_windows(walks, triple, points):
+def test_verified_row_walks_only_the_windows(walks, triple, points, ranges):
     """The scan walks only the Y whose smallest frequencies' terms can still
     tie the incumbent: the n-crossings in the windows of n_1 and n_2, the
     short (a, b) crossing by the residues of n_1.  One verified row of
@@ -122,9 +123,12 @@ def test_verified_row_walks_only_the_windows(walks, triple, points):
     n_2 level pays most, 4,178 of 40,022.  A window too wide, a threshold
     never lowered, a walk of the wrong kind or residues walked out of order
     change the count, not the result; on (2, 5, 1001) so does a window of
-    n_1 that starts one Y early."""
+    n_1 that starts one Y early.  The ranges handed to the evaluation loop
+    are pinned too: a sub-window that holds no point is not one of them, so
+    (3, 7, 1001) hands over 20 ranges where 33 were built."""
     assert cli._row_checks(triple_constants(*triple))
     assert sum(walks) == points
+    assert len(walks) == ranges
 
 
 @pytest.mark.parametrize("spectrum, targets, points", [

@@ -126,6 +126,9 @@ MUTANTS = {
         ("binary-keep-half-member", "if i <= i ^ toggle:", "if i >= i ^ toggle:"),
         ("binary-last-odd-index", "if i <= i ^ toggle:", "if not i & toggle & -toggle:"),
         ("binary-no-filter", "if i <= i ^ toggle:", "if True:"),
+        ("k-star-numerator-drops-q", "nj * best_Y * tj.denominator -", "nj * best_Y -"),
+        ("k-star-denominator-drops-q", "best_M * tj.denominator)[0]", "best_M)[0]"),
+        ("k-star-takes-distance", "tj.denominator)[0]", "tj.denominator)[1]"),
     ]),
     Path("src/kronlab/closed_form.py"): (("tests/test_closed_form.py",), [
         ("type-1-drops-top-row", "if s in (0, 1, 2 * m - 1):", "if s in (0, 1):"),
@@ -185,6 +188,17 @@ MUTANTS = {
         ("bezout-order-swapped", "g, h = bezout_coprime(a, b)", "h, g = bezout_coprime(a, b)"),
         ("m-rounds-down", "m = _nearest_ratio(*_pair_residue(p))[0]",
          "m = _pair_residue(p)[0] // _pair_residue(p)[1]"),
+    ]),
+    Path("src/kronlab/cli.py"): (("tests/test_cli.py", "tests/test_golden.py"), [
+        ("json-indent-1-space", 'inner = indent + "  "', 'inner = indent + " "'),
+        ("json-item-separator-space", 'sep = "," + inner', 'sep = ", " + inner'),
+        ("json-strings-unescaped", "return encode_basestring_ascii(value)",
+         """return '"' + value + '"'"""),
+        ("json-empty-dict-split", 'return "{}"', 'return "{\\n}"'),
+        ("json-bool-python-literal", 'is True:\n        return "true"',
+         'is True:\n        return "True"'),
+        ("json-rational-default-precision", "rational_to_json(value, precision), dict",
+         "rational_to_json(value), dict"),
     ]),
 }
 
