@@ -29,7 +29,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields as dataclass_fields, is_dataclass
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Context
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Sequence
@@ -91,10 +91,7 @@ def decimal_approx(q: Fraction, precision: int = DEFAULT_PRECISION) -> str:
 
     Display only; callers must never compare these strings numerically.
     """
-    with localcontext() as ctx:
-        ctx.prec = precision
-        ctx.rounding = ROUND_HALF_EVEN
-        return str(Decimal(q.numerator) / Decimal(q.denominator))
+    return str(Context(prec=precision, rounding=ROUND_HALF_EVEN).divide(q.numerator, q.denominator))
 
 
 def rational_to_json(q: Fraction, precision: int = DEFAULT_PRECISION) -> dict:

@@ -37,12 +37,6 @@ def _nearest_ratio(num: int, den: int) -> tuple[int, int]:
     return k, r
 
 
-def nearest_int(u: Fraction) -> int:
-    """Integer nearest to ``u``; exact half-integers round down."""
-    u = _checked_target(u)
-    return _nearest_ratio(u.numerator, u.denominator)[0]
-
-
 def _checked_spectrum(spectrum: Sequence[int]) -> tuple[int, ...]:
     """The spectrum as a tuple, if it is strictly increasing positive ints."""
     spectrum = tuple(spectrum)

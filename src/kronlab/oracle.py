@@ -78,7 +78,9 @@ Y = s + D*k_0 + l*M/g, l in [0, g), whose n_1 term is |r|/M.  So the scan
 takes one gcd and one modular inverse per progression, then walks the
 members of the class in (-M/2, M/2], each once, outward from 0 in
 increasing |r| (the nonnegative one first on a tie), each with its lifts
-below the end.  It stops at the first r with |r| > thr, since every later
+below the end; a member whose first lift is not below the end holds no
+point and is not handed on (under halving, one of r and -r usually has
+none).  It stops at the first r with |r| > thr, since every later
 r is at least as far out and thr only falls, or at the first r outside
 (-M/2, M/2], whose points were walked already.  So it walks exactly the
 points whose n_1 term is within the thr in force, about 2*mu of the
@@ -282,7 +284,8 @@ def _scan(spectrum: tuple[int, ...], targets: tuple[Fraction, ...]
                 lo = hi
             return
         # Residue by residue, r = n1*Y - o1 in the class c0 + D*g*Z, from
-        # the members nearest 0 outward, each with the Y of its lifts.
+        # the members nearest 0 outward, each with the Y of its lifts, when
+        # the first of them lies below end.
         g = math.gcd(n1, m)
         step, lift, period = D * g, M // g, m // g
         inverse = pow(n1 // g, -1, period)
@@ -296,7 +299,9 @@ def _scan(spectrum: tuple[int, ...], targets: tuple[Fraction, ...]
                 r, neg = neg, neg - step
             if abs(r) > thr or not -M < 2 * r <= M:
                 return
-            yield range(start + (r - c0) // step * inverse % period * D, end, lift)
+            first = start + (r - c0) // step * inverse % period * D
+            if first < end:
+                yield range(first, end, lift)
 
     for M, progression in crossings or extrema:
         scale = M // D  # t_k*M = (t_k*D)*scale
@@ -332,11 +337,11 @@ def mu_exact(p: SpectrumProblem) -> OracleResult:
     smallest k_star (nearest integers, halves rounding down).  k_star comes
     from the scan's integers: with x_star = Y/M and t_j = p_j/q_j,
     n_j*x_star - t_j = (n_j*Y*q_j - p_j*M)/(M*q_j), and k_j is
-    _nearest_ratio of that numerator and denominator, the nearest_int of
-    n_j*x_star - t_j without Fraction arithmetic.  candidates_examined
-    counts the distinct candidates, coset by coset and without iterating
-    any of them.  Raises ValueError when candidate_budget(spectrum) exceeds
-    MAX_CANDIDATE_BUDGET.
+    _nearest_ratio of that numerator and denominator: the integer nearest
+    n_j*x_star - t_j, halves rounding down, without Fraction arithmetic.
+    candidates_examined counts the distinct candidates, coset by coset and
+    without iterating any of them.  Raises ValueError when
+    candidate_budget(spectrum) exceeds MAX_CANDIDATE_BUDGET.
     """
     spectrum, targets = p.spectrum, p.targets
     best, best_Y, best_M, progressions = _scan(spectrum, targets)
@@ -393,34 +398,6 @@ def check_candidate_budget(spectrum: Sequence[int]) -> None:
                          f"above the limit of {MAX_CANDIDATE_BUDGET}")
 
 
-def _binary_targets(spectrum):
-    """The binary targets beta_exact evaluates, each with its toggled twin:
-    (t, twin) for the t with t_j = 0 at the first odd frequency n_j, in
-    lexicographic order, or (t, t) for all 2^d when every n_j is even.
-
-    The skipped half costs the same.  Toggle a binary t, replacing t_j by
-    1/2 - t_j at every odd n_j.  For odd n_j,
-    n_j*(x + 1/2) - (1/2 - t_j) = n_j*x + t_j + (n_j - 1)/2, and for even
-    n_j, n_j*(x + 1/2) - t_j = n_j*x - t_j + n_j/2: integer shifts either
-    way.  Since 2*t_j is an integer, <n_j*x + t_j> = <n_j*x - t_j>.  So the
-    toggled target's F at x + 1/2 is F at x, and both have the same minimum.
-    Of each toggling pair the lexicographically smaller member is kept: the
-    one with t_j = 0 at the first odd n_j, where the pair differs.  So
-    beta_exact's tie rule picks the same argmax from both members as from
-    the kept one alone.
-
-    Target i of the lexicographic order has t_j = 1/2 exactly where bit
-    d-1-j of i is set (bit k belongs to the k-th frequency from the end), so
-    its twin is target i ^ toggle, toggle holding the bits of the odd n_j,
-    and i is kept when i <= i ^ toggle.
-    """
-    targets = list(itertools.product((Fraction(0), HALF), repeat=len(spectrum)))
-    toggle = sum(1 << k for k, nj in enumerate(reversed(spectrum)) if nj % 2)
-    for i, t in enumerate(targets):
-        if i <= i ^ toggle:
-            yield t, targets[i ^ toggle]
-
-
 def _mu_value_at(spectrum, t):
     """mu_exact value at t for a checked spectrum and Fraction targets,
     without the x_star, k_star and candidate count mu_exact derives."""
@@ -436,34 +413,47 @@ def mu_value(spectrum: Sequence[int], targets: Sequence) -> Fraction:
     return _mu_value_at(*_checked_problem(spectrum, targets))
 
 
-def _reduce_max(pairs):
-    """Order-independent max; ties keep the lexicographically smallest target."""
-    best_t, best_v = None, None
-    for t, v in pairs:
-        if best_v is None or v > best_v or (v == best_v and t < best_t):
-            best_t, best_v = t, v
-    return best_v, best_t
-
-
 def binary_values(spectrum: Sequence[int]) -> dict[tuple[Fraction, ...], Fraction]:
-    """mu_exact value at each of the 2^d binary targets, keyed by target,
-    from one scan per toggling pair: the twin of each scanned target gets
-    its value (see _binary_targets)."""
+    """mu_exact value at each of the 2^d binary targets, keyed by target, the
+    keys in lexicographic order, from one scan per toggling pair.
+
+    Toggle a binary t, replacing t_j by 1/2 - t_j at every odd n_j.  For
+    odd n_j, n_j*(x + 1/2) - (1/2 - t_j) = n_j*x + t_j + (n_j - 1)/2, and for
+    even n_j, n_j*(x + 1/2) - t_j = n_j*x - t_j + n_j/2: integer shifts
+    either way.  Since 2*t_j is an integer, <n_j*x + t_j> = <n_j*x - t_j>.
+    So the toggled target's F at x + 1/2 is F at x, and both have the same
+    minimum: of each toggling pair only the lexicographically smaller member
+    is scanned, the one with t_j = 0 at the first odd n_j, and every target
+    is scanned when all n_j are even.
+
+    Target i of the lexicographic order has t_j = 1/2 exactly where bit
+    d-1-j of i is set (bit k belongs to the k-th frequency from the end), so
+    its twin is target i ^ toggle, toggle holding the bits of the odd n_j,
+    and i is scanned when i <= i ^ toggle.  The values are filled by index
+    and the keys follow the lexicographic order, so a max over them that
+    keeps the first of equal values keeps the smallest target.
+    """
     spectrum = _checked_spectrum(spectrum)
     if len(spectrum) > MAX_BINARY_SIZE:
         raise ValueError(
             f"|S| = {len(spectrum)} exceeds MAX_BINARY_SIZE = {MAX_BINARY_SIZE}")
-    values = {}
-    for t, twin in _binary_targets(spectrum):
-        values[t] = values[twin] = _mu_value_at(spectrum, t)
-    return values
+    targets = list(itertools.product((Fraction(0), HALF), repeat=len(spectrum)))
+    toggle = sum(1 << k for k, nj in enumerate(reversed(spectrum)) if nj % 2)
+    values = [None] * len(targets)
+    for i, t in enumerate(targets):
+        if i <= i ^ toggle:
+            values[i] = values[i ^ toggle] = _mu_value_at(spectrum, t)
+    return dict(zip(targets, values))
 
 
 def beta_exact(spectrum: Sequence[int]) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Exhaustive binary Kronecker constant: max of mu_exact over {0, 1/2}^d,
     ties to the lexicographically smallest target, from one scan per
-    toggling pair of equal cost."""
-    return _reduce_max(binary_values(spectrum).items())
+    toggling pair of equal cost.  max keeps the first of equal values, and
+    binary_values' keys come in lexicographic order."""
+    values = binary_values(spectrum)
+    argmax = max(values, key=values.__getitem__)
+    return values[argmax], argmax
 
 
 def alpha_grid_lower_bound(spectrum: Sequence[int], D: int
@@ -494,4 +484,6 @@ def alpha_grid_lower_bound(spectrum: Sequence[int], D: int
     steps = [Fraction(i, D) for i in range(D)]
     targets = ((Fraction(0),) + rest
                for rest in itertools.product(steps, repeat=len(spectrum) - 1))
-    return _reduce_max((t, _mu_value_at(spectrum, t)) for t in targets)
+    # targets come in lexicographic order and max keeps the first of equal
+    # values, so a tie goes to the smallest target
+    return max(((_mu_value_at(spectrum, t), t) for t in targets), key=lambda vt: vt[0])

@@ -5,16 +5,22 @@ Candidates are the same three families as in ``kronlab.oracle`` (balanced
 crossings, valleys, peaks), built and evaluated as Fractions.  The
 nearest-integer distance <u> and the angular norm max_j <v_j> are defined
 here, in Fractions, for every test that checks a cost against them; the
-package computes both in integers and exports neither.
+package computes both in integers and exports neither.  So is the nearest
+integer, halves rounding down, which the package computes only as
+``exact_arith._nearest_ratio`` of a numerator and a denominator.
 """
 import itertools
 import math
 from fractions import Fraction
 
-from kronlab.exact_arith import nearest_int
 from kronlab.oracle import OracleResult, SpectrumProblem
 
 HALF = Fraction(1, 2)
+
+
+def nearest_int(u: Fraction) -> int:
+    """The integer nearest to u; exact half-integers round down."""
+    return math.ceil(u - HALF)
 
 
 def nearest_int_distance(u: Fraction) -> Fraction:

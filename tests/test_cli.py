@@ -1,4 +1,5 @@
 import argparse
+import decimal
 import json
 import math
 import os
@@ -618,6 +619,34 @@ def test_decimal_rendering_half_even_and_precision():
     assert decimal_approx(Fraction(3, 8), 2) == "0.38"   # 0.375 rounds half-even
     assert decimal_approx(Fraction(1, 3), 5) == "0.33333"
     assert rational_to_json(Fraction(17, 101))["approx"].startswith("0.168316831683"[:12])
+
+
+def _reference_decimal_approx(q, precision):
+    """decimal_approx as it was written before it built its own Context: a
+    Decimal division in a localcontext of the caller's context."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = precision
+        ctx.rounding = decimal.ROUND_HALF_EVEN
+        return str(decimal.Decimal(q.numerator) / decimal.Decimal(q.denominator))
+
+
+def test_decimal_approx_matches_the_localcontext_rendering():
+    """Seeded rationals of every sign, zero, integers and numerators above
+    2^64, byte for byte against the localcontext rendering."""
+    rng = random.Random(30)
+    fixed = [Fraction(0), Fraction(7), Fraction(-7), Fraction(-1, 3), Fraction(2**64 + 1),
+             Fraction(-(2**70) - 3, 2**64 + 13), Fraction(1, 4), Fraction(-5, 2), Fraction(-3, 8)]
+    rationals = fixed + [
+        Fraction(rng.choice((-1, 1)) * rng.randrange(0, 2**rng.choice((4, 20, 66, 130))),
+                 rng.choice((1, rng.randrange(1, 10**6), rng.randrange(1, 2**80))))
+        for _ in range(300)]
+    for precision in (1, 12, 60):
+        for q in rationals:
+            assert decimal_approx(q, precision) == _reference_decimal_approx(q, precision), \
+                (q, precision)
+    for q in fixed + rationals[-5:]:
+        assert decimal_approx(q, cli.MAX_PRECISION) \
+            == _reference_decimal_approx(q, cli.MAX_PRECISION), q
 
 
 def test_csv_form_always_carries_denominator():

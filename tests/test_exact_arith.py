@@ -6,12 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kronlab.closed_form import alpha_formula, triple_constants
-from kronlab.exact_arith import (MAX_EXPONENT_DIGITS, _checked_target, _nearest_ratio,
-                                 bezout_coprime, nearest_int)
+from kronlab.exact_arith import (MAX_EXPONENT_DIGITS, _checked_coprime, _checked_spectrum,
+                                 _checked_target, _nearest_ratio, bezout_coprime)
 from kronlab.greedy_triple import TripleProblem, certificate_at, modify, z_windows
 from kronlab.oracle import alpha_grid_lower_bound
 from kronlab.pair_solver import PairProblem, best_pair_approx
-from oracle_reference import angular_norm, nearest_int_distance
+from oracle_reference import angular_norm, nearest_int, nearest_int_distance
 
 fractions_st = st.fractions(min_value=-20, max_value=20, max_denominator=997)
 
@@ -43,8 +43,6 @@ def test_nearest_int_distance_examples():
     pytest.param(lambda: certificate_at(_P, 0.1, "oracle"), id="certificate-float-point"),
     pytest.param(lambda: certificate_at(_P, False, "oracle"), id="certificate-bool-point"),
     pytest.param(lambda: modify(_BA, 0.25, _P), id="modify-float-point"),
-    pytest.param(lambda: nearest_int(0.5), id="nearest-int-float"),
-    pytest.param(lambda: nearest_int(True), id="nearest-int-bool"),
     pytest.param(lambda: bezout_coprime(True, 2), id="bezout-bool"),
     pytest.param(lambda: bezout_coprime(2.0, 3), id="bezout-float"),
     pytest.param(lambda: alpha_grid_lower_bound((1, 2, 5), 2.0), id="grid-float-resolution"),
@@ -137,6 +135,19 @@ def test_bezout_rejects_nonpositive():
         bezout_coprime(0, 3)
     with pytest.raises(ValueError):
         bezout_coprime(3, -1)
+
+
+@pytest.mark.parametrize("spectrum", [(), (0, 1), (3, 3), (1, 5, 5), (2, 1), (1, 4, 3)])
+def test_spectrum_check_refuses_what_is_not_strictly_increasing_positive(spectrum):
+    with pytest.raises(ValueError):
+        _checked_spectrum(spectrum)
+
+
+def test_coprime_check_refuses_every_shared_factor():
+    assert _checked_coprime((4, 9, 10)) == (4, 9, 10)
+    for a, b in [(2, 4), (3, 6), (4, 6), (6, 9), (5, 10)]:
+        with pytest.raises(ValueError, match=rf"^gcd\({a}, {b}\) != 1$"):
+            _checked_coprime((a, b, 100))
 
 
 @given(st.integers(-10**6, 10**6), st.integers(1, 10**4),

@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 
 from conftest import rand_coprime_pair, rand_fraction, rand_triple
 from kronlab.closed_form import triple_constants
-from kronlab.exact_arith import nearest_int
 import kronlab.cli as cli
 import kronlab.oracle as oracle
 from kronlab.oracle import (MAX_BINARY_SIZE, MAX_CANDIDATE_BUDGET,
                             MAX_GRID_TARGETS, MAX_GRID_WORK, SpectrumProblem,
                             alpha_grid_lower_bound, beta_exact, binary_values,
                             candidate_budget, mu_exact, mu_value)
-from oracle_reference import _candidates, mu_exact_reference, nearest_int_distance
+from oracle_reference import _candidates, mu_exact_reference, nearest_int, nearest_int_distance
 
 HALF = Fraction(1, 2)
 
@@ -110,8 +109,8 @@ def walks(monkeypatch):
 
 
 @pytest.mark.parametrize("triple, points, ranges", [
-    ((3, 7, 1001), 126, 20), ((1, 2, 1001), 428, 15), ((2, 5, 1001), 386, 25),
-    ((1, 2, 10001), 4178, 15)],
+    ((3, 7, 1001), 126, 14), ((1, 2, 1001), 428, 12), ((2, 5, 1001), 386, 18),
+    ((1, 2, 10001), 4178, 12)],
     ids=["3-7-1001", "1-2-1001", "2-5-1001", "1-2-10001"])
 def test_verified_row_walks_only_the_windows(walks, triple, points, ranges):
     """The scan walks only the Y whose smallest frequencies' terms can still
@@ -124,8 +123,10 @@ def test_verified_row_walks_only_the_windows(walks, triple, points, ranges):
     never lowered, a walk of the wrong kind or residues walked out of order
     change the count, not the result; on (2, 5, 1001) so does a window of
     n_1 that starts one Y early.  The ranges handed to the evaluation loop
-    are pinned too: a sub-window that holds no point is not one of them, so
-    (3, 7, 1001) hands over 20 ranges where 33 were built."""
+    are pinned too: a sub-window that holds no point is not one of them, nor
+    is a residue whose first lift lies past the end (under halving, one of r
+    and -r usually has none), so (3, 7, 1001) hands over 14 ranges where 33
+    were built."""
     assert cli._row_checks(triple_constants(*triple))
     assert sum(walks) == points
     assert len(walks) == ranges
@@ -605,8 +606,9 @@ def test_beta_exact_toggle_and_jobs_consistency():
 
 def test_binary_values_are_what_beta_exact_reduces():
     values = binary_values((2, 5, 40))
-    # every binary target, the toggled twin of each scanned one included
-    assert sorted(values) == binary_targets(3)
+    # every binary target, the toggled twin of each scanned one included, in
+    # lexicographic order: beta_exact's max keeps the first of equal values
+    assert list(values) == binary_targets(3)
     value, argmax = beta_exact((2, 5, 40))
     assert value == max(values.values()) == values[argmax]
     # the value-only scans behind binary_values and mu_value agree with mu_exact
@@ -648,7 +650,7 @@ def test_binary_values_cover_every_binary_target():
     for spectrum in _binary_spectra():
         values = binary_values(spectrum)
         targets = binary_targets(len(spectrum))
-        assert sorted(values) == targets, spectrum
+        assert list(values) == targets, spectrum
         for t in targets:
             assert mu_value(spectrum, t) == values[t] \
                 == values[toggle_representative(spectrum, t)], (spectrum, t)
@@ -704,6 +706,10 @@ def test_alpha_grid_lower_bounds_mu_at_grid_targets():
     value, argmax = alpha_grid_lower_bound((2, 3), 4)
     assert mu_exact(SpectrumProblem((2, 3), argmax)).value == value
     assert argmax[0] == 0
+    # a tie goes to the lexicographically smallest grid target: (0, 3/4) ties
+    # the first argmax, (0, 1/2, 0) the second
+    assert (value, argmax) == (Fraction(1, 10), (0, Fraction(1, 4)))
+    assert alpha_grid_lower_bound((2, 5, 9), 4) == (Fraction(5, 28), (0, 0, HALF))
 
 
 def test_grid_refuses_oversized_grid_before_building_it(monkeypatch):

@@ -33,7 +33,7 @@ def test_exports_match_public_names_and_removed_names_stay_gone():
     removed = {name for item in re.split(r"^- ", block, flags=re.MULTILINE)[1:]
                for name in re.findall(r"`(\w+)`", item.split(": ", 1)[0])}
     assert {"toggle_reduce", "alpha_witness", "angular_norm",
-            "nearest_int_distance"} <= removed
+            "nearest_int_distance", "nearest_int"} <= removed
     modules = [kronlab] + [importlib.import_module(f"kronlab.{info.name}")
                            for info in pkgutil.iter_modules(kronlab.__path__)]
     assert len(modules) > 5

@@ -126,6 +126,9 @@ MUTANTS = {
         ("binary-keep-half-member", "if i <= i ^ toggle:", "if i >= i ^ toggle:"),
         ("binary-last-odd-index", "if i <= i ^ toggle:", "if not i & toggle & -toggle:"),
         ("binary-no-filter", "if i <= i ^ toggle:", "if True:"),
+        ("binary-keys-reversed", "return dict(zip(targets, values))",
+         "return dict(zip(targets[::-1], values[::-1]))"),
+        ("grid-steps-reversed", "for i in range(D)]", "for i in reversed(range(D))]"),
         ("k-star-numerator-drops-q", "nj * best_Y * tj.denominator -", "nj * best_Y -"),
         ("k-star-denominator-drops-q", "best_M * tj.denominator)[0]", "best_M)[0]"),
         ("k-star-takes-distance", "tj.denominator)[0]", "tj.denominator)[1]"),
@@ -188,6 +191,21 @@ MUTANTS = {
         ("bezout-order-swapped", "g, h = bezout_coprime(a, b)", "h, g = bezout_coprime(a, b)"),
         ("m-rounds-down", "m = _nearest_ratio(*_pair_residue(p))[0]",
          "m = _pair_residue(p)[0] // _pair_residue(p)[1]"),
+    ]),
+    Path("src/kronlab/exact_arith.py"): (
+        ("tests/test_exact_arith.py", "tests/test_certificate_golden.py"), [
+        ("halves-round-up", "if 2 * r > den:", "if 2 * r >= den:"),
+        ("bezout-degenerate-pair", "return 1, a - 1", "return 1, a"),
+        ("target-float-accepted", "not isinstance(t, (int, Fraction, str))",
+         "not isinstance(t, (int, float, Fraction, str))"),
+        ("target-bool-accepted", "if isinstance(t, bool) or not isinstance", "if not isinstance"),
+        ("equal-frequencies-accepted", "x >= y for x, y", "x > y for x, y"),
+        ("coprime-check-admits-gcd-2", "a, b = spectrum[:2]\n    if math.gcd(a, b) != 1:",
+         "a, b = spectrum[:2]\n    if math.gcd(a, b) > 2:"),
+        ("exponent-limit-plus-1", "int(exponent) > MAX_EXPONENT_DIGITS",
+         "int(exponent) > MAX_EXPONENT_DIGITS + 1"),
+        ("exponent-limit-minus-1", "int(exponent) > MAX_EXPONENT_DIGITS",
+         "int(exponent) >= MAX_EXPONENT_DIGITS"),
     ]),
     Path("src/kronlab/cli.py"): (("tests/test_cli.py", "tests/test_golden.py"), [
         ("json-indent-1-space", 'inner = indent + "  "', 'inner = indent + " "'),
