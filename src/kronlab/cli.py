@@ -127,23 +127,38 @@ def _witness_field(t: tuple, expected: Fraction) -> tuple[dict, str]:
         f"expected mu = {rational_to_csv(expected)}")
 
 
+def _binary_index(t: tuple) -> int | None:
+    """t's index among binary_values' values, or None when t is not binary:
+    index i is the target with t_j = 1/2 exactly where bit d-1-j of i is
+    set."""
+    index = 0
+    for tj in t:
+        if tj != 0 and tj != HALF:
+            return None
+        index = 2 * index + (tj == HALF)
+    return index
+
+
 def _row_checks(tc: TripleConstants) -> bool:
     """Oracle agreement for one triple: case tables, binary constant, witness.
 
     Each distinct target goes to the oracle once per call: binary_values
     gives every binary target, the case-table targets and the R != a
-    witness among them, from one scan per toggling pair, and the oracle's
-    value-only path evaluates the R = a witness.
+    witness among them, read by _binary_index, from one scan per toggling
+    pair but that of the all-zero target, 3 scans; the oracle's value-only
+    path evaluates the R = a witness.
     """
     spectrum = (tc.a, tc.b, tc.n)
-    known = binary_values(spectrum)
-    if max(known.values()) != tc.beta:
+    values = binary_values(spectrum)
+    if max(values) != tc.beta:
         return False
     t1, t2 = canonical_binary_pair(tc.a, tc.b)
-    if any(known[(t1, t2, t3)] != tc.binary(t3).value for t3 in (Fraction(0), HALF)):
+    if any(values[_binary_index((t1, t2, t3))] != tc.binary(t3).value
+           for t3 in (Fraction(0), HALF)):
         return False
     t, expected = tc.witness()
-    return (known[t] if t in known else mu_value(spectrum, t)) == expected
+    index = _binary_index(t)
+    return (mu_value(spectrum, t) if index is None else values[index]) == expected
 
 
 def _verified(tc: TripleConstants) -> str:

@@ -21,10 +21,11 @@ pairs, and it walks the valleys and peaks, where the one component's
 minimum, 0, is attained.  The valleys and peaks stay in the counted
 candidate set.
 
-Each progression has an integer grid of its own.  Let D be the lcm of the
-target denominators, so every t_j*D is an integer.  The crossings of (i, j)
-are x = Y/M with M = (n_i + n_j)*D and Y = (t_i + t_j)*D + s*D: the integers
-Y in [0, M) congruent to (t_i + t_j)*D modulo D, a progression of step D.
+Each progression has an integer grid of its own.  Let D be a common
+denominator of the targets (mu_exact takes their lcm), so every t_j*D is an
+integer.  The crossings of (i, j) are x = Y/M with M = (n_i + n_j)*D and
+Y = (t_i + t_j)*D + s*D: the integers Y in [0, M) congruent to
+(t_i + t_j)*D modulo D, a progression of step D.
 The valleys and peaks of n_j, x = (2*t_j + k)/(2*n_j), are likewise the
 integers Y in [0, M) congruent to 2*t_j*D modulo D, with M = 2*n_j*D.
 At x = Y/M, n_k*x - t_k = (n_k*Y - t_k*M)/M, and t_k*M = (t_k*D)*(M/D) is an
@@ -135,8 +136,10 @@ m_i bytes by one slice assignment, and progression i adds its unmarked
 points.  For P progressions (P <= d(d-1)/2 + d) that is P(P-1)/2 gcds and
 modular inverses and sum(m_i) bytes, at most candidate_budget; no point is
 iterated and no common grid is built.  The value-only path behind mu_value,
-binary_values, beta_exact and alpha_grid_lower_bound counts nothing.  Every
-path applies the MAX_CANDIDATE_BUDGET refusal.
+binary_values, beta_exact and alpha_grid_lower_bound counts nothing; the
+scan takes each target as integers t_j*D on a common denominator D, so
+binary_values passes its targets' bits on D = 2 and builds no Fraction
+target.  Every path applies the MAX_CANDIDATE_BUDGET refusal.
 
 This module deliberately shares no code with the closed forms, the pair
 solver or the greedy construction it is used to check: it imports only the
@@ -206,13 +209,22 @@ class OracleResult:
     candidates_examined: int
 
 
-def _scan(spectrum: tuple[int, ...], targets: tuple[Fraction, ...]
+def _grid(targets: tuple[Fraction, ...]) -> tuple[int, list[int]]:
+    """(D, scaled): the lcm D of the target denominators and the integers
+    t_j*D, the integer grid _scan takes."""
+    D = math.lcm(*(t.denominator for t in targets))
+    return D, [t.numerator * (D // t.denominator) for t in targets]
+
+
+def _scan(spectrum: tuple[int, ...], D: int, scaled: Sequence[int]
           ) -> tuple[int, int, int, list[tuple[int, range]]]:
-    """(best, best_Y, best_M, progressions): the minimum best/best_M of F on
-    the candidates, its smallest minimiser best_Y/best_M, and the candidate
-    progressions as (M, range of Y) pairs, x = Y/M.  Raises ValueError when
-    candidate_budget(spectrum) exceeds MAX_CANDIDATE_BUDGET, before it
-    allocates anything.
+    """(best, best_Y, best_M, progressions): the minimum best/best_M of F at
+    the targets t_j = scaled[j]/D on the candidates, its smallest minimiser
+    best_Y/best_M, and the candidate progressions as (M, range of Y) pairs,
+    x = Y/M.  D may be any common denominator of the targets (_grid takes
+    their lcm, binary_values 2): each progression is the same set of x on
+    any of them.  Raises ValueError when candidate_budget(spectrum) exceeds
+    MAX_CANDIDATE_BUDGET, before it allocates anything.
 
     The progressions are the crossings of each pair, then the valleys and
     peaks of each n_j, each on its own grid (see the module docstring).
@@ -230,8 +242,6 @@ def _scan(spectrum: tuple[int, ...], targets: tuple[Fraction, ...]
     Y = M/2; the progressions returned are always all the full ones.
     """
     check_candidate_budget(spectrum)
-    D = math.lcm(*(t.denominator for t in targets))
-    scaled = [t.numerator * (D // t.denominator) for t in targets]  # t_j*D
     crossings = [((ni + nj) * D, range((si + sj) % D, (ni + nj) * D, D))
                  for (ni, si), (nj, sj) in itertools.combinations(zip(spectrum, scaled), 2)]
     extrema = [(2 * nj * D, range(2 * sj % D, 2 * nj * D, D))
@@ -242,7 +252,7 @@ def _scan(spectrum: tuple[int, ...], targets: tuple[Fraction, ...]
     order = list(zip(spectrum, scaled))[::-1]
     # F(1 - x) = F(x) when every 2*t_j is an integer: the smallest minimiser
     # is at most 1/2, which is its own mirror and must be walked.
-    halve = all(t.denominator <= 2 for t in targets)
+    halve = all(2 * sj % D == 0 for sj in scaled)
     # The incumbent (best/best_M, best_Y/best_M) gives way only to a
     # lexicographically smaller (worst/M, Y/M), so the progressions may come
     # in any order and overlap.  A candidate is dropped once worst > thr,
@@ -344,7 +354,7 @@ def mu_exact(p: SpectrumProblem) -> OracleResult:
     candidate_budget(spectrum) exceeds MAX_CANDIDATE_BUDGET.
     """
     spectrum, targets = p.spectrum, p.targets
-    best, best_Y, best_M, progressions = _scan(spectrum, targets)
+    best, best_Y, best_M, progressions = _scan(spectrum, *_grid(targets))
     k_star = tuple(_nearest_ratio(nj * best_Y * tj.denominator - tj.numerator * best_M,
                                   best_M * tj.denominator)[0]
                    for nj, tj in zip(spectrum, targets))
@@ -401,7 +411,7 @@ def check_candidate_budget(spectrum: Sequence[int]) -> None:
 def _mu_value_at(spectrum, t):
     """mu_exact value at t for a checked spectrum and Fraction targets,
     without the x_star, k_star and candidate count mu_exact derives."""
-    best, _, best_M, _ = _scan(spectrum, t)
+    best, _, best_M, _ = _scan(spectrum, *_grid(t))
     return Fraction(best, best_M)
 
 
@@ -413,47 +423,50 @@ def mu_value(spectrum: Sequence[int], targets: Sequence) -> Fraction:
     return _mu_value_at(*_checked_problem(spectrum, targets))
 
 
-def binary_values(spectrum: Sequence[int]) -> dict[tuple[Fraction, ...], Fraction]:
-    """mu_exact value at each of the 2^d binary targets, keyed by target, the
-    keys in lexicographic order, from one scan per toggling pair.
+def binary_values(spectrum: Sequence[int]) -> list[Fraction]:
+    """mu_exact value at each of the 2^d binary targets, by index: value i
+    is at the target with t_j = 1/2 exactly where bit d-1-j of i is set (bit
+    k belongs to the k-th frequency from the end), so the indices follow
+    the lexicographic order of the targets.  One scan per toggling pair,
+    none for the all-zero target and its twin.  Raises ValueError when
+    candidate_budget(spectrum) exceeds MAX_CANDIDATE_BUDGET, before any scan.
 
     Toggle a binary t, replacing t_j by 1/2 - t_j at every odd n_j.  For
     odd n_j, n_j*(x + 1/2) - (1/2 - t_j) = n_j*x + t_j + (n_j - 1)/2, and for
     even n_j, n_j*(x + 1/2) - t_j = n_j*x - t_j + n_j/2: integer shifts
     either way.  Since 2*t_j is an integer, <n_j*x + t_j> = <n_j*x - t_j>.
     So the toggled target's F at x + 1/2 is F at x, and both have the same
-    minimum: of each toggling pair only the lexicographically smaller member
-    is scanned, the one with t_j = 0 at the first odd n_j, and every target
-    is scanned when all n_j are even.
-
-    Target i of the lexicographic order has t_j = 1/2 exactly where bit
-    d-1-j of i is set (bit k belongs to the k-th frequency from the end), so
-    its twin is target i ^ toggle, toggle holding the bits of the odd n_j,
-    and i is scanned when i <= i ^ toggle.  The values are filled by index
-    and the keys follow the lexicographic order, so a max over them that
-    keeps the first of equal values keeps the smallest target.
+    minimum.  Target i's twin is target i ^ toggle, toggle holding the bits
+    of the odd n_j, and of each pair only the smaller index is scanned, the
+    target with t_j = 0 at the first odd n_j; every target is scanned when
+    all n_j are even.  The all-zero target is not scanned: F(0) = 0 there,
+    the least value F takes, so its minimum is 0, and so is its twin's.
+    Each target scanned goes to _scan as its bits t_j*2 on the grid D = 2.
     """
     spectrum = _checked_spectrum(spectrum)
-    if len(spectrum) > MAX_BINARY_SIZE:
-        raise ValueError(
-            f"|S| = {len(spectrum)} exceeds MAX_BINARY_SIZE = {MAX_BINARY_SIZE}")
-    targets = list(itertools.product((Fraction(0), HALF), repeat=len(spectrum)))
+    d = len(spectrum)
+    if d > MAX_BINARY_SIZE:
+        raise ValueError(f"|S| = {d} exceeds MAX_BINARY_SIZE = {MAX_BINARY_SIZE}")
+    check_candidate_budget(spectrum)
     toggle = sum(1 << k for k, nj in enumerate(reversed(spectrum)) if nj % 2)
-    values = [None] * len(targets)
-    for i, t in enumerate(targets):
-        if i <= i ^ toggle:
-            values[i] = values[i ^ toggle] = _mu_value_at(spectrum, t)
-    return dict(zip(targets, values))
+    values = [None] * 2**d
+    values[0] = values[toggle] = Fraction(0)
+    for i, bits in enumerate(itertools.product((0, 1), repeat=d)):
+        if 0 < i <= i ^ toggle:
+            best, _, best_M, _ = _scan(spectrum, 2, bits)
+            values[i] = values[i ^ toggle] = Fraction(best, best_M)
+    return values
 
 
 def beta_exact(spectrum: Sequence[int]) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Exhaustive binary Kronecker constant: max of mu_exact over {0, 1/2}^d,
-    ties to the lexicographically smallest target, from one scan per
-    toggling pair of equal cost.  max keeps the first of equal values, and
-    binary_values' keys come in lexicographic order."""
+    ties to the lexicographically smallest target, from binary_values.  Its
+    indices follow the lexicographic order, so the first index of the
+    maximum is the smallest target, the one built as the argmax."""
     values = binary_values(spectrum)
-    argmax = max(values, key=values.__getitem__)
-    return values[argmax], argmax
+    best = max(values)
+    targets = itertools.product((Fraction(0), HALF), repeat=len(spectrum))
+    return best, next(itertools.islice(targets, values.index(best), None))
 
 
 def alpha_grid_lower_bound(spectrum: Sequence[int], D: int

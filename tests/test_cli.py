@@ -205,9 +205,9 @@ def test_row_checks_verdicts_and_single_evaluation(monkeypatch):
     seen = Counter()
     scan = oracle._scan
 
-    def counting_scan(spectrum, targets):
-        seen[(spectrum, targets)] += 1
-        return scan(spectrum, targets)
+    def counting_scan(spectrum, D, scaled):
+        seen[(spectrum, tuple(Fraction(sj, D) for sj in scaled))] += 1
+        return scan(spectrum, D, scaled)
 
     monkeypatch.setattr(oracle, "_scan", counting_scan)
     r_equals_a = 0
@@ -216,9 +216,14 @@ def test_row_checks_verdicts_and_single_evaluation(monkeypatch):
         tc = triple_constants(a, b, n)
         assert cli._row_checks(tc) == verdict, (a, b, n)
         assert seen and max(seen.values()) == 1, (a, b, n, seen)
-        # one scan per toggling pair of binary targets (2^(d-1) = 4), whose
-        # twins cover the case-table targets, plus the R = a witness
-        assert sum(seen.values()) <= 4 + (tc.congruence.R == a), (a, b, n, seen)
+        # one scan per toggling pair of binary targets (2^(d-1) = 4) but the
+        # all-zero target's, whose twins cover the case-table targets, plus
+        # the witness when it is not binary (R = a) and the checks before it
+        # pass, as they do on every row whose verdict is true
+        witness_scans = sum(seen.values()) - 3
+        non_binary_witness = not set(tc.witness()[0]) <= {0, Fraction(1, 2)}
+        assert witness_scans == non_binary_witness if verdict \
+            else 0 <= witness_scans <= non_binary_witness, (a, b, n, seen)
         r_equals_a += tc.congruence.R == a
     assert r_equals_a >= len(ACCEPTANCE_PAIRS)
 
@@ -364,7 +369,7 @@ def test_grid_refuses_oversized_grid(capsys, monkeypatch):
     code, _, err = run(capsys, "constants", "1", "2", "100", "--grid", "100000")
     assert code == 1 and "limit" in err
 
-    def no_evaluation(spectrum, targets):
+    def no_evaluation(spectrum, D, scaled):
         raise AssertionError("the grid was evaluated")
 
     # 316^2 targets pass the target limit; their oracle work does not

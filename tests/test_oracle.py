@@ -22,6 +22,11 @@ from oracle_reference import _candidates, mu_exact_reference, nearest_int, neare
 HALF = Fraction(1, 2)
 
 
+def scan_problem(p):
+    """oracle._scan at p's targets, on the lcm of their denominators."""
+    return oracle._scan(p.spectrum, *oracle._grid(p.targets))
+
+
 def mu_scan(spectrum, targets):
     """Independent exact minimax: partition [0, 1] at every breakpoint of
     every component distance, then minimize the convex max of the (locally
@@ -109,23 +114,24 @@ def walks(monkeypatch):
 
 
 @pytest.mark.parametrize("triple, points, ranges", [
-    ((3, 7, 1001), 126, 14), ((1, 2, 1001), 428, 12), ((2, 5, 1001), 386, 18),
-    ((1, 2, 10001), 4178, 12)],
+    ((3, 7, 1001), 123, 11), ((1, 2, 1001), 425, 9), ((2, 5, 1001), 383, 15),
+    ((1, 2, 10001), 4175, 9)],
     ids=["3-7-1001", "1-2-1001", "2-5-1001", "1-2-10001"])
 def test_verified_row_walks_only_the_windows(walks, triple, points, ranges):
     """The scan walks only the Y whose smallest frequencies' terms can still
     tie the incumbent: the n-crossings in the windows of n_1 and n_2, the
     short (a, b) crossing by the residues of n_1.  One verified row of
-    (3, 7, 1001) visits 126 points of the 4,050 that the whole crossing
-    progressions hold up to x = 1/2; (1, 2, 1001) visits 428 of 4,022,
-    (2, 5, 1001) 386 of 4,038, and (1, 2, 10001), where mu is large and the
-    n_2 level pays most, 4,178 of 40,022.  A window too wide, a threshold
-    never lowered, a walk of the wrong kind or residues walked out of order
-    change the count, not the result; on (2, 5, 1001) so does a window of
-    n_1 that starts one Y early.  The ranges handed to the evaluation loop
+    (3, 7, 1001) scans three binary targets (none for the all-zero one) and
+    visits 123 points of the 3,036 that their whole crossing progressions
+    hold up to x = 1/2; (1, 2, 1001) visits 425 of 3,016, (2, 5, 1001) 383
+    of 3,028, and (1, 2, 10001), where mu is large and the n_2 level pays
+    most, 4,175 of 30,016.  A window too wide, a threshold never lowered, a
+    walk of the wrong kind or residues walked out of order change the count,
+    not the result; on (2, 5, 1001) so does a window of n_1 that starts one
+    Y early.  The ranges handed to the evaluation loop
     are pinned too: a sub-window that holds no point is not one of them, nor
     is a residue whose first lift lies past the end (under halving, one of r
-    and -r usually has none), so (3, 7, 1001) hands over 14 ranges where 33
+    and -r usually has none), so (3, 7, 1001) hands over 11 ranges where 29
     were built."""
     assert cli._row_checks(triple_constants(*triple))
     assert sum(walks) == points
@@ -169,7 +175,7 @@ def test_windowed_walk_equals_fraction_reference(walks):
         p = SpectrumProblem(spectrum, targets)
         assert mu_exact(p) == mu_exact_reference(p), p
         walks.clear()
-        *_, progressions = oracle._scan(p.spectrum, p.targets)
+        *_, progressions = scan_problem(p)
         halve = all(t.denominator <= 2 for t in p.targets)
         plain = sum(len(range(prog.start, M // 2 + 1 if halve else M, prog.step))
                     for M, prog in progressions[:3])
@@ -232,7 +238,7 @@ def test_second_level_walk_equals_fraction_reference(walks):
         p = _second_level_problem(rng, i)
         assert mu_exact(p) == mu_exact_reference(p), p
         walks.clear()
-        best, _, best_M, progressions = oracle._scan(p.spectrum, p.targets)
+        best, _, best_M, progressions = scan_problem(p)
         assert 8 * p.spectrum[1] <= p.spectrum[-2] + p.spectrum[-1], p  # on the largest M
         walked[i % 4] += sum(walks)
         admitted[i % 4] += _admitted_by_n1(p, progressions, best, best_M)
@@ -282,7 +288,7 @@ def test_residue_walk_equals_fraction_reference(walks):
         p = _residue_walk_problem(rng, i)
         assert mu_exact(p) == mu_exact_reference(p), p
         walks.clear()
-        best, _, best_M, progressions = oracle._scan(p.spectrum, p.targets)
+        best, _, best_M, progressions = scan_problem(p)
         D = math.lcm(*(t.denominator for t in p.targets))
         n1, n2 = p.spectrum[0], p.spectrum[min(1, len(p.spectrum) - 1)]
         walked = progressions[:math.comb(len(p.spectrum), 2)] or progressions
@@ -385,7 +391,7 @@ def test_smallest_x_tie_break_across_progressions(spectrum, targets, x_star):
     r = mu_exact(p)
     assert r.x_star == x_star and r == mu_exact_reference(p)
     # each progression is (M, range of Y) on its own grid x = Y/M
-    *_, progressions = oracle._scan(p.spectrum, p.targets)
+    *_, progressions = scan_problem(p)
 
     def F(x):
         return max(nearest_int_distance(nj * x - tj) for nj, tj in zip(p.spectrum, p.targets))
@@ -606,20 +612,20 @@ def test_beta_exact_toggle_and_jobs_consistency():
 
 def test_binary_values_are_what_beta_exact_reduces():
     values = binary_values((2, 5, 40))
-    # every binary target, the toggled twin of each scanned one included, in
-    # lexicographic order: beta_exact's max keeps the first of equal values
-    assert list(values) == binary_targets(3)
+    # every binary target, the toggled twin of each scanned one included, by
+    # index in lexicographic order: the first index of the maximum is the
+    # smallest tied target
+    assert len(values) == 8
     value, argmax = beta_exact((2, 5, 40))
-    assert value == max(values.values()) == values[argmax]
+    assert value == max(values) == values[binary_targets(3).index(argmax)]
     # the value-only scans behind binary_values and mu_value agree with mu_exact
     rng = random.Random(40)
     triples = [(2, 5, 40)] + [rand_triple(rng, hi_pair=12, n_lo=1, n_hi=400)
                               for _ in range(12)]
     for spectrum in triples:
-        values = binary_values(spectrum)
-        for t in binary_targets(3):
+        for t, value in zip(binary_targets(3), binary_values(spectrum), strict=True):
             v = mu_exact(SpectrumProblem(spectrum, t)).value
-            assert mu_value(spectrum, t) == values[t] == v, (spectrum, t)
+            assert mu_value(spectrum, t) == value == v, (spectrum, t)
 
 
 def toggle_representative(spectrum, t):
@@ -645,34 +651,51 @@ def _binary_spectra():
 
 
 def test_binary_values_cover_every_binary_target():
-    """The toggle lemma: binary_values holds every binary target, and each
-    costs what mu_value gives it and what its representative costs."""
+    """The toggle lemma: binary_values holds a value for every binary
+    target, the one of the target's toggle representative."""
     for spectrum in _binary_spectra():
         values = binary_values(spectrum)
         targets = binary_targets(len(spectrum))
-        assert list(values) == targets, spectrum
-        for t in targets:
-            assert mu_value(spectrum, t) == values[t] \
-                == values[toggle_representative(spectrum, t)], (spectrum, t)
+        assert len(values) == len(targets), spectrum
+        for value, t in zip(values, targets):
+            assert value == values[targets.index(toggle_representative(spectrum, t))], \
+                (spectrum, t)
+
+
+def test_binary_values_equal_mu_value_by_index():
+    """binary_values(s)[i] is mu_value at the i-th binary target of the
+    lexicographic order, on spectra of 1 to 6 frequencies, all-even ones
+    (no toggling pair: every target but the all-zero one is scanned) and
+    d = 1 (an odd n_1 leaves no target to scan).  beta_exact's argmax is the
+    smallest target of the maximum, the first index of it."""
+    for spectrum in _binary_spectra():
+        values = binary_values(spectrum)
+        targets = binary_targets(len(spectrum))
+        assert values == [mu_value(spectrum, t) for t in targets], spectrum
+        best = max(values)
+        argmax = min(t for t, v in zip(targets, values) if v == best)
+        assert beta_exact(spectrum) == (best, argmax), spectrum
 
 
 def test_binary_values_scans_one_member_of_each_toggling_pair(monkeypatch):
     """binary_values scans exactly the targets with t_j = 0 at the first odd
     n_j (every target when all n_j are even), once each, in lexicographic
-    order."""
+    order, on the grid D = 2 as their bits, but for the all-zero target,
+    whose value 0 needs no scan."""
     scanned = []
     scan = oracle._scan
 
-    def recording_scan(spectrum, targets):
-        scanned.append(targets)
-        return scan(spectrum, targets)
+    def recording_scan(spectrum, D, scaled):
+        assert D == 2 and set(scaled) <= {0, 1}
+        scanned.append(tuple(Fraction(sj, D) for sj in scaled))
+        return scan(spectrum, D, scaled)
 
     monkeypatch.setattr(oracle, "_scan", recording_scan)
     for spectrum in _binary_spectra() + [(1, 3, 182), (3, 5, 301), (2, 3, 4, 9)]:
         scanned.clear()
         binary_values(spectrum)
         assert scanned == [t for t in binary_targets(len(spectrum))
-                           if toggle_representative(spectrum, t) == t], spectrum
+                           if toggle_representative(spectrum, t) == t and any(t)], spectrum
 
 
 def test_beta_exact_cap():
@@ -721,7 +744,7 @@ def test_grid_refuses_oversized_grid_before_building_it(monkeypatch):
     with pytest.raises(ValueError, match="limit"):
         alpha_grid_lower_bound((7,), 10**9)
 
-    def no_evaluation(spectrum, targets):
+    def no_evaluation(spectrum, D, scaled):
         raise AssertionError("the grid was evaluated")
 
     # the work limit: each 1/316 target on (1, 2, 1000) allows 9036 candidates

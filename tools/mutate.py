@@ -60,8 +60,8 @@ MUTANTS = {
         ("drop-threshold-refresh",
          "best_Y, best_M = worst, Y, M\n                        thr = worst",
          "best_Y, best_M = worst, Y, M"),
-        ("half-integer-test-thirds", "t.denominator <= 2 for", "t.denominator <= 3 for"),
-        ("half-integer-test-integers", "t.denominator <= 2 for", "t.denominator < 2 for"),
+        ("half-integer-test-thirds", "2 * sj % D == 0", "6 * sj % D == 0"),
+        ("half-integer-test-integers", "2 * sj % D == 0", "sj % D == 0"),
         ("half-range-excludes-midpoint", "half + 1 if halve else M", "half if halve else M"),
         ("halve-every-target", "if halve else M)", "if halve else half + 1)"),
         ("prune-first-term-on-ties", "if worst > thr:\n                    continue",
@@ -123,11 +123,12 @@ MUTANTS = {
          "k0 = rhs // (D * g) % step"),
         ("count-against-itself", "in progressions[:i]:", "in progressions[:i + 1]:"),
         ("count-subtracts-uncovered", "m - covered.count(1)", "m - covered.count(0)"),
-        ("binary-keep-half-member", "if i <= i ^ toggle:", "if i >= i ^ toggle:"),
-        ("binary-last-odd-index", "if i <= i ^ toggle:", "if not i & toggle & -toggle:"),
-        ("binary-no-filter", "if i <= i ^ toggle:", "if True:"),
-        ("binary-keys-reversed", "return dict(zip(targets, values))",
-         "return dict(zip(targets[::-1], values[::-1]))"),
+        ("binary-keep-half-member", "if 0 < i <= i ^ toggle:", "if 0 < i >= i ^ toggle:"),
+        ("binary-last-odd-index", "if 0 < i <= i ^ toggle:",
+         "if 0 < i and not i & toggle & -toggle:"),
+        ("binary-no-filter", "if 0 < i <= i ^ toggle:", "if 0 < i:"),
+        ("binary-bits-reversed", "_scan(spectrum, 2, bits)", "_scan(spectrum, 2, bits[::-1])"),
+        ("binary-zero-twin-dropped", "values[0] = values[toggle] =", "values[0] ="),
         ("grid-steps-reversed", "for i in range(D)]", "for i in reversed(range(D))]"),
         ("k-star-numerator-drops-q", "nj * best_Y * tj.denominator -", "nj * best_Y -"),
         ("k-star-denominator-drops-q", "best_M * tj.denominator)[0]", "best_M)[0]"),
@@ -217,6 +218,9 @@ MUTANTS = {
          'is True:\n        return "True"'),
         ("json-rational-default-precision", "rational_to_json(value, precision), dict",
          "rational_to_json(value), dict"),
+        ("case-table-index-off-by-one", "values[_binary_index((t1, t2, t3))]",
+         "values[_binary_index((t1, t2, t3)) + 1]"),
+        ("witness-index-reversed", "index = _binary_index(t)\n", "index = _binary_index(t[::-1])\n"),
     ]),
 }
 
