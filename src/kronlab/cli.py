@@ -17,9 +17,13 @@ joined lines.  This module is the one home of every report format; the
 library below it computes exact values only.
 
 main(argv) is the in-process entry point and returns the exit code.  The
-parser is built on the first call and reused by every later one in the
-process; build_parser() returns that shared parser, which callers must not
-mutate.
+parsers are built on the first call and reused by every later one in the
+process; build_parser() returns the shared top-level parser, which callers
+must not mutate.  An argv that starts with a command name goes straight to
+that command's own parser, the one the top-level parser would hand it to;
+what it leaves over the top-level parser reports as unrecognized, as its
+parse_args does.  Every other argv (top-level help, no or an unknown
+command, a leading option or "--") goes to the top-level parser.
 """
 from __future__ import annotations
 
@@ -420,11 +424,11 @@ def _add_common(parser):
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built on the first call and shared by every later
-    one: callers must not mutate it.  It holds no command function; main
-    looks the command up by name when it runs.  Its parse_args exits with
-    argparse's own code 2 on a usage error, which main maps to 1."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """(top-level parser, command name -> that command's parser), built on
+    the first call and shared by every later one: callers must not mutate
+    them.  They hold no command function; main looks the command up by name
+    when it runs."""
     parser = argparse.ArgumentParser(prog="kronlab",
                                      description="Exact Kronecker constants of three-element "
                                                  "integer sets, with oracle verification.")
@@ -460,17 +464,35 @@ def build_parser() -> argparse.ArgumentParser:
                          help="worker processes (default 1)")
     _add_common(p_sweep)
 
-    return parser
+    return parser, {"mu": p_mu, "constants": p_con, "sweep": p_sweep}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's top-level parser, built on the first call and shared by
+    every later one: callers must not mutate it.  Its parse_args exits with
+    argparse's own code 2 on a usage error, which main maps to 1."""
+    return _parsers()[0]
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser, commands = _parsers()
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in commands:
+            # the top-level parser would hand argv[1:] whole to this parser
+            # and report what it leaves over itself
+            name = argv[0]
+            args, extras = commands[name].parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        else:
+            args = parser.parse_args(argv)
+            name = args.command
     except SystemExit as exc:
         # argparse exits 0 after --help and 2 on a usage error
         return 1 if exc.code else 0
-    command = {"mu": cmd_mu, "constants": cmd_constants, "sweep": cmd_sweep}[args.command]
+    command = {"mu": cmd_mu, "constants": cmd_constants, "sweep": cmd_sweep}[name]
     try:
         return command(args)
     except VerificationMismatch as exc:

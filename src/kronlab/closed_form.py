@@ -31,6 +31,7 @@ n they still evaluate but must be checked against the oracle (see
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -120,15 +121,22 @@ class TripleConstants:
         1/(2(a+b)); type-2 balances the first and third residuals; type-3
         balances the second and third.
         """
-        a, b, n, S = self.a, self.b, self.n, self.congruence.S
         t3 = _checked_target(t3)
         if t3 == 0:
-            value, kind = _row(a, b, n, S)
+            value, kind = self._tables[0]
         elif t3 == HALF:
-            value, kind = _row(a, b, n, (S + a + b) % (2 * (a + b)))
+            value, kind = self._tables[1]
         else:
             raise ValueError(f"t3 must be 0 or 1/2, got {t3}")
         return BinaryCase(value, _LABELS[t3, kind])
+
+    @functools.cached_property
+    def _tables(self) -> tuple[tuple[Fraction, str], tuple[Fraction, str]]:
+        """(value, row type) of the case tables for t3 = 0 and t3 = 1/2,
+        rows S and (S+a+b) mod 2(a+b), read once per record: binary and
+        witness share them."""
+        a, b, n, S = self.a, self.b, self.n, self.congruence.S
+        return _row(a, b, n, S), _row(a, b, n, (S + a + b) % (2 * (a + b)))
 
     def witness(self) -> tuple[tuple[Fraction, Fraction, Fraction], Fraction]:
         """(t, alpha): a rational target triple t and alpha, the cost the
@@ -149,7 +157,7 @@ class TripleConstants:
             t3 = Fraction((a + n) * (n + a * b), 2 * a * (a * n + b * n + a * b))
             return (Fraction(0), t2, t3), self.alpha
         t1, t2 = canonical_binary_pair(a, b)
-        v0, vh = self.binary(Fraction(0)).value, self.binary(HALF).value
+        (v0, _), (vh, _) = self._tables
         return (t1, t2, Fraction(0) if v0 >= vh else HALF), self.alpha
 
     def in_regime(self) -> bool:

@@ -408,10 +408,11 @@ def check_candidate_budget(spectrum: Sequence[int]) -> None:
                          f"above the limit of {MAX_CANDIDATE_BUDGET}")
 
 
-def _mu_value_at(spectrum, t):
-    """mu_exact value at t for a checked spectrum and Fraction targets,
-    without the x_star, k_star and candidate count mu_exact derives."""
-    best, _, best_M, _ = _scan(spectrum, *_grid(t))
+def _mu_value_at(spectrum, D, scaled):
+    """mu_exact value at the targets t_j = scaled[j]/D for a checked
+    spectrum, without the x_star, k_star and candidate count mu_exact
+    derives."""
+    best, _, best_M, _ = _scan(spectrum, D, scaled)
     return Fraction(best, best_M)
 
 
@@ -420,7 +421,8 @@ def mu_value(spectrum: Sequence[int], targets: Sequence) -> Fraction:
     but without x_star, k_star and the candidate count.  Checks its input as
     SpectrumProblem does; raises ValueError when candidate_budget(spectrum)
     exceeds MAX_CANDIDATE_BUDGET."""
-    return _mu_value_at(*_checked_problem(spectrum, targets))
+    spectrum, targets = _checked_problem(spectrum, targets)
+    return _mu_value_at(spectrum, *_grid(targets))
 
 
 def binary_values(spectrum: Sequence[int]) -> list[Fraction]:
@@ -494,9 +496,10 @@ def alpha_grid_lower_bound(spectrum: Sequence[int], D: int
     if work_budget > MAX_GRID_WORK:
         raise ValueError(f"a 1/{D} grid on {spectrum} allows up to {work_budget} oracle "
                          f"candidates, above the limit of {MAX_GRID_WORK}")
-    steps = [Fraction(i, D) for i in range(D)]
-    targets = ((Fraction(0),) + rest
-               for rest in itertools.product(steps, repeat=len(spectrum) - 1))
-    # targets come in lexicographic order and max keeps the first of equal
+    # each target t = (0, i, j, ...)/D is scanned as its integers on D; the
+    # steps come in lexicographic order and max keeps the first of equal
     # values, so a tie goes to the smallest target
-    return max(((_mu_value_at(spectrum, t), t) for t in targets), key=lambda vt: vt[0])
+    value, steps = max(((_mu_value_at(spectrum, D, (0, *steps)), steps)
+                        for steps in itertools.product(range(D), repeat=len(spectrum) - 1)),
+                       key=lambda vs: vs[0])
+    return value, (Fraction(0), *(Fraction(i, D) for i in steps))

@@ -16,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import kronlab.cli as cli
+import kronlab.closed_form as closed_form
 import kronlab.oracle as oracle
 from conftest import rand_coprime_pair, rand_fraction
 from kronlab.cli import (CSV_COLUMNS, UNVERIFIED, VERIFIED_ORACLE, VERIFIED_WITNESS,
@@ -186,6 +187,35 @@ def _row_checks_one_call_per_check(a, b, n):
         return False
     expected = tc.ln if tc.congruence.R == a else tc.alpha
     return mu_exact(SpectrumProblem((a, b, n), tc.witness()[0])).value == expected
+
+
+def test_row_checks_read_each_case_table_once(monkeypatch):
+    """A row's oracle checks and its witness read rows S and (S+a+b) mod
+    2(a+b) of the case table once each between them."""
+    rows = Counter()
+    row = closed_form._row
+
+    def counting_row(a, b, n, s):
+        rows[s] += 1
+        return row(a, b, n, s)
+
+    monkeypatch.setattr(closed_form, "_row", counting_row)
+    verified = 0
+    for a, b, n in _row_triples():
+        tc = triple_constants(a, b, n)
+        rows.clear()
+        verdict = cli._row_checks(tc)
+        tc.witness()
+        S = tc.congruence.S
+        tables = Counter([S, (S + a + b) % (2 * (a + b))])
+        # a refuted row may stop before it reads the tables
+        assert rows == tables if verdict else rows <= tables, (a, b, n, rows)
+        # a whole verified row adds the one read of beta's row
+        rows.clear()
+        if evaluate_sweep_row(a, b, n, True).verified != UNVERIFIED:
+            assert sum(rows.values()) == 3, (a, b, n, rows)
+            verified += 1
+    assert verified >= len(ACCEPTANCE_PAIRS) * 7
 
 
 def _row_triples():
@@ -807,3 +837,93 @@ def test_parser_reuse_leaks_no_state(capsys, monkeypatch):
     assert fresh[help_all][0] == 0 and fresh[usage_error][0] == 1
     for argv in order:
         assert run(capsys, *argv) == fresh[argv], argv
+
+
+def _top_level_main(argv):
+    """main with every argv parsed by the top-level parser, which hands a
+    command's arguments to that command's parser: the route main took
+    before a command's argv went straight to its own parser."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return 1 if exc.code else 0
+    try:
+        return getattr(cli, f"cmd_{args.command}")(args)
+    except cli.VerificationMismatch as exc:
+        print(f"kronlab: verification mismatch: {exc}", file=sys.stderr)
+        return 2
+    except cli.InvariantBreach as exc:
+        print(f"kronlab: invariant breach: {exc}", file=sys.stderr)
+        return 3
+    except (ValueError, OSError) as exc:
+        print(f"kronlab: error: {exc}", file=sys.stderr)
+        return 1
+
+
+_MU = ("mu", "--set", "3,5", "--t", "1/2,0")
+_TRIPLE = ("constants", "1", "2", "100")
+_SWEEP = ("sweep", "1", "2", "--from", "96", "--to", "97")
+# help at each level, abbreviations, "--" in several places, a target
+# starting with "-", a repeated option, no or an unknown command, a leading
+# option, every usage-error class and each command's input errors
+PARSE_CORPUS = [
+    (), ("--help",), ("-h",), ("--he",), ("--json",), ("--",), ("-x",), ("mux",), ("m",),
+    ("Mu",), ("help",), ("--json", *_MU), ("-h", "mu"), ("--", *_MU), ("--", "--", *_MU),
+    ("mu", "--help"), ("mu", "-h"), ("mu", "--he"), ("constants", "--help"),
+    ("sweep", "--help"), ("sweep", "-h", "1"), (*_MU, "-h"), ("mu",), ("constants",),
+    _MU, (*_MU, "--json"), (*_MU, "--js"), (*_MU, "--p", "5"), (*_MU, "--pre=7", "--json"),
+    ("mu", "--set=3,5", "--t=-1/3,1/2"), ("mu", "--set", "3,5", "--t", "-1/3,1/2"),
+    ("mu", "--set", "3,4", "--set", "3,5", "--t", "0,1/2"),
+    ("mu", "--", "--set", "3,5"), (*_MU, "--"), (*_MU, "--", "x"),
+    ("mu", "--set", "3,5", "--", "--t", "0,1/2"), ("constants", "1", "2", "--", "5"),
+    ("constants", "--", "1", "2", "5"), ("constants", "1", "2", "5", "--", "--json"),
+    (*_SWEEP, "--", "7"), (*_MU, "extra"), ("constants", "1", "2", "5", "6", "7"),
+    (*_SWEEP, "--bogus"), (*_MU, "--bogus", "x", "-y"), ("constants", "--bogus=1", "1", "2", "5"),
+    (*_MU, "--precision", "0"), (*_MU, "--precision", "abc"),
+    (*_MU, "--precision", str(cli.MAX_PRECISION + 1)), ("constants", "1", "2"), ("sweep", "1"),
+    ("mu", "--set", "3,5"), ("sweep", "1", "2", "--from", "5"), ("constants", "1", "x", "5"),
+    (*_SWEEP, "--j"), (*_SWEEP, "--jobs"), ("sweep", "1", "2", "--fro", "96", "--to", "97", "--json"),
+    (*_MU, "--out"), ("mu", "--set", "2,3,7", "--t", "0,1/2,0", "--greedy"),
+    ("mu", "--set", "3,x", "--t", "0,1/2"), _TRIPLE, (*_TRIPLE, "--verify", "--json"),
+    ("constants", "2", "4", "100"), (*_TRIPLE, "--grid", "4"), (*_SWEEP, "--verify"),
+    (*_SWEEP, "--jobs", "0"), ("constants", "-1", "2", "5"), ("constants", "1", "2", "-5"),
+    ("sweep", "1", "2", "--from", "-3", "--to", "4"),
+]
+
+
+def test_command_argv_parses_as_the_top_level_parser_would(capsys, monkeypatch):
+    # help layout follows the terminal width, so both sides pin it
+    monkeypatch.setenv("COLUMNS", "80")
+    codes = Counter()
+    for argv in PARSE_CORPUS:
+        fast = run(capsys, *argv)
+        reference = _top_level_main(list(argv))
+        out = capsys.readouterr()
+        assert fast == (reference, out.out, out.err), argv
+        codes[fast[0]] += 1
+    # both routes print help and both report usage and input errors
+    assert codes[0] >= 20 and codes[1] >= 35
+
+
+def test_a_command_argv_is_parsed_once(capsys, monkeypatch):
+    main(["constants", "1", "2", "100"])
+    capsys.readouterr()
+    parser, commands = cli._parsers()
+    parsed = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counting_parse_known_args(self, *args, **kwargs):
+        parsed.append(self)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting_parse_known_args)
+    # every command, help, usage errors, and argvs the top-level parser keeps
+    for argv in [*REUSE_ARGVS, (*_MU, "extra"), (*_MU, "--precision", "0"),
+                 (), ("mux",), ("--json", *_MU), ("--", *_MU)]:
+        parsed.clear()
+        main(list(argv))
+        if argv and argv[0] in commands:
+            assert parsed == [commands[argv[0]]], argv
+        else:
+            assert parsed[0] is parser, argv
+    capsys.readouterr()

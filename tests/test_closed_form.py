@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import closed_form_reference as reference
+import kronlab.closed_form as closed_form
 from conftest import rand_coprime_pair
 from kronlab.closed_form import (TripleConstants, alpha_formula, beta_formula,
                                  canonical_binary_pair, in_asymptotic_regime,
@@ -220,6 +221,19 @@ def test_witness_tie_picks_t3_zero():
     assert tc.congruence.R == 2 and not tc.gap
     assert tc.binary(Fraction(0)).value == tc.binary(HALF).value == Fraction(1, 10)
     assert tc.witness() == ((Fraction(0), HALF, Fraction(0)), Fraction(1, 10))
+
+
+def test_case_tables_are_read_once_per_record(monkeypatch):
+    rows = []
+    row = closed_form._row
+    monkeypatch.setattr(closed_form, "_row", lambda a, b, n, s: rows.append(s) or row(a, b, n, s))
+    tc = triple_constants(2, 3, 300)
+    assert not tc.gap and rows == [tc.congruence.R + 5]  # beta's row, read once
+    rows.clear()
+    for _ in range(2):
+        tc.binary(Fraction(0)), tc.binary(HALF), tc.witness()
+    S = tc.congruence.S
+    assert rows == [S, (S + 5) % 10]
 
 
 def test_alpha_witness_attains_constant():

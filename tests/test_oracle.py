@@ -735,6 +735,23 @@ def test_alpha_grid_lower_bounds_mu_at_grid_targets():
     assert alpha_grid_lower_bound((2, 5, 9), 4) == (Fraction(5, 28), (0, 0, HALF))
 
 
+def test_grid_scans_each_target_as_its_integers(monkeypatch):
+    scans = []
+    scan = oracle._scan
+
+    def recording_scan(spectrum, D, scaled):
+        scans.append((D, tuple(scaled)))
+        return scan(spectrum, D, scaled)
+
+    def no_conversion(targets):
+        raise AssertionError("a grid target was converted from Fractions")
+
+    monkeypatch.setattr(oracle, "_scan", recording_scan)
+    monkeypatch.setattr(oracle, "_grid", no_conversion)
+    assert alpha_grid_lower_bound((2, 5, 9), 4) == (Fraction(5, 28), (0, 0, HALF))
+    assert scans == [(4, (0, i, j)) for i in range(4) for j in range(4)]
+
+
 def test_grid_refuses_oversized_grid_before_building_it(monkeypatch):
     assert 316 ** 2 <= MAX_GRID_TARGETS < 317 ** 2
     with pytest.raises(ValueError, match="limit"):

@@ -129,7 +129,8 @@ MUTANTS = {
         ("binary-no-filter", "if 0 < i <= i ^ toggle:", "if 0 < i:"),
         ("binary-bits-reversed", "_scan(spectrum, 2, bits)", "_scan(spectrum, 2, bits[::-1])"),
         ("binary-zero-twin-dropped", "values[0] = values[toggle] =", "values[0] ="),
-        ("grid-steps-reversed", "for i in range(D)]", "for i in reversed(range(D))]"),
+        ("grid-steps-reversed", "itertools.product(range(D),", "itertools.product(reversed(range(D)),"),
+        ("grid-pins-last-target", "(0, *steps)", "(*steps, 0)"),
         ("k-star-numerator-drops-q", "nj * best_Y * tj.denominator -", "nj * best_Y -"),
         ("k-star-denominator-drops-q", "best_M * tj.denominator)[0]", "best_M)[0]"),
         ("k-star-takes-distance", "tj.denominator)[0]", "tj.denominator)[1]"),
@@ -152,6 +153,9 @@ MUTANTS = {
         ("ln-numerator", "ln = Fraction(n + a * b,", "ln = Fraction(n + b,"),
         ("alpha-is-beta-at-gap", "alpha=ln if gap else beta", "alpha=beta"),
         ("witness-tie-picks-half", "v0 >= vh", "v0 > vh"),
+        ("binary-half-reads-zero-table", "value, kind = self._tables[1]",
+         "value, kind = self._tables[0]"),
+        ("case-tables-read-per-call", "@functools.cached_property", "@property"),
         ("regime-drops-first-clause",
          "return Fraction(3 * self.b - self.a, 2 * self.n) <= self.alpha", "return True"),
         ("S-from-g-minus-h", "S = ((g + h) * r2)", "S = ((g - h) * r2)"),
@@ -221,6 +225,10 @@ MUTANTS = {
         ("case-table-index-off-by-one", "values[_binary_index((t1, t2, t3))]",
          "values[_binary_index((t1, t2, t3)) + 1]"),
         ("witness-index-reversed", "index = _binary_index(t)\n", "index = _binary_index(t[::-1])\n"),
+        ("leftover-arguments-dropped", "if extras:\n", "if False:\n"),
+        ("leftover-arguments-reported-by-command", "parser.error(f\"unrecognized",
+         "commands[name].error(f\"unrecognized"),
+        ("command-guard-dropped", "if argv and argv[0] in commands:", "if argv:"),
     ]),
 }
 
