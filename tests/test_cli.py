@@ -882,7 +882,8 @@ PARSE_CORPUS = [
     (*_MU, "--precision", "0"), (*_MU, "--precision", "abc"),
     (*_MU, "--precision", str(cli.MAX_PRECISION + 1)), ("constants", "1", "2"), ("sweep", "1"),
     ("mu", "--set", "3,5"), ("sweep", "1", "2", "--from", "5"), ("constants", "1", "x", "5"),
-    (*_SWEEP, "--j"), (*_SWEEP, "--jobs"), ("sweep", "1", "2", "--fro", "96", "--to", "97", "--json"),
+    (*_SWEEP, "--j"), (*_SWEEP, "--jobs"),
+    ("sweep", "1", "2", "--fro", "96", "--to", "97", "--json"),
     (*_MU, "--out"), ("mu", "--set", "2,3,7", "--t", "0,1/2,0", "--greedy"),
     ("mu", "--set", "3,x", "--t", "0,1/2"), _TRIPLE, (*_TRIPLE, "--verify", "--json"),
     ("constants", "2", "4", "100"), (*_TRIPLE, "--grid", "4"), (*_SWEEP, "--verify"),

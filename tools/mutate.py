@@ -129,7 +129,8 @@ MUTANTS = {
         ("binary-no-filter", "if 0 < i <= i ^ toggle:", "if 0 < i:"),
         ("binary-bits-reversed", "_scan(spectrum, 2, bits)", "_scan(spectrum, 2, bits[::-1])"),
         ("binary-zero-twin-dropped", "values[0] = values[toggle] =", "values[0] ="),
-        ("grid-steps-reversed", "itertools.product(range(D),", "itertools.product(reversed(range(D)),"),
+        ("grid-steps-reversed", "itertools.product(range(D),",
+         "itertools.product(reversed(range(D)),"),
         ("grid-pins-last-target", "(0, *steps)", "(*steps, 0)"),
         ("k-star-numerator-drops-q", "nj * best_Y * tj.denominator -", "nj * best_Y -"),
         ("k-star-denominator-drops-q", "best_M * tj.denominator)[0]", "best_M)[0]"),
