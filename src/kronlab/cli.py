@@ -9,6 +9,11 @@ Commands
 Exit codes: 0 success, 1 usage/input error, 2 verification mismatch where
 the formula claimed validity, 3 internal invariant breach.
 
+A row's verified flag (constants --verify, sweep --verify) is one call of
+_verified.  The oracle's values at the eight binary targets, from 3 scans,
+check beta and both case tables; the witness must cost alpha, read from the
+same values when R != a and from one more scan when R = a.
+
 Reports are deterministic: identical invocations produce byte-identical
 output.  A command builds its report from exact values (Fractions, ints,
 lists and the SweepRow, Certificate and CongruenceData records) and _report
@@ -131,45 +136,41 @@ def _witness_field(t: tuple, expected: Fraction) -> tuple[dict, str]:
         f"expected mu = {rational_to_csv(expected)}")
 
 
-def _binary_index(t: tuple) -> int | None:
-    """t's index among binary_values' values, or None when t is not binary:
-    index i is the target with t_j = 1/2 exactly where bit d-1-j of i is
-    set."""
-    index = 0
-    for tj in t:
-        if tj != 0 and tj != HALF:
-            return None
-        index = 2 * index + (tj == HALF)
-    return index
+def _verified(tc: TripleConstants) -> str:
+    """The row's verified flag: the closed forms checked against the oracle.
 
+    binary_values gives the oracle's value at each binary target from 3
+    scans (one per toggling pair but that of the all-zero target), and the
+    checks read them by index, in this order: beta is their max; the case
+    tables binary(0) and binary(1/2) are the values of the canonical pair
+    with t3 = 0 and t3 = 1/2, indices i and i + 1, since t3 is the last
+    bit; and the witness costs alpha.  A failed check gives
+    unverified-small-n and ends the row.
 
-def _row_checks(tc: TripleConstants) -> bool:
-    """Oracle agreement for one triple: case tables, binary constant, witness.
+    R != a: the witness is the canonical pair with the t3 of the larger
+    table, t3 = 0 on a tie, and its expected cost is alpha.  Once the
+    tables agree with values[i:i + 2], its oracle value is the larger of
+    the two, so the witness check is max(values[i:i + 2]) == alpha, with
+    no witness built and no index looked up.  The flag is oracle-exact.
 
-    Each distinct target goes to the oracle once per call: binary_values
-    gives every binary target, the case-table targets and the R != a
-    witness among them, read by _binary_index, from one scan per toggling
-    pair but that of the all-zero target, 3 scans; the oracle's value-only
-    path evaluates the R = a witness.
+    R = a: the witness is never binary, so one more scan evaluates it.
+    Its t2 = (1 - (a+b)*L_n)/a lies below 1/(2a) <= 1/2, as
+    L_n > 1/(2(a+b)).  And t2 = 0 would need (a+b)*L_n = 1, that is
+    ab(a+b-2) = (a+b)n; as gcd(ab, a+b) = 1, a+b would divide a+b-2, so
+    2, which no a+b >= 3 does.  The flag is witness-sandwich.
     """
     spectrum = (tc.a, tc.b, tc.n)
     values = binary_values(spectrum)
-    if max(values) != tc.beta:
-        return False
+    # value j is at the binary target whose t1, t2, t3 are bits 2, 1, 0 of j
     t1, t2 = canonical_binary_pair(tc.a, tc.b)
-    if any(values[_binary_index((t1, t2, t3))] != tc.binary(t3).value
-           for t3 in (Fraction(0), HALF)):
-        return False
-    t, expected = tc.witness()
-    index = _binary_index(t)
-    return (mu_value(spectrum, t) if index is None else values[index]) == expected
-
-
-def _verified(tc: TripleConstants) -> str:
-    """The row's verified flag after the oracle checks of _row_checks."""
-    if not _row_checks(tc):
+    i = 4 * (t1 == HALF) + 2 * (t2 == HALF)
+    tables = values[i:i + 2]
+    if max(values) != tc.beta or tables != [tc.binary(0).value, tc.binary(HALF).value]:
         return UNVERIFIED
-    return VERIFIED_WITNESS if tc.gap else VERIFIED_ORACLE
+    if tc.gap:
+        witness, alpha = tc.witness()
+        return VERIFIED_WITNESS if mu_value(spectrum, witness) == alpha else UNVERIFIED
+    return VERIFIED_ORACLE if max(tables) == tc.alpha else UNVERIFIED
 
 
 def evaluate_sweep_row(a: int, b: int, n: int, verify: bool) -> SweepRow:

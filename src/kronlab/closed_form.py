@@ -71,11 +71,13 @@ def canonical_binary_pair(a: int, b: int) -> tuple[Fraction, Fraction]:
     return (HALF, Fraction(0)) if b % 2 == 1 else (Fraction(0), HALF)
 
 
-#: binary()'s label for (t3, row type): the type and the positions of its rows.
+#: binary()'s label for (table, row type), table 0 for t3 = 0 and 1 for
+#: t3 = 1/2: the type and the positions of its rows.
 _ROWS = (("type-1", "{} in {{0, 1, 2a+2b-1}}"), ("type-3", "2 <= {} <= 2a"),
          ("type-2", "2a < {} <= 2a+2b-2"))
-_LABELS = {(t3, kind): f"t3={t3} {kind} ({where.format(s)})"
-           for t3, s in ((0, "S"), (HALF, "(S+a+b mod 2a+2b)")) for kind, where in _ROWS}
+_LABELS = {(table, kind): f"t3={t3} {kind} ({where.format(s)})"
+           for table, (t3, s) in enumerate((("0", "S"), ("1/2", "(S+a+b mod 2a+2b)")))
+           for kind, where in _ROWS}
 
 
 def _row(a: int, b: int, n: int, s: int) -> tuple[Fraction, str]:
@@ -123,12 +125,13 @@ class TripleConstants:
         """
         t3 = _checked_target(t3)
         if t3 == 0:
-            value, kind = self._tables[0]
+            table = 0
         elif t3 == HALF:
-            value, kind = self._tables[1]
+            table = 1
         else:
             raise ValueError(f"t3 must be 0 or 1/2, got {t3}")
-        return BinaryCase(value, _LABELS[t3, kind])
+        value, kind = self._tables[table]
+        return BinaryCase(value, _LABELS[table, kind])
 
     @functools.cached_property
     def _tables(self) -> tuple[tuple[Fraction, str], tuple[Fraction, str]]:

@@ -177,26 +177,20 @@ MAX_GRID_WORK = 150_000_000
 MAX_BINARY_SIZE = 12
 
 
-def _checked_problem(spectrum: Sequence[int], targets: Sequence
-                     ) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
-    """The spectrum and the targets as tuples, once both pass their checks
-    and their lengths agree."""
-    spectrum = _checked_spectrum(spectrum)
-    targets = tuple(_checked_target(t) for t in targets)
-    if len(spectrum) != len(targets):
-        raise ValueError("spectrum and targets lengths differ")
-    return spectrum, targets
-
-
 @dataclass(frozen=True)
 class SpectrumProblem:
-    """A strictly increasing tuple of positive frequencies plus rational targets."""
+    """A strictly increasing tuple of positive frequencies plus rational
+    targets, one per frequency; both are checked, and stored as tuples,
+    when the problem is built."""
 
     spectrum: tuple[int, ...]
     targets: tuple[Fraction, ...]
 
     def __post_init__(self):
-        spectrum, targets = _checked_problem(self.spectrum, self.targets)
+        spectrum = _checked_spectrum(self.spectrum)
+        targets = tuple(_checked_target(t) for t in self.targets)
+        if len(spectrum) != len(targets):
+            raise ValueError("spectrum and targets lengths differ")
         object.__setattr__(self, "spectrum", spectrum)
         object.__setattr__(self, "targets", targets)
 
@@ -418,11 +412,11 @@ def _mu_value_at(spectrum, D, scaled):
 
 def mu_value(spectrum: Sequence[int], targets: Sequence) -> Fraction:
     """mu_exact(SpectrumProblem(spectrum, targets)).value, from the same scan
-    but without x_star, k_star and the candidate count.  Checks its input as
-    SpectrumProblem does; raises ValueError when candidate_budget(spectrum)
+    but without x_star, k_star and the candidate count.  Raises ValueError
+    when SpectrumProblem refuses the input or candidate_budget(spectrum)
     exceeds MAX_CANDIDATE_BUDGET."""
-    spectrum, targets = _checked_problem(spectrum, targets)
-    return _mu_value_at(spectrum, *_grid(targets))
+    p = SpectrumProblem(spectrum, targets)
+    return _mu_value_at(p.spectrum, *_grid(p.targets))
 
 
 def binary_values(spectrum: Sequence[int]) -> list[Fraction]:
@@ -443,7 +437,8 @@ def binary_values(spectrum: Sequence[int]) -> list[Fraction]:
     target with t_j = 0 at the first odd n_j; every target is scanned when
     all n_j are even.  The all-zero target is not scanned: F(0) = 0 there,
     the least value F takes, so its minimum is 0, and so is its twin's.
-    Each target scanned goes to _scan as its bits t_j*2 on the grid D = 2.
+    Each target scanned goes to _mu_value_at as its bits t_j*2 on the grid
+    D = 2.
     """
     spectrum = _checked_spectrum(spectrum)
     d = len(spectrum)
@@ -455,8 +450,7 @@ def binary_values(spectrum: Sequence[int]) -> list[Fraction]:
     values[0] = values[toggle] = Fraction(0)
     for i, bits in enumerate(itertools.product((0, 1), repeat=d)):
         if 0 < i <= i ^ toggle:
-            best, _, best_M, _ = _scan(spectrum, 2, bits)
-            values[i] = values[i ^ toggle] = Fraction(best, best_M)
+            values[i] = values[i ^ toggle] = _mu_value_at(spectrum, 2, bits)
     return values
 
 

@@ -147,14 +147,14 @@ def test_usage_error_prints_usage_then_one_error_line(capsys, argv, last_line):
 
 
 def test_exit_code_2_on_in_regime_mismatch(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_row_checks", lambda tc: False)
+    monkeypatch.setattr(cli, "_verified", lambda tc: UNVERIFIED)
     code, out, _ = run(capsys, "constants", "1", "2", "100", "--verify")
     assert code == 2
     assert f"verified: {UNVERIFIED}" in out
 
 
 def test_sweep_exit_code_2_still_prints_its_rows(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_row_checks", lambda tc: False)
+    monkeypatch.setattr(cli, "_verified", lambda tc: UNVERIFIED)
     assert in_asymptotic_regime(1, 2, 100)
     code, out, err = run(capsys, "sweep", "1", "2", "--from", "100", "--to", "100",
                          "--verify")
@@ -176,20 +176,23 @@ def test_case_table_mismatch_exits_2(capsys, monkeypatch):
     assert code == 2 and f"verified: {UNVERIFIED}" in out
 
 
-def _row_checks_one_call_per_check(a, b, n):
-    """The row verdict as separate oracle calls: case tables, beta, witness."""
+def _verified_one_call_per_check(a, b, n):
+    """The row's flag from separate oracle calls: case tables, beta, witness."""
     tc = triple_constants(a, b, n)
     t1, t2 = canonical_binary_pair(a, b)
     for t3 in (Fraction(0), Fraction(1, 2)):
         if mu_exact(SpectrumProblem((a, b, n), (t1, t2, t3))).value != tc.binary(t3).value:
-            return False
+            return UNVERIFIED
     if beta_exact((a, b, n))[0] != tc.beta:
-        return False
-    expected = tc.ln if tc.congruence.R == a else tc.alpha
-    return mu_exact(SpectrumProblem((a, b, n), tc.witness()[0])).value == expected
+        return UNVERIFIED
+    r_equals_a = tc.congruence.R == a
+    expected = tc.ln if r_equals_a else tc.alpha
+    if mu_exact(SpectrumProblem((a, b, n), tc.witness()[0])).value != expected:
+        return UNVERIFIED
+    return VERIFIED_WITNESS if r_equals_a else VERIFIED_ORACLE
 
 
-def test_row_checks_read_each_case_table_once(monkeypatch):
+def test_verified_reads_each_case_table_once(monkeypatch):
     """A row's oracle checks and its witness read rows S and (S+a+b) mod
     2(a+b) of the case table once each between them."""
     rows = Counter()
@@ -204,7 +207,7 @@ def test_row_checks_read_each_case_table_once(monkeypatch):
     for a, b, n in _row_triples():
         tc = triple_constants(a, b, n)
         rows.clear()
-        verdict = cli._row_checks(tc)
+        verdict = cli._verified(tc) != UNVERIFIED
         tc.witness()
         S = tc.congruence.S
         tables = Counter([S, (S + a + b) % (2 * (a + b))])
@@ -226,10 +229,10 @@ def _row_triples():
             yield a, b, n
 
 
-def test_row_checks_verdicts_and_single_evaluation(monkeypatch):
-    reference = {t: _row_checks_one_call_per_check(*t) for t in _row_triples()}
-    assert not all(reference.values()) and any(reference.values())
-    assert (2, 5, 6) in reference and not reference[(2, 5, 6)]
+def test_verified_flags_and_single_evaluation(monkeypatch):
+    reference = {t: _verified_one_call_per_check(*t) for t in _row_triples()}
+    assert set(reference.values()) == {UNVERIFIED, VERIFIED_ORACLE, VERIFIED_WITNESS}
+    assert reference[(2, 5, 6)] == UNVERIFIED
 
     # Count at the scan that mu_exact and the value-only binary path share.
     seen = Counter()
@@ -241,18 +244,18 @@ def test_row_checks_verdicts_and_single_evaluation(monkeypatch):
 
     monkeypatch.setattr(oracle, "_scan", counting_scan)
     r_equals_a = 0
-    for (a, b, n), verdict in reference.items():
+    for (a, b, n), flag in reference.items():
         seen.clear()
         tc = triple_constants(a, b, n)
-        assert cli._row_checks(tc) == verdict, (a, b, n)
+        assert cli._verified(tc) == flag, (a, b, n)
         assert seen and max(seen.values()) == 1, (a, b, n, seen)
         # one scan per toggling pair of binary targets (2^(d-1) = 4) but the
         # all-zero target's, whose twins cover the case-table targets, plus
         # the witness when it is not binary (R = a) and the checks before it
-        # pass, as they do on every row whose verdict is true
+        # pass, as they do on every verified row
         witness_scans = sum(seen.values()) - 3
         non_binary_witness = not set(tc.witness()[0]) <= {0, Fraction(1, 2)}
-        assert witness_scans == non_binary_witness if verdict \
+        assert witness_scans == non_binary_witness if flag != UNVERIFIED \
             else 0 <= witness_scans <= non_binary_witness, (a, b, n, seen)
         r_equals_a += tc.congruence.R == a
     assert r_equals_a >= len(ACCEPTANCE_PAIRS)
@@ -273,7 +276,8 @@ def test_asymptotic_regime_never_vouches_for_a_refuted_row():
             rows += [(a, b, n) for n in range(b + 1, last_out + 2 * (a + b) + 1)
                      if in_asymptotic_regime(a, b, n)]
     assert len(rows) == 1726
-    assert [row for row in rows if not cli._row_checks(triple_constants(*row))] == []
+    assert [row for row in rows
+            if cli._verified(triple_constants(*row)) == UNVERIFIED] == []
 
 
 def test_jobs_below_one_exit_1(capsys):
@@ -411,7 +415,7 @@ def test_grid_refuses_oversized_grid(capsys, monkeypatch):
         raise AssertionError("the oracle checks ran")
 
     # with --verify the grid is refused before the oracle checks run
-    monkeypatch.setattr(cli, "_row_checks", no_checks)
+    monkeypatch.setattr(cli, "_verified", no_checks)
     code, out, err = run(capsys, "constants", "1", "2", "1000", "--grid", "316", "--verify")
     assert code == 1 and out == "" and "oracle candidates" in err
 

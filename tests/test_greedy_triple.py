@@ -4,14 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+import kronlab.greedy_triple as greedy_triple
 from conftest import rand_coprime_pair, rand_fraction
 from kronlab.closed_form import (alpha_formula, in_asymptotic_regime,
                                  triple_constants)
 from kronlab.exact_arith import bezout_coprime
 from kronlab.greedy_triple import (Certificate, NotInAsymptoticRegime,
-                                   TripleProblem, ZWindow, _pick_alignment,
-                                   _z_window, certificate_at, greedy_bound,
-                                   greedy_en_certificate, modify,
+                                   TripleProblem, ZWindow, _aligned_step,
+                                   _pick_alignment, _z_window, certificate_at,
+                                   greedy_bound, greedy_en_certificate, modify,
                                    small_lambda_certificate, z_windows)
 from kronlab.oracle import SpectrumProblem, mu_exact
 from kronlab.pair_solver import (BalancedApprox, PairProblem, best_pair_approx,
@@ -360,7 +361,8 @@ def test_small_n_never_returns_unsound_certificates():
         else:
             assert cert.cost == _recomputed_cost(p, cert)
             assert cert.cost <= alpha_formula(a, b, n)  # the promise, or a raise
-    assert raised >= 0  # construction may in fact be total; both outcomes sound
+    # the small-lambda snap raises on 119 of these draws
+    assert raised > 0
 
 
 def test_greedy_en_raises_when_small_lambda_exceeds_en():
@@ -403,6 +405,45 @@ def test_en_branch_windows_are_never_empty_for_b_up_to_12():
                 assert en >= ln or en >= Fraction(1, a + b) - Fraction(b - a, 2 * n), \
                     (a, b, n)
     assert triples == 34061
+
+
+def test_aligned_step_returns_none_when_no_window_holds_an_alignment_point():
+    """At E = lam each window of a balanced point is x +- lam/n, 2*lam/n
+    wide.  With t3 = n*x + 1/2 (mod 1) the alignment points (t3 + k3)/n lie
+    1/(2n) + k/n from x, so no window holds one as lam < 1/2; with
+    t3 = n*x (mod 1) the point x itself is one, which the step keeps."""
+    a, b, n = 1, 2, 100
+    ba = best_pair_approx(PairProblem(a, b, Fraction(0), Fraction(1, 3)))
+    assert 0 < ba.lam < HALF
+    for shift, expected in ((HALF, None), (Fraction(0), ba.x)):
+        p = TripleProblem(a, b, n, Fraction(0), Fraction(1, 3), (n * ba.x + shift) % 1)
+        for sign in (+1, -1):
+            w = _z_window(ba, ba.lam, p, sign)
+            assert (w.lo, w.hi) == (ba.x - ba.lam / n, ba.x + ba.lam / n)
+        cert = _aligned_step(p, ba.lam, [(ba, +1), (ba, -1)])
+        assert (None if cert is None else cert.x_star) == expected, shift
+
+
+def test_en_case_without_an_alignment_point_raises_with_greedy_bound(monkeypatch):
+    """No known input leaves both E_n windows without an alignment point
+    (greedy_en_certificate's docstring).  With _aligned_step finding none
+    there, the construction raises NotInAsymptoticRegime carrying
+    greedy_bound's certificate, which takes one window at its own E."""
+    p = TripleProblem(1, 2, 100, Fraction(0), HALF, Fraction(0))
+    bound = greedy_bound(p)
+    aligned_step = greedy_triple._aligned_step
+    anchor_counts = []
+
+    def none_on_the_en_windows(q, E, anchors):
+        anchor_counts.append(len(anchors))
+        return None if len(anchors) == 2 else aligned_step(q, E, anchors)
+
+    monkeypatch.setattr(greedy_triple, "_aligned_step", none_on_the_en_windows)
+    with pytest.raises(NotInAsymptoticRegime,
+                       match=r"no alignment point at E_n=51/302 for \(1, 2, 100\)") as info:
+        greedy_en_certificate(p)
+    assert anchor_counts == [2, 1]
+    assert info.value.certificate == bound
 
 
 def _en_case_picks(p: TripleProblem):

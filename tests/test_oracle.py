@@ -133,7 +133,7 @@ def test_verified_row_walks_only_the_windows(walks, triple, points, ranges):
     is a residue whose first lift lies past the end (under halving, one of r
     and -r usually has none), so (3, 7, 1001) hands over 11 ranges where 29
     were built."""
-    assert cli._row_checks(triple_constants(*triple))
+    assert cli._verified(triple_constants(*triple)) != cli.UNVERIFIED
     assert sum(walks) == points
     assert len(walks) == ranges
 
@@ -310,7 +310,8 @@ def test_rows_near_n_100000_verify(a, b):
     witness) at n = 100,000 for (1, 2) and n = 99,999 for (3, 7)."""
     for n in range(99_999, 100_002):
         tc = triple_constants(a, b, n)
-        assert cli._row_checks(tc), (a, b, n)
+        flag = cli.VERIFIED_WITNESS if tc.gap else cli.VERIFIED_ORACLE
+        assert cli._verified(tc) == flag, (a, b, n)
 
 
 def test_result_invariants():

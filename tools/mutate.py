@@ -127,7 +127,8 @@ MUTANTS = {
         ("binary-last-odd-index", "if 0 < i <= i ^ toggle:",
          "if 0 < i and not i & toggle & -toggle:"),
         ("binary-no-filter", "if 0 < i <= i ^ toggle:", "if 0 < i:"),
-        ("binary-bits-reversed", "_scan(spectrum, 2, bits)", "_scan(spectrum, 2, bits[::-1])"),
+        ("binary-bits-reversed", "_mu_value_at(spectrum, 2, bits)",
+         "_mu_value_at(spectrum, 2, bits[::-1])"),
         ("binary-zero-twin-dropped", "values[0] = values[toggle] =", "values[0] ="),
         ("grid-steps-reversed", "itertools.product(range(D),",
          "itertools.product(reversed(range(D)),"),
@@ -154,8 +155,7 @@ MUTANTS = {
         ("ln-numerator", "ln = Fraction(n + a * b,", "ln = Fraction(n + b,"),
         ("alpha-is-beta-at-gap", "alpha=ln if gap else beta", "alpha=beta"),
         ("witness-tie-picks-half", "v0 >= vh", "v0 > vh"),
-        ("binary-half-reads-zero-table", "value, kind = self._tables[1]",
-         "value, kind = self._tables[0]"),
+        ("binary-half-reads-zero-table", "table = 1", "table = 0"),
         ("case-tables-read-per-call", "@functools.cached_property", "@property"),
         ("regime-drops-first-clause",
          "return Fraction(3 * self.b - self.a, 2 * self.n) <= self.alpha", "return True"),
@@ -223,9 +223,27 @@ MUTANTS = {
          'is True:\n        return "True"'),
         ("json-rational-default-precision", "rational_to_json(value, precision), dict",
          "rational_to_json(value), dict"),
-        ("case-table-index-off-by-one", "values[_binary_index((t1, t2, t3))]",
-         "values[_binary_index((t1, t2, t3)) + 1]"),
-        ("witness-index-reversed", "index = _binary_index(t)\n", "index = _binary_index(t[::-1])\n"),
+        ("beta-check-one-sided", "if max(values) != tc.beta", "if max(values) > tc.beta"),
+        ("case-table-check-dropped",
+         " or tables != [tc.binary(0).value, tc.binary(HALF).value]", ""),
+        ("case-table-index-off-by-one", "tables = values[i:i + 2]",
+         "tables = values[i + 1:i + 3]"),
+        ("gap-witness-scan-skipped", "VERIFIED_WITNESS if mu_value(spectrum, witness) == alpha"
+         " else UNVERIFIED", "VERIFIED_WITNESS"),
+        ("witness-takes-smaller-table", "if max(tables) == tc.alpha",
+         "if min(tables) == tc.alpha"),
+        ("verified-flags-swapped",
+         "return VERIFIED_WITNESS if mu_value(spectrum, witness) == alpha else UNVERIFIED\n"
+         "    return VERIFIED_ORACLE if",
+         "return VERIFIED_ORACLE if mu_value(spectrum, witness) == alpha else UNVERIFIED\n"
+         "    return VERIFIED_WITNESS if"),
+        ("constants-exit-2-ignores-regime", "if verified == UNVERIFIED and regime:",
+         "if verified == UNVERIFIED:"),
+        ("sweep-exit-2-ignores-regime",
+         "and args.verify\n           and in_asymptotic_regime(a, b, row.n)]",
+         "and args.verify]"),
+        ("mu-never-exits-3", "if cert.cost < result.value:", "if False:"),
+        ("sweep-budget-refusal-skipped", "check_candidate_budget((a, b, args.n_to))", "pass"),
         ("leftover-arguments-dropped", "if extras:\n", "if False:\n"),
         ("leftover-arguments-reported-by-command", "parser.error(f\"unrecognized",
          "commands[name].error(f\"unrecognized"),
@@ -239,6 +257,10 @@ MUTANTS = {
 #: tests/test_oracle.py pins the points that four verified rows and two mu
 #: problems walk, which kills them.
 EQUIVALENT = {
+    "beta-check-one-sided":
+        "beta is row R or R+a+b, one of the two case tables, so values holding both "
+        "tables has max(values) >= beta: a row with max(values) < beta fails the "
+        "table check next",
     "half-table-shift-subtracted":
         "S - (a+b) and S + (a+b) are the same residue mod 2(a+b)",
     "modify-keeps-x-only-below-lam":
