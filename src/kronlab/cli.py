@@ -23,10 +23,9 @@ library below it computes exact values only.
 
 main(argv) is the in-process entry point and returns the exit code.  The
 parsers are built on the first call and reused by every later one in the
-process; build_parser() returns the shared top-level parser, which callers
-must not mutate.  An argv that starts with a command name goes straight to
-that command's own parser, the one the top-level parser would hand it to;
-what it leaves over the top-level parser reports as unrecognized, as its
+process.  An argv that starts with a command name goes straight to that
+command's own parser, the one the top-level parser would hand it to; what
+it leaves over the top-level parser reports as unrecognized, as its
 parse_args does.  Every other argv (top-level help, no or an unknown
 command, a leading option or "--") goes to the top-level parser.
 """
@@ -466,13 +465,6 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     _add_common(p_sweep)
 
     return parser, {"mu": p_mu, "constants": p_con, "sweep": p_sweep}
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's top-level parser, built on the first call and shared by
-    every later one: callers must not mutate it.  Its parse_args exits with
-    argparse's own code 2 on a usage error, which main maps to 1."""
-    return _parsers()[0]
 
 
 def main(argv=None) -> int:

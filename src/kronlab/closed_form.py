@@ -62,6 +62,9 @@ class CongruenceData:
 
 
 class BinaryCase(NamedTuple):
+    """One row of the case table: mu's value there and the row's type,
+    "type-1", "type-2" or "type-3" (module docstring)."""
+
     value: Fraction
     case: str
 
@@ -71,24 +74,14 @@ def canonical_binary_pair(a: int, b: int) -> tuple[Fraction, Fraction]:
     return (HALF, Fraction(0)) if b % 2 == 1 else (Fraction(0), HALF)
 
 
-#: binary()'s label for (table, row type), table 0 for t3 = 0 and 1 for
-#: t3 = 1/2: the type and the positions of its rows.
-_ROWS = (("type-1", "{} in {{0, 1, 2a+2b-1}}"), ("type-3", "2 <= {} <= 2a"),
-         ("type-2", "2a < {} <= 2a+2b-2"))
-_LABELS = {(table, kind): f"t3={t3} {kind} ({where.format(s)})"
-           for table, (t3, s) in enumerate((("0", "S"), ("1/2", "(S+a+b mod 2a+2b)")))
-           for kind, where in _ROWS}
-
-
-def _row(a: int, b: int, n: int, s: int) -> tuple[Fraction, str]:
-    """(value, row type) of row s, 0 <= s < 2(a+b), of the one case table
-    (module docstring)."""
+def _row(a: int, b: int, n: int, s: int) -> BinaryCase:
+    """Row s, 0 <= s < 2(a+b), of the one case table (module docstring)."""
     m = a + b
     if s in (0, 1, 2 * m - 1):
-        return Fraction(1, 2 * m), "type-1"
+        return BinaryCase(Fraction(1, 2 * m), "type-1")
     if s <= 2 * a:
-        return Fraction(n + b * s, 2 * m * (b + n)), "type-3"
-    return Fraction(n + a * (2 * m - s), 2 * m * (a + n)), "type-2"
+        return BinaryCase(Fraction(n + b * s, 2 * m * (b + n)), "type-3")
+    return BinaryCase(Fraction(n + a * (2 * m - s), 2 * m * (a + n)), "type-2")
 
 
 @dataclass(frozen=True)
@@ -113,31 +106,29 @@ class TripleConstants:
     gap: bool
 
     def binary(self, t3: Fraction) -> BinaryCase:
-        """Case-table value of mu at (canonical pair, t3), with the row label.
+        """The case-table row mu takes at (canonical pair, t3): its value
+        and its type.
 
         t3 = 0 reads row S of the case table and t3 = 1/2 row
         (S+a+b) mod 2(a+b); the two are rows R and R+a+b in some order, so in
-        the asymptotic regime the larger value is beta.  The label names the
-        row's type and the positions of that type.  The type is the balanced
-        structure of the optimum: type-1 is the pure pair crossing at cost
-        1/(2(a+b)); type-2 balances the first and third residuals; type-3
-        balances the second and third.
+        the asymptotic regime the larger value is beta.  The type names the
+        residuals that balance at the optimum: those of a and b for type-1,
+        the pair crossing at cost 1/(2(a+b)); a and n for type-2; b and n
+        for type-3.  Both rows are read once per record, and every call
+        returns the same BinaryCase.
         """
         t3 = _checked_target(t3)
         if t3 == 0:
-            table = 0
-        elif t3 == HALF:
-            table = 1
-        else:
-            raise ValueError(f"t3 must be 0 or 1/2, got {t3}")
-        value, kind = self._tables[table]
-        return BinaryCase(value, _LABELS[table, kind])
+            return self._tables[0]
+        if t3 == HALF:
+            return self._tables[1]
+        raise ValueError(f"t3 must be 0 or 1/2, got {t3}")
 
     @functools.cached_property
-    def _tables(self) -> tuple[tuple[Fraction, str], tuple[Fraction, str]]:
-        """(value, row type) of the case tables for t3 = 0 and t3 = 1/2,
-        rows S and (S+a+b) mod 2(a+b), read once per record: binary and
-        witness share them."""
+    def _tables(self) -> tuple[BinaryCase, BinaryCase]:
+        """The case-table rows for t3 = 0 and t3 = 1/2, rows S and
+        (S+a+b) mod 2(a+b), read once per record: binary and witness share
+        them."""
         a, b, n, S = self.a, self.b, self.n, self.congruence.S
         return _row(a, b, n, S), _row(a, b, n, (S + a + b) % (2 * (a + b)))
 
@@ -160,7 +151,7 @@ class TripleConstants:
             t3 = Fraction((a + n) * (n + a * b), 2 * a * (a * n + b * n + a * b))
             return (Fraction(0), t2, t3), self.alpha
         t1, t2 = canonical_binary_pair(a, b)
-        (v0, _), (vh, _) = self._tables
+        v0, vh = (row.value for row in self._tables)
         return (t1, t2, Fraction(0) if v0 >= vh else HALF), self.alpha
 
     def in_regime(self) -> bool:
@@ -212,7 +203,7 @@ def triple_constants(a: int, b: int, n: int) -> TripleConstants:
 
     ln = Fraction(n + a * b, 2 * (a * n + b * n + a * b))
     gap = R == a
-    beta = _row(a, b, n, R if R > a else R + m)[0]
+    beta = _row(a, b, n, R if R > a else R + m).value
     return TripleConstants(a=a, b=b, n=n, congruence=cd, alpha=ln if gap else beta,
                            beta=beta, ln=ln, gap=gap)
 

@@ -73,7 +73,7 @@ def test_c2_binary_case_table_equality():
                 exact = mu_exact(SpectrumProblem((a, b, n), (t1, t2, t3))).value
                 assert table.value == exact, (
                     f"case-table mismatch at ({a}, {b}, {n}), t3={t3}: "
-                    f"row '{table.case}' gives {table.value}, oracle {exact}")
+                    f"{table.case} row gives {table.value}, oracle {exact}")
 
 
 def test_c3_alpha_sandwich_gap_case():

@@ -806,7 +806,7 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
     capsys.readouterr()
     assert codes == [0, 0, 0, 1, 0, 0] * 2
     assert built == []
-    assert cli.build_parser() is cli.build_parser()
+    assert cli._parsers()[0] is cli._parsers()[0]
 
 
 def test_commands_are_looked_up_at_call_time(capsys, monkeypatch):
@@ -848,7 +848,7 @@ def _top_level_main(argv):
     command's arguments to that command's parser: the route main took
     before a command's argv went straight to its own parser."""
     try:
-        args = cli.build_parser().parse_args(argv)
+        args = cli._parsers()[0].parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:

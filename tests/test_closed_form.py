@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -87,19 +88,22 @@ def test_binary_mu_examples():
         triple_constants(1, 2, 100).binary(Fraction(1, 3))
 
 
-def test_binary_mu_detail_labels():
-    """One full label of each row type for each t3, all on (1, 2, n)."""
-    labels = {(n, t3): triple_constants(1, 2, n).binary(t3).case
-              for n, t3 in [(96, 0), (100, 0), (98, 0), (100, HALF), (96, HALF), (95, HALF)]}
-    assert labels == {
-        (96, 0): "t3=0 type-1 (S in {0, 1, 2a+2b-1})",
-        (100, 0): "t3=0 type-2 (2a < S <= 2a+2b-2)",
-        (98, 0): "t3=0 type-3 (2 <= S <= 2a)",
-        (100, HALF): "t3=1/2 type-1 ((S+a+b mod 2a+2b) in {0, 1, 2a+2b-1})",
-        (96, HALF): "t3=1/2 type-2 (2a < (S+a+b mod 2a+2b) <= 2a+2b-2)",
-        (95, HALF): "t3=1/2 type-3 (2 <= (S+a+b mod 2a+2b) <= 2a)",
+def test_binary_row_types_and_positions():
+    """binary(t3) is the row's value and bare type; each type at each t3,
+    all on (1, 2, n), with the row it reads: S for t3 = 0 and
+    (S+a+b) mod 2(a+b) for t3 = 1/2.  Rows 0, 1 and 5 are type-1, row 2
+    type-3 and rows 3 and 4 type-2."""
+    rows = {}
+    for n, t3 in [(96, 0), (100, 0), (98, 0), (100, HALF), (96, HALF), (95, HALF)]:
+        tc = triple_constants(1, 2, n)
+        S = tc.congruence.S
+        rows[n, t3] = tc.binary(t3).case, S if t3 == 0 else (S + 3) % 6
+    assert rows == {
+        (96, 0): ("type-1", 0), (100, 0): ("type-2", 4), (98, 0): ("type-3", 2),
+        (100, HALF): ("type-1", 1), (96, HALF): ("type-2", 3), (95, HALF): ("type-3", 2),
     }
-    assert "type-2" in triple_constants(2, 3, 300).binary(HALF).case
+    assert triple_constants(1, 2, 100).binary(0) == (Fraction(17, 101), "type-2")
+    assert triple_constants(2, 3, 300).binary(HALF).case == "type-2"
 
 
 def test_beta_examples_and_gap():
@@ -124,12 +128,11 @@ def test_gap_law_random():
 def _agrees_with_reference(a, b, n):
     tc = triple_constants(a, b, n)
     R, S = tc.congruence.R, tc.congruence.S
-    tables = [tc.binary(t3) for t3 in (Fraction(0), HALF)]
     return ((tc.alpha, tc.beta, tc.ln, tc.gap)
             == (reference.alpha(a, b, n, R), reference.beta(a, b, n, R), reference.ln(a, b, n),
                 R == a)
-            and [(table.value, table.case.split()[1]) for table in tables]
-            == [reference.binary(a, b, n, S, t3) for t3 in (Fraction(0), HALF)])
+            and all(tc.binary(t3) == reference.binary(a, b, n, S, t3)
+                    for t3 in (Fraction(0), HALF)))
 
 
 def test_closed_forms_match_the_paper_formulas():
@@ -151,6 +154,72 @@ def test_closed_forms_match_the_paper_formulas():
         a, b = rand_coprime_pair(rng, 1998)
         n = rng.randrange(b + 1, 10 ** rng.randrange(4, 13))
         assert _agrees_with_reference(a, b, n), (a, b, n)
+
+
+#: The residuals each row type balances at the optimum, by index in (a, b, n).
+_BALANCED = {"type-1": (0, 1), "type-2": (0, 2), "type-3": (1, 2)}
+
+
+def _optimum_structure(spectrum, targets):
+    """(mu, balanced pairs) at mu_exact's x_star and k_star.  With
+    e_j = n_j*x_star - t_j - k_j, the pair (i, j), i < j, balances when
+    |e_i| = mu and e_i = -e_j."""
+    result = mu_exact(SpectrumProblem(spectrum, targets))
+    e = [nj * result.x_star - tj - kj
+         for nj, tj, kj in zip(spectrum, targets, result.k_star)]
+    return result.value, {(i, j) for i, j in itertools.combinations(range(len(e)), 2)
+                          if abs(e[i]) == result.value and e[i] == -e[j]}
+
+
+def _row_structures(pairs, n_range):
+    """(a, b, n, t3, row, mu, balanced pairs) for both case-table targets
+    (canonical pair, t3 in {0, 1/2}) of each pair and each n in
+    n_range(a, b)."""
+    for a, b in pairs:
+        t1, t2 = canonical_binary_pair(a, b)
+        for n in n_range(a, b):
+            tc = triple_constants(a, b, n)
+            for t3 in (Fraction(0), HALF):
+                yield (a, b, n, t3, tc.binary(t3),
+                       *_optimum_structure((a, b, n), (t1, t2, t3)))
+
+
+def _coprime_pairs(b_max):
+    return [(a, b) for b in range(2, b_max + 1) for a in range(1, b) if math.gcd(a, b) == 1]
+
+
+def test_row_type_is_the_balanced_pair_of_the_optimum():
+    """From n = 3b^2 on, the oracle's optimum at each case-table target has
+    the value of its row and balances the row type's pair of residuals: 57
+    coprime pairs with b <= 13, n in [3b^2, 3b^2 + 4(a+b)).  In 456 of those
+    6,360 cases one more pair balances as well."""
+    pairs = _coprime_pairs(13)
+    assert len(pairs) == 57
+    cases = extra = 0
+    for a, b, n, t3, row, mu, balanced in _row_structures(
+            pairs, lambda a, b: range(3 * b * b, 3 * b * b + 4 * (a + b))):
+        assert row.value == mu and _BALANCED[row.case] in balanced, (a, b, n, t3, row, balanced)
+        cases += 1
+        extra += len(balanced) > 1
+    assert (cases, extra) == (6360, 456)
+
+
+def test_row_type_below_3b2_disagrees_on_seven_rows():
+    """Below 3b^2 (b <= 9, b < n < 3b^2), on the rows whose value the oracle
+    agrees with, the row type's pair balances at the optimum on all but
+    seven, each a type-2 row with n <= b^2 - b - a."""
+    cases, disagree = 0, []
+    for a, b, n, t3, row, mu, balanced in _row_structures(
+            _coprime_pairs(9), lambda a, b: range(b + 1, 3 * b * b)):
+        if row.value != mu:
+            continue
+        cases += 1
+        if _BALANCED[row.case] not in balanced:
+            assert row.case == "type-2" and n <= b * b - b - a, (a, b, n, t3)
+            disagree.append((a, b, n, t3))
+    assert cases == 6975
+    assert disagree == [(1, 4, 8, HALF), (1, 6, 24, HALF), (2, 7, 28, HALF), (4, 7, 14, HALF),
+                        (1, 8, 48, HALF), (2, 9, 12, 0), (5, 9, 27, HALF)]
 
 
 def test_beta_is_max_of_binary_tables_in_regime():
@@ -234,6 +303,8 @@ def test_case_tables_are_read_once_per_record(monkeypatch):
         tc.binary(Fraction(0)), tc.binary(HALF), tc.witness()
     S = tc.congruence.S
     assert rows == [S, (S + 5) % 10]
+    # binary returns the cached records themselves, built by no call
+    assert tc.binary(Fraction(0)) is tc._tables[0] and tc.binary(HALF) is tc._tables[1]
 
 
 def test_alpha_witness_attains_constant():

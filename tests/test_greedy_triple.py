@@ -174,6 +174,9 @@ def test_modify_rejections():
     ba = best_pair_approx(p.pair())
     with pytest.raises(ValueError):
         modify(ba, ba.x + Fraction(1, 7), p)  # 100*z not aligned with t3
+    # |n*z - n*x| = 1/10 here, so only the alignment check refuses this z
+    with pytest.raises(ValueError, match=r"^n\*z - t3 = 991/60 is not an integer$"):
+        modify(ba, ba.x + Fraction(1, 1000), p)
     far = ba.x + Fraction(2, 100) + Fraction(1, 400)
     q = TripleProblem(1, 2, 100, Fraction(0), HALF, 100 * far % 1)
     with pytest.raises(ValueError, match=r"^\|n\*z - n\*x\| = 9/4 > 1$"):

@@ -564,6 +564,12 @@ def test_problem_accepts_int_fraction_and_str_targets():
     assert SpectrumProblem((1, 2), ("-1/2", "7/5")).targets == (-HALF, Fraction(7, 5))
 
 
+def test_problem_stores_a_list_spectrum_as_a_hashable_tuple():
+    p = SpectrumProblem([2, 3], [0, HALF])
+    assert p.spectrum == (2, 3) and p.targets == (Fraction(0), HALF)
+    assert hash(p) == hash(SpectrumProblem((2, 3), (0, HALF)))
+
+
 def test_beta_and_grid_reject_inexact_frequencies():
     for spectrum in [(1, 2.5), (1, 2.0), (True, 2), (1, Fraction(3))]:
         with pytest.raises(ValueError):
@@ -582,6 +588,10 @@ def test_mu_exact_refuses_oversized_spectrum():
     # the value-only path refuses it too
     with pytest.raises(ValueError, match="limit"):
         binary_values(huge.spectrum)
+    # a d = 1 spectrum with odd n_1 needs no scan (both binary targets are
+    # twins of the all-zero one), so only the budget check refuses it
+    with pytest.raises(ValueError, match=r"^spectrum \(2000001,\) allows up to 4000006 "):
+        binary_values((2000001,))
     # the largest size the benchmarks use stays well inside the limit
     assert 10 * candidate_budget((4, 5, 1100)) < MAX_CANDIDATE_BUDGET
 
@@ -597,7 +607,7 @@ def binary_targets(d):
     return list(itertools.product((Fraction(0), HALF), repeat=d))
 
 
-def test_beta_exact_toggle_and_jobs_consistency():
+def test_beta_exact_is_the_max_over_binary_targets():
     # beta_exact equals the max over all 2^d binary targets, ties going to
     # the lexicographically smallest target
     rng = random.Random(8)

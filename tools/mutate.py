@@ -130,6 +130,8 @@ MUTANTS = {
         ("binary-bits-reversed", "_mu_value_at(spectrum, 2, bits)",
          "_mu_value_at(spectrum, 2, bits[::-1])"),
         ("binary-zero-twin-dropped", "values[0] = values[toggle] =", "values[0] ="),
+        ("binary-budget-check-dropped",
+         "MAX_BINARY_SIZE}\")\n    check_candidate_budget(spectrum)", "MAX_BINARY_SIZE}\")"),
         ("grid-steps-reversed", "itertools.product(range(D),",
          "itertools.product(reversed(range(D)),"),
         ("grid-pins-last-target", "(0, *steps)", "(*steps, 0)"),
@@ -142,6 +144,7 @@ MUTANTS = {
         ("type-1-takes-row-2", "if s in (0, 1, 2 * m - 1):", "if s in (0, 1, 2, 2 * m - 1):"),
         ("type-3-ends-before-2a", "if s <= 2 * a:", "if s < 2 * a:"),
         ("type-3-ends-after-2a", "if s <= 2 * a:", "if s <= 2 * a + 1:"),
+        ("type-3-row-typed-type-2", '"type-3")', '"type-2")'),
         ("type-3-numerator", "Fraction(n + b * s,", "Fraction(n + a * s,"),
         ("type-2-numerator", "Fraction(n + a * (2 * m - s),", "Fraction(n + a * (2 * m - s - 1),"),
         ("beta-at-R-when-R-is-a", "R if R > a else R + m", "R if R >= a else R + m"),
@@ -155,7 +158,7 @@ MUTANTS = {
         ("ln-numerator", "ln = Fraction(n + a * b,", "ln = Fraction(n + b,"),
         ("alpha-is-beta-at-gap", "alpha=ln if gap else beta", "alpha=beta"),
         ("witness-tie-picks-half", "v0 >= vh", "v0 > vh"),
-        ("binary-half-reads-zero-table", "table = 1", "table = 0"),
+        ("binary-half-reads-zero-table", "return self._tables[1]", "return self._tables[0]"),
         ("case-tables-read-per-call", "@functools.cached_property", "@property"),
         ("regime-drops-first-clause",
          "return Fraction(3 * self.b - self.a, 2 * self.n) <= self.alpha", "return True"),
@@ -169,6 +172,7 @@ MUTANTS = {
         ("ln-threshold-strict", "<= lam.denominator * (ln", "< lam.denominator * (ln"),
         ("window-end-factors-swapped", "(p.b, p.a) if sign > 0 else (p.a, p.b)",
          "(p.a, p.b) if sign > 0 else (p.b, p.a)"),
+        ("modify-alignment-check-dropped", "if num % den:", "if False:"),
         ("modify-factors-swapped", "f = (a + n) if slow_side else (b + n)",
          "f = (b + n) if slow_side else (a + n)"),
         ("modify-step-sign-flipped", "step = gap - lam_ if diff > 0 else lam_ - gap",
