@@ -11,7 +11,7 @@ from .closed_form import (CongruenceData, TripleConstants, alpha_formula,
 from .exact_arith import bezout_coprime
 from .greedy_triple import (Certificate, NotInAsymptoticRegime, TripleProblem,
                             ZWindow, greedy_bound, greedy_en_certificate,
-                            modify, small_lambda_certificate, z_windows)
+                            z_windows)
 from .oracle import (OracleResult, SpectrumProblem, alpha_grid_lower_bound,
                      beta_exact, mu_exact, mu_value)
 from .pair_solver import (BalancedApprox, PairProblem, best_pair_approx,
@@ -25,7 +25,6 @@ __all__ = [
     "TripleProblem", "ZWindow", "alpha_formula", "alpha_grid_lower_bound",
     "best_pair_approx", "beta_exact", "beta_formula", "bezout_coprime",
     "canonical_binary_pair", "greedy_bound", "greedy_en_certificate",
-    "in_asymptotic_regime", "modify", "mu_exact", "mu_pair", "mu_value",
-    "second_best_approx", "small_lambda_certificate", "triple_constants",
-    "z_windows",
+    "in_asymptotic_regime", "mu_exact", "mu_pair", "mu_value",
+    "second_best_approx", "triple_constants", "z_windows",
 ]

@@ -190,10 +190,13 @@ def _emit(text: str, out_path: str | None) -> None:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, out_path)
-    except OSError:
+    except OSError as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise
+        if exc.filename is None:
+            raise
+        # name the path asked for, not the temp file beside it
+        raise OSError(exc.errno, exc.strerror, out_path) from None
 
 
 def _fmt(q: Fraction, precision: int) -> str:
@@ -358,19 +361,19 @@ def worker_count(jobs: int, tasks: int) -> int:
     return workers if workers < 2 else min(workers, os.cpu_count() or 1)
 
 
-def parallel_map(fn: Callable, work: Sequence[tuple], jobs: int) -> list:
-    """[fn(*args) for args in work], over worker_count(jobs, len(work)) processes.
+def parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
+    """[fn(item) for item in items], over worker_count(jobs, len(items)) processes.
 
-    Results keep the order of ``work``; each worker takes about four chunks,
+    Results keep the order of ``items``; each worker takes about four chunks,
     which evens out unequal task costs."""
-    workers = worker_count(jobs, len(work))
+    workers = worker_count(jobs, len(items))
     if workers < 2:
-        return [fn(*args) for args in work]
+        return [fn(item) for item in items]
     # imported here: only a pool pays for loading multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunksize = math.ceil(len(work) / (4 * workers))
-        return list(pool.map(fn, *zip(*work), chunksize=chunksize))
+        chunksize = math.ceil(len(items) / (4 * workers))
+        return list(pool.map(fn, items, chunksize=chunksize))
 
 
 def cmd_sweep(args) -> int:
@@ -386,8 +389,8 @@ def cmd_sweep(args) -> int:
     if args.verify:
         # the oracle's budget grows with n: the last row decides for all
         check_candidate_budget((a, b, args.n_to))
-    work = [(a, b, n, args.verify) for n in range(args.n_from, args.n_to + 1)]
-    rows = parallel_map(evaluate_sweep_row, work, args.jobs)
+    rows = parallel_map(functools.partial(evaluate_sweep_row, a, b, verify=args.verify),
+                        range(args.n_from, args.n_to + 1), args.jobs)
     _report(args, [({"pair": [a, b]}, ",".join(CSV_COLUMNS)),
                    ({"rows": rows},
                     "\n".join(",".join(map(_csv_cell, vars(row).values())) for row in rows))])

@@ -79,9 +79,9 @@ class TripleProblem:
 class ZWindow:
     """Admissible alignment interval [lo, hi] around anchor_x.
 
-    Its readers (_pick_alignment and modify) need only these three fields,
-    so neither the sign of the window (see _z_window) nor the bound E and
-    the anchor's lam that fixed the endpoints are kept.
+    Its reader, _pick_alignment, needs only these three fields, so neither
+    the sign of the window (see _z_window) nor the bound E and the anchor's
+    lam that fixed the endpoints are kept.
     """
 
     lo: Fraction
@@ -90,9 +90,6 @@ class ZWindow:
 
     def width(self) -> Fraction:
         return self.hi - self.lo
-
-    def contains(self, z: Fraction) -> bool:
-        return self.lo <= z <= self.hi
 
 
 @dataclass(frozen=True)
@@ -129,11 +126,6 @@ def _small_lambda_applies(p: TripleProblem, lam: Fraction) -> bool:
     return 2 * p.n * lam.numerator <= (p.b - p.a) * lam.denominator
 
 
-def _alignment_point(p: TripleProblem, k3: int) -> Fraction:
-    """z = (t3 + k3)/n, where the third residual vanishes."""
-    return Fraction(p.t3.numerator + k3 * p.t3.denominator, p.n * p.t3.denominator)
-
-
 def certificate_at(p: TripleProblem, x_star: Fraction, method: str) -> Certificate:
     """Evaluate a candidate point exactly and package it as a Certificate.
 
@@ -154,36 +146,34 @@ def certificate_at(p: TripleProblem, x_star: Fraction, method: str) -> Certifica
     return Certificate(x_star=x_star, k=tuple(k), cost=cost, method=method)
 
 
-def small_lambda_certificate(p: TripleProblem, ba: BalancedApprox) -> Certificate:
-    """Snap to the nearest alignment point when lam <= (b-a)/(2n).
+def _snap(p: TripleProblem, ba: BalancedApprox) -> Certificate:
+    """Snap to the nearest alignment point; callers take this step only
+    when _small_lambda_applies, that is lam <= (b-a)/(2n).
 
     x_star = z with n*z = t3 + k3 and |n*z - n*x| <= 1/2, so the third
     residual vanishes, x moves by at most 1/(2n) and the cost is at most
     lam + b/(2n) <= (2b-a)/(2n).
     """
-    if not _small_lambda_applies(p, ba.lam):
-        raise ValueError(
-            f"lam={ba.lam} exceeds (b-a)/(2n)={Fraction(p.b - p.a, 2 * p.n)}")
-    k3 = _nearest_ratio(*_residual_ratio(p.n, ba.x, p.t3))[0]
-    return certificate_at(p, _alignment_point(p, k3), "small-lambda")
+    t3 = p.t3
+    k3 = _nearest_ratio(*_residual_ratio(p.n, ba.x, t3))[0]
+    return certificate_at(p, Fraction(t3.numerator + k3 * t3.denominator, p.n * t3.denominator),
+                          "small-lambda")
 
 
 def _z_window(ba: BalancedApprox, E: Fraction, p: TripleProblem, sign: int) -> ZWindow:
-    """One alignment window of a balanced point at bound E >= lam:
+    """One alignment window of a balanced point at an exact bound E >= lam:
 
     sign > 0, positive-sign: [x + (n*lam - (b+n)E)/(bn), x + ((a+n)E - n*lam)/(an)]
     sign < 0, negative-sign: [x + (n*lam - (a+n)E)/(an), x + ((b+n)E - n*lam)/(bn)]
 
     Its width is E*(2ab+an+bn)/(abn) - lam*(a+b)/(ab); it always contains
     the anchor.  x, lam and E are put over one denominator, so each
-    endpoint is one Fraction.
+    endpoint is one Fraction.  E is not checked: z_windows checks it, and
+    the construction passes its own E_n, L_n or greedy_bound's E.
     """
-    E = _checked_target(E)
     X, L, D = _over_common_den(ba)
     # over the denominator D*E.denominator: x = x_, lam = lam_, E = e_
     x_, lam_, e_, den = X * E.denominator, L * E.denominator, E.numerator * D, D * E.denominator
-    if e_ < lam_:
-        raise ValueError(f"E={E} < lam={ba.lam}")
     n = p.n
     lo_f, hi_f = (p.b, p.a) if sign > 0 else (p.a, p.b)
     return ZWindow(lo=Fraction(lo_f * n * x_ + n * lam_ - (lo_f + n) * e_, lo_f * n * den),
@@ -193,48 +183,42 @@ def _z_window(ba: BalancedApprox, E: Fraction, p: TripleProblem, sign: int) -> Z
 
 def z_windows(ba: BalancedApprox, E: Fraction, p: TripleProblem) -> tuple[ZWindow, ZWindow]:
     """Both alignment windows (positive-sign, negative-sign) for a balanced
-    point at bound E >= lam; see _z_window."""
+    point at bound E >= lam; see _z_window.  Raises ValueError on an inexact
+    E or on E < lam."""
+    E = _checked_target(E)
+    if E < ba.lam:
+        raise ValueError(f"E={E} < lam={ba.lam}")
     return _z_window(ba, E, p, +1), _z_window(ba, E, p, -1)
 
 
-def modify(ba: BalancedApprox, z: Fraction, p: TripleProblem,
-           window: ZWindow | None = None) -> Certificate:
-    """Nudge the balanced point toward the alignment point z.
+def _nudge(p: TripleProblem, ba: BalancedApprox, k3: int) -> Certificate:
+    """Nudge the balanced point toward the alignment point z = (t3+k3)/n.
 
-    z must satisfy n*z == t3 (mod 1) and |n*z - n*x| <= 1 (pass the
-    admissibility window to have it enforced as well).  If z is within
-    lam/n of x, x is kept; otherwise x moves by the displacement that
-    balances the third residual against the growing pair residual:
+    k3 is a _pick_alignment pick, so |n*z - n*x| < 1.  If z is within lam/n
+    of x, x is kept; otherwise x moves by the displacement that balances
+    the third residual against the growing pair residual:
 
       positive-sign, z <= x:  delta = (|nx-nz| - lam)/(b+n), x_star = x - delta
       positive-sign, z >  x:  delta = (|nx-nz| - lam)/(a+n), x_star = x + delta
       negative-sign, z <= x:  delta = (|nx-nz| - lam)/(a+n), x_star = x - delta
       negative-sign, z >  x:  delta = (|nx-nz| - lam)/(b+n), x_star = x + delta
 
-    The gap |nx-nz|, lam and delta are integers over the denominator of
-    z times that of (x, lam).
+    The gap |nx-nz| = |k3 - (n*x - t3)|, lam and delta are integers over
+    the denominator of t3 times that of (x, lam); no z is built.
     """
     a, b, n = p.a, p.b, p.n
-    z = _checked_target(z)
-    num, den = _residual_ratio(n, z, p.t3)
-    if num % den:
-        raise ValueError(f"n*z - t3 = {Fraction(num, den)} is not an integer")
-    if window is not None and not window.contains(z):
-        raise ValueError(f"z={z} outside [{window.lo}, {window.hi}]")
     X, L, D = _over_common_den(ba)
-    # over the denominator gap_den: z - x = diff, |nz - nx| = gap, lam = lam_
-    diff = z.numerator * D - X * z.denominator
-    gap, lam_, gap_den = n * abs(diff), L * z.denominator, D * z.denominator
-    if gap > gap_den:
-        raise ValueError(f"|n*z - n*x| = {Fraction(gap, gap_den)} > 1")
+    q = p.t3.denominator
+    # over the denominator D*q: n*(z - x) = diff, |nz - nx| = gap, lam = lam_
+    diff = (k3 * q + p.t3.numerator) * D - n * X * q
+    gap, lam_ = abs(diff), L * q
     if gap <= lam_:
         return certificate_at(p, ba.x, "greedy-window")
     slow_side = (diff > 0) == (ba.sign > 0)
     f = (a + n) if slow_side else (b + n)
-    # x_star = x +- (gap - lam)/f, over the denominator gap_den*f
+    # x_star = x +- (gap - lam)/f, over the denominator D*q*f
     step = gap - lam_ if diff > 0 else lam_ - gap
-    return certificate_at(p, Fraction(X * z.denominator * f + step, gap_den * f),
-                          "greedy-window")
+    return certificate_at(p, Fraction(X * q * f + step, D * q * f), "greedy-window")
 
 
 def _pick_alignment(w: ZWindow, p: TripleProblem):
@@ -265,18 +249,16 @@ def _aligned_step(p: TripleProblem, E: Fraction, anchors) -> Certificate | None:
     """
     best = None
     for ba, sign in anchors:
-        w = _z_window(ba, E, p, sign)
-        pick = _pick_alignment(w, p)
+        pick = _pick_alignment(_z_window(ba, E, p, sign), p)
         if pick is None:
             continue
         k3, r, den = pick
         # distance r/den, cross-multiplied; a tie keeps the earlier anchor
         if best is None or r * best[2] < best[1] * den:
-            best = k3, r, den, ba, w
+            best = k3, r, den, ba
     if best is None:
         return None
-    k3, _, _, ba, w = best
-    return modify(ba, _alignment_point(p, k3), p, window=w)
+    return _nudge(p, best[3], best[0])
 
 
 def greedy_bound(p: TripleProblem) -> Certificate:
@@ -290,7 +272,7 @@ def greedy_bound(p: TripleProblem) -> Certificate:
     a, b, n = p.a, p.b, p.n
     ba = best_pair_approx(p.pair())
     if _small_lambda_applies(p, ba.lam):
-        return small_lambda_certificate(p, ba)
+        return _snap(p, ba)
     lam = ba.lam
     E = Fraction(n * (a + b) * lam.numerator + a * b * lam.denominator,
                  (2 * a * b + a * n + b * n) * lam.denominator)
@@ -317,11 +299,11 @@ def greedy_en_certificate(p: TripleProblem) -> Certificate:
     picks what a (distance, k3) key would, with no k3 term.  With d and d'
     the residuals n*anchor - (t3+k3) of the best and the second-best pick,
     the anchors lie (g+h)/(a+b) apart, so k3 - k3' = n(g+h)/(a+b) - d + d'.
-    That is positive unless d = -d' >= n(g+h)/(2(a+b)).  modify admits the
-    pick only if d <= 1 (beyond, it raises the same error for either), so
-    n <= 2(a+b)/(g+h).  The case has (b-a)/(2n) < lam <= 1/(2(a+b)), so
-    n > b^2 - a^2; both bounds together leave b = a+1, g+h = 2a-1, hence
-    (1, 2) with n in {4, 5, 6}.  There the best window reaches x - 1/6
+    That is positive unless d = -d' >= n(g+h)/(2(a+b)).  Each pick is the
+    nearest integer clamped into a window that holds its anchor, so
+    |d| < 1, and n < 2(a+b)/(g+h).  The case has
+    (b-a)/(2n) < lam <= 1/(2(a+b)), so n > b^2 - a^2; both bounds together
+    leave b = a+1, g+h = 2a-1, hence (1, 2) with n in {4, 5}.  There the best window reaches x - 1/6
     only if E_n >= (n/3 + n*lam)/(n+2) > 11/36, but E_n = 3/14.
 
     Raises NotInAsymptoticRegime when no alignment point exists in the
@@ -345,8 +327,8 @@ def greedy_en_certificate(p: TripleProblem) -> Certificate:
     s = a+j and n < abR/((a+b)(a-R-1)+b) <= aR on the type-2 row R+a+b,
     R < a.  The bounds clash: for j = 1, n < b(b-1) against
     n > b(b-1) + a(b-a); for j >= 2, n < b^2/2 against n > b^2; for R < a,
-    n < aR against n > b + ab.  So lam' < E_n, and _z_window, which
-    refuses E < lam, takes the second-best point with no guard.  The final
+    n < aR against n > b + ab.  So lam' < E_n, and _z_window, which does
+    not check E >= lam, takes the second-best point with no guard.  The final
     case fails only when neither window holds an alignment point, which no
     known input reaches; that raise stays until a proof that the two
     windows always hold one.
@@ -358,9 +340,9 @@ def greedy_en_certificate(p: TripleProblem) -> Certificate:
     window by sign with ties rounding down changed 62 of 30 000 random
     certificates (6 959 of them negative-sign), e.g. (1, 3, 204) at
     t = (0, 2/3, 1/2).  Reproducing all of them would need an orientation
-    parameter in small_lambda_certificate and _pick_alignment, because
-    greedy_bound rounds ties down for either sign (mirroring it too changed
-    5 of 30 000 of its certificates): a new parameter for about 15 lines.
+    parameter in _snap and _pick_alignment, because greedy_bound rounds
+    ties down for either sign (mirroring it too changed 5 of 30 000 of its
+    certificates): a new parameter for about 15 lines.
     """
     a, b, n = p.a, p.b, p.n
     ba = best_pair_approx(p.pair())
@@ -371,7 +353,7 @@ def greedy_en_certificate(p: TripleProblem) -> Certificate:
 
     lam = ba.lam
     if _small_lambda_applies(q, lam):
-        cert = small_lambda_certificate(q, ba)
+        cert = _snap(q, ba)
     elif (a + b) * lam.numerator * ln.denominator \
             <= lam.denominator * (ln.denominator - (a + b) * ln.numerator):
         # lam <= 1/(a+b) - L_n: the L_n window is at least 1/n wide

@@ -352,7 +352,7 @@ def test_sweep_verify_refuses_an_over_budget_range_before_any_row(capsys, monkey
 ], ids=["n-below-b", "non-coprime-pair"])
 def test_sweep_refuses_an_invalid_first_row_before_any_row(capsys, monkeypatch, argv, message):
     # a pool runs every chunk before a row's error surfaces: refuse before it
-    def no_rows(fn, work, jobs):
+    def no_rows(fn, items, jobs):
         raise AssertionError("rows were evaluated")
 
     monkeypatch.setattr(cli, "parallel_map", no_rows)
@@ -710,11 +710,20 @@ def test_sweep_bad_range_and_io_failure(tmp_path, capsys):
     code, _, err = run(capsys, "sweep", "1", "2", "--from", "10", "--to", "5")
     assert code == 1 and "exceeds" in err
     missing = tmp_path / "nodir" / "rows.csv"
-    code, _, _ = run(capsys, "sweep", "1", "2", "--from", "96", "--to", "97",
-                     "--out", str(missing))
+    code, _, err = run(capsys, "sweep", "1", "2", "--from", "96", "--to", "97",
+                       "--out", str(missing))
     assert code == 1
+    # the error names the --out path, not the temp file written beside it
+    assert err == f"kronlab: error: [Errno 2] No such file or directory: '{missing}'\n"
     assert not missing.exists()
     assert not any(p.name.startswith("rows.csv.tmp") for p in tmp_path.iterdir())
+    # a failed rename onto a directory names the directory too
+    directory = tmp_path / "rows"
+    directory.mkdir()
+    code, _, err = run(capsys, "sweep", "1", "2", "--from", "96", "--to", "97",
+                       "--out", str(directory))
+    assert code == 1 and err.endswith(f": '{directory}'\n") and ".tmp" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rows"]
 
 
 def test_evaluate_sweep_row_fields():

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -202,6 +203,20 @@ def test_row_type_is_the_balanced_pair_of_the_optimum():
         cases += 1
         extra += len(balanced) > 1
     assert (cases, extra) == (6360, 456)
+
+
+def test_row_type_is_the_balanced_pair_on_the_acceptance_family():
+    """The same structure on acceptance c1's family: its seven pairs with n in
+    [60b, 60b + 2(a+b)).  In 28 of the 172 cases one more pair balances."""
+    pairs = [(1, 2), (1, 3), (2, 3), (2, 5), (3, 4), (3, 5), (4, 5)]
+    extra, types = 0, collections.Counter()
+    for a, b, n, t3, row, mu, balanced in _row_structures(
+            pairs, lambda a, b: range(60 * b, 60 * b + 2 * (a + b))):
+        assert row.value == mu and _BALANCED[row.case] in balanced, (a, b, n, t3, row, balanced)
+        extra += len(balanced) > 1
+        types[row.case] += 1
+    assert extra == 28
+    assert types == {"type-1": 42, "type-2": 80, "type-3": 50}
 
 
 def test_row_type_below_3b2_disagrees_on_seven_rows():

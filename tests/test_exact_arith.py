@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from kronlab.closed_form import alpha_formula, triple_constants
 from kronlab.exact_arith import (MAX_EXPONENT_DIGITS, _checked_coprime, _checked_spectrum,
                                  _checked_target, _nearest_ratio, bezout_coprime)
-from kronlab.greedy_triple import TripleProblem, certificate_at, modify, z_windows
+from kronlab.greedy_triple import TripleProblem, certificate_at, z_windows
 from kronlab.oracle import alpha_grid_lower_bound
 from kronlab.pair_solver import PairProblem, best_pair_approx
 from oracle_reference import angular_norm, nearest_int, nearest_int_distance
@@ -42,7 +42,6 @@ def test_nearest_int_distance_examples():
     pytest.param(lambda: z_windows(_BA, True, _P), id="z-window-bool-bound"),
     pytest.param(lambda: certificate_at(_P, 0.1, "oracle"), id="certificate-float-point"),
     pytest.param(lambda: certificate_at(_P, False, "oracle"), id="certificate-bool-point"),
-    pytest.param(lambda: modify(_BA, 0.25, _P), id="modify-float-point"),
     pytest.param(lambda: bezout_coprime(True, 2), id="bezout-bool"),
     pytest.param(lambda: bezout_coprime(2.0, 3), id="bezout-float"),
     pytest.param(lambda: alpha_grid_lower_bound((1, 2, 5), 2.0), id="grid-float-resolution"),

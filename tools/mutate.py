@@ -172,14 +172,13 @@ MUTANTS = {
         ("ln-threshold-strict", "<= lam.denominator * (ln", "< lam.denominator * (ln"),
         ("window-end-factors-swapped", "(p.b, p.a) if sign > 0 else (p.a, p.b)",
          "(p.a, p.b) if sign > 0 else (p.b, p.a)"),
-        ("modify-alignment-check-dropped", "if num % den:", "if False:"),
-        ("modify-factors-swapped", "f = (a + n) if slow_side else (b + n)",
+        ("z-windows-E-below-lam-admitted", "if E < ba.lam:", "if False:"),
+        ("z-windows-E-at-lam-refused", "if E < ba.lam:", "if E <= ba.lam:"),
+        ("nudge-factors-swapped", "f = (a + n) if slow_side else (b + n)",
          "f = (b + n) if slow_side else (a + n)"),
-        ("modify-step-sign-flipped", "step = gap - lam_ if diff > 0 else lam_ - gap",
+        ("nudge-step-sign-flipped", "step = gap - lam_ if diff > 0 else lam_ - gap",
          "step = lam_ - gap if diff > 0 else gap - lam_"),
-        ("modify-gap-above-1-admitted", "if gap > gap_den:", "if gap > 2 * gap_den:"),
-        ("modify-gap-1-refused", "if gap > gap_den:", "if gap >= gap_den:"),
-        ("modify-keeps-x-only-below-lam", "if gap <= lam_:", "if gap < lam_:"),
+        ("nudge-keeps-x-only-below-lam", "if gap <= lam_:", "if gap < lam_:"),
         ("pick-low-end-floor", "lo_k = -(-lo_num // lo_den)", "lo_k = lo_num // lo_den"),
         ("pick-high-end-ceil", "hi_k = hi_num // hi_den", "hi_k = -(-hi_num // hi_den)"),
         ("pick-distance-ignored", "r * best[2] < best[1] * den", "k3 < best[0]"),
@@ -252,6 +251,8 @@ MUTANTS = {
         ("leftover-arguments-reported-by-command", "parser.error(f\"unrecognized",
          "commands[name].error(f\"unrecognized"),
         ("command-guard-dropped", "if argv and argv[0] in commands:", "if argv:"),
+        ("out-error-names-temp-file", "raise OSError(exc.errno, exc.strerror, out_path) from None",
+         "raise"),
     ]),
 }
 
@@ -267,7 +268,7 @@ EQUIVALENT = {
         "table check next",
     "half-table-shift-subtracted":
         "S - (a+b) and S + (a+b) are the same residue mod 2(a+b)",
-    "modify-keeps-x-only-below-lam":
+    "nudge-keeps-x-only-below-lam":
         "at gap = lam the nudge (gap - lam)/f is 0, so x_star = x either way",
 }
 
