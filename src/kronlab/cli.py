@@ -199,6 +199,20 @@ def _emit(text: str, out_path: str | None) -> None:
         raise OSError(exc.errno, exc.strerror, out_path) from None
 
 
+def _check_out(out_path: str | None) -> None:
+    """Create and remove the temp file _emit writes beside out_path, so that
+    an --out that cannot be created fails, with _emit's message, before a
+    command spends its time on the report."""
+    if out_path is None:
+        return
+    tmp = f"{out_path}.tmp.{os.getpid()}"
+    try:
+        open(tmp, "w").close()
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, out_path) from None
+    os.unlink(tmp)
+
+
 def _fmt(q: Fraction, precision: int) -> str:
     return f"{q.numerator}/{q.denominator} (~{decimal_approx(q, precision)})"
 
@@ -389,6 +403,7 @@ def cmd_sweep(args) -> int:
     if args.verify:
         # the oracle's budget grows with n: the last row decides for all
         check_candidate_budget((a, b, args.n_to))
+    _check_out(args.out)
     rows = parallel_map(functools.partial(evaluate_sweep_row, a, b, verify=args.verify),
                         range(args.n_from, args.n_to + 1), args.jobs)
     _report(args, [({"pair": [a, b]}, ",".join(CSV_COLUMNS)),

@@ -79,9 +79,9 @@ class TripleProblem:
 class ZWindow:
     """Admissible alignment interval [lo, hi] around anchor_x.
 
-    Its reader, _pick_alignment, needs only these three fields, so neither
-    the sign of the window (see _z_window) nor the bound E and the anchor's
-    lam that fixed the endpoints are kept.
+    z_windows returns it for the public API; the construction builds none
+    and reads _window's integers directly.  Neither the sign of the window
+    nor the bound E and the anchor's lam that fixed the endpoints are kept.
     """
 
     lo: Fraction
@@ -112,13 +112,6 @@ def _residual_ratio(nj: int, y: Fraction, tj: Fraction) -> tuple[int, int]:
     """(num, den) with num/den = nj*y - tj and den > 0."""
     return (nj * y.numerator * tj.denominator - tj.numerator * y.denominator,
             y.denominator * tj.denominator)
-
-
-def _over_common_den(ba: BalancedApprox) -> tuple[int, int, int]:
-    """(X, L, D) with x = X/D and lam = L/D."""
-    x, lam = ba.x, ba.lam
-    den = math.lcm(x.denominator, lam.denominator)
-    return x.numerator * (den // x.denominator), lam.numerator * (den // lam.denominator), den
 
 
 def _small_lambda_applies(p: TripleProblem, lam: Fraction) -> bool:
@@ -160,30 +153,42 @@ def _snap(p: TripleProblem, ba: BalancedApprox) -> Certificate:
                           "small-lambda")
 
 
-def _z_window(ba: BalancedApprox, E: Fraction, p: TripleProblem, sign: int) -> ZWindow:
-    """One alignment window of a balanced point at an exact bound E >= lam:
+def _window(ba: BalancedApprox, E: Fraction, p: TripleProblem, sign: int
+            ) -> tuple[int, int, int, int, int]:
+    """(X, L, W, lo, hi): one alignment window of a balanced point at an
+    exact bound E >= lam, in integers over one denominator W.
 
-    sign > 0, positive-sign: [x + (n*lam - (b+n)E)/(bn), x + ((a+n)E - n*lam)/(an)]
-    sign < 0, negative-sign: [x + (n*lam - (a+n)E)/(an), x + ((b+n)E - n*lam)/(bn)]
+    x = X/W, lam = L/W, and the window holds the z with
+    lo/W <= n*(z - x) <= hi/W, in phase units:
 
-    Its width is E*(2ab+an+bn)/(abn) - lam*(a+b)/(ab); it always contains
-    the anchor.  x, lam and E are put over one denominator, so each
-    endpoint is one Fraction.  E is not checked: z_windows checks it, and
-    the construction passes its own E_n, L_n or greedy_bound's E.
+      sign > 0, positive-sign: [(n*lam - (b+n)E)/b, ((a+n)E - n*lam)/a]
+      sign < 0, negative-sign: [(n*lam - (a+n)E)/a, ((b+n)E - n*lam)/b]
+
+    Its width is (E*(2ab+an+bn) - n*lam*(a+b))/(ab) phase units; it always
+    contains the anchor.  W is a*b times the common denominator of x, lam
+    and E, so both ends are integers over it.  E is not checked: z_windows
+    checks it, and the construction passes its own E_n, L_n or
+    greedy_bound's E.
     """
-    X, L, D = _over_common_den(ba)
-    # over the denominator D*E.denominator: x = x_, lam = lam_, E = e_
-    x_, lam_, e_, den = X * E.denominator, L * E.denominator, E.numerator * D, D * E.denominator
+    a, b, n = p.a, p.b, p.n
+    c = math.lcm(ba.x.denominator, ba.lam.denominator, E.denominator)
+    # over the denominator c: lam = lam_, E = e_
+    lam_, e_ = ba.lam.numerator * (c // ba.lam.denominator), E.numerator * (c // E.denominator)
+    lo_f, hi_f = (b, a) if sign > 0 else (a, b)
+    return (ba.x.numerator * (c // ba.x.denominator) * a * b, lam_ * a * b, c * a * b,
+            hi_f * (n * lam_ - (lo_f + n) * e_), lo_f * ((hi_f + n) * e_ - n * lam_))
+
+
+def _z_window(ba: BalancedApprox, E: Fraction, p: TripleProblem, sign: int) -> ZWindow:
+    """The _window of sign as a ZWindow: [x + lo/(nW), x + hi/(nW)]."""
+    X, _, W, lo, hi = _window(ba, E, p, sign)
     n = p.n
-    lo_f, hi_f = (p.b, p.a) if sign > 0 else (p.a, p.b)
-    return ZWindow(lo=Fraction(lo_f * n * x_ + n * lam_ - (lo_f + n) * e_, lo_f * n * den),
-                   hi=Fraction(hi_f * n * x_ + (hi_f + n) * e_ - n * lam_, hi_f * n * den),
-                   anchor_x=ba.x)
+    return ZWindow(lo=Fraction(n * X + lo, n * W), hi=Fraction(n * X + hi, n * W), anchor_x=ba.x)
 
 
 def z_windows(ba: BalancedApprox, E: Fraction, p: TripleProblem) -> tuple[ZWindow, ZWindow]:
     """Both alignment windows (positive-sign, negative-sign) for a balanced
-    point at bound E >= lam; see _z_window.  Raises ValueError on an inexact
+    point at bound E >= lam; see _window.  Raises ValueError on an inexact
     E or on E < lam."""
     E = _checked_target(E)
     if E < ba.lam:
@@ -191,74 +196,57 @@ def z_windows(ba: BalancedApprox, E: Fraction, p: TripleProblem) -> tuple[ZWindo
     return _z_window(ba, E, p, +1), _z_window(ba, E, p, -1)
 
 
-def _nudge(p: TripleProblem, ba: BalancedApprox, k3: int) -> Certificate:
-    """Nudge the balanced point toward the alignment point z = (t3+k3)/n.
+def _aligned_step(p: TripleProblem, E: Fraction, anchors) -> Certificate | None:
+    """Nudge one anchor toward an alignment point of its window at E.
 
-    k3 is a _pick_alignment pick, so |n*z - n*x| < 1.  If z is within lam/n
-    of x, x is kept; otherwise x moves by the displacement that balances
-    the third residual against the growing pair residual:
+    anchors is a list of balanced points, each read in the _window of its
+    own sign, in phase units n*z - t3 over den = W*q, with q the
+    denominator of t3: the anchor lies at s/den and the window's ends at
+    (s + q*lo)/den and (s + q*hi)/den, so its alignment points are the k3
+    from the ceil of the one to the floor of the other.  The pick is the
+    nearest integer to s/den (halves round down) clamped into that range,
+    so it minimizes |n*x - (t3+k3)| with ties to the smaller k3; then
+    diff = k3*den - s is n*(z - x) for the alignment point z = (t3+k3)/n.
+    The step takes the pick nearest its own anchor, and a tie of distance
+    goes to the earlier anchor.  Returns None when no window holds an
+    alignment point.
+
+    The nudge: the pick lies in a window that holds its anchor, so
+    |diff| < den.  If z is within lam/n of x, x is kept; otherwise x moves
+    by the displacement that balances the third residual against the
+    growing pair residual:
 
       positive-sign, z <= x:  delta = (|nx-nz| - lam)/(b+n), x_star = x - delta
       positive-sign, z >  x:  delta = (|nx-nz| - lam)/(a+n), x_star = x + delta
       negative-sign, z <= x:  delta = (|nx-nz| - lam)/(a+n), x_star = x - delta
       negative-sign, z >  x:  delta = (|nx-nz| - lam)/(b+n), x_star = x + delta
 
-    The gap |nx-nz| = |k3 - (n*x - t3)|, lam and delta are integers over
-    the denominator of t3 times that of (x, lam); no z is built.
+    The gap |nx-nz| = |diff| and lam are integers over den; a Fraction is
+    built only for x_star.
     """
-    a, b, n = p.a, p.b, p.n
-    X, L, D = _over_common_den(ba)
-    q = p.t3.denominator
-    # over the denominator D*q: n*(z - x) = diff, |nz - nx| = gap, lam = lam_
-    diff = (k3 * q + p.t3.numerator) * D - n * X * q
-    gap, lam_ = abs(diff), L * q
-    if gap <= lam_:
-        return certificate_at(p, ba.x, "greedy-window")
-    slow_side = (diff > 0) == (ba.sign > 0)
-    f = (a + n) if slow_side else (b + n)
-    # x_star = x +- (gap - lam)/f, over the denominator D*q*f
-    step = gap - lam_ if diff > 0 else lam_ - gap
-    return certificate_at(p, Fraction(X * q * f + step, D * q * f), "greedy-window")
-
-
-def _pick_alignment(w: ZWindow, p: TripleProblem):
-    """Best admissible k3 in the window: the nearest integer to
-    n*anchor - t3 (halves round down), clamped into the window, so it
-    minimizes |n*anchor - (t3+k3)| with ties to the smaller k3.  Returns
-    (k3, r, den) with r/den that distance, or None when the window holds
-    no alignment point."""
-    t3 = p.t3
-    lo_num, lo_den = _residual_ratio(p.n, w.lo, t3)
-    hi_num, hi_den = _residual_ratio(p.n, w.hi, t3)
-    lo_k = -(-lo_num // lo_den)  # ceil(n*lo - t3)
-    hi_k = hi_num // hi_den      # floor(n*hi - t3)
-    if lo_k > hi_k:
-        return None
-    num, den = _residual_ratio(p.n, w.anchor_x, t3)
-    k3 = min(max(_nearest_ratio(num, den)[0], lo_k), hi_k)
-    return k3, abs(num - k3 * den), den
-
-
-def _aligned_step(p: TripleProblem, E: Fraction, anchors) -> Certificate | None:
-    """Nudge one anchor toward an alignment point of its window at E.
-
-    anchors is a list of (balanced point, window sign).  Each window offers
-    its _pick_alignment; the step takes the one nearest its own anchor, and
-    a tie of distance goes to the earlier anchor.  Returns None when no
-    window holds an alignment point.
-    """
+    n, q = p.n, p.t3.denominator
     best = None
-    for ba, sign in anchors:
-        pick = _pick_alignment(_z_window(ba, E, p, sign), p)
-        if pick is None:
+    for ba in anchors:
+        X, L, W, lo, hi = _window(ba, E, p, ba.sign)
+        den = W * q
+        s = n * X * q - p.t3.numerator * W  # n*x - t3 = s/den
+        lo_k, hi_k = -(-(s + q * lo) // den), (s + q * hi) // den
+        if lo_k > hi_k:
             continue
-        k3, r, den = pick
-        # distance r/den, cross-multiplied; a tie keeps the earlier anchor
-        if best is None or r * best[2] < best[1] * den:
-            best = k3, r, den, ba
+        diff = min(max(_nearest_ratio(s, den)[0], lo_k), hi_k) * den - s
+        # distance |diff|/den, cross-multiplied; a tie keeps the earlier anchor
+        if best is None or abs(diff) * best[1] < abs(best[0]) * den:
+            best = diff, den, ba, X * q, L * q
     if best is None:
         return None
-    return _nudge(p, best[3], best[0])
+    diff, den, ba, x_, lam_ = best
+    gap = abs(diff)
+    if gap <= lam_:
+        return certificate_at(p, ba.x, "greedy-window")
+    f = p.a + n if (diff > 0) == (ba.sign > 0) else p.b + n
+    # x_star = x +- (gap - lam)/f, over the denominator den*f
+    step = gap - lam_ if diff > 0 else lam_ - gap
+    return certificate_at(p, Fraction(x_ * f + step, den * f), "greedy-window")
 
 
 def greedy_bound(p: TripleProblem) -> Certificate:
@@ -276,7 +264,7 @@ def greedy_bound(p: TripleProblem) -> Certificate:
     lam = ba.lam
     E = Fraction(n * (a + b) * lam.numerator + a * b * lam.denominator,
                  (2 * a * b + a * n + b * n) * lam.denominator)
-    cert = _aligned_step(p, E, [(ba, ba.sign)])
+    cert = _aligned_step(p, E, [ba])
     assert cert is not None, "a window of width 1/n holds an alignment point"
     return cert
 
@@ -293,6 +281,14 @@ def greedy_en_certificate(p: TripleProblem) -> Certificate:
                                   and positive window of the best point,
                                   both at E = E_n
 
+    _aligned_step reads each anchor in the window of its own sign.  After
+    the normalization the best point has sign +1, and the second-best one
+    has sign -1: in _balanced_at's units, with q the product of the pair's
+    target denominators, the best point's signed residual is signed with
+    0 <= signed <= q/2, as lam <= 1/(2(a+b)); the Bezout shift makes the
+    second-best one signed - q*(ag - bh) = signed - q < 0, as ag - bh = 1.
+    So the anchors [sb, ba] are the two windows above.
+
     In the last case the alignment point nearest its own anchor wins, and a
     tie of distance goes to the second-best point, the earlier anchor.  On
     such a tie the second-best pick also has the smaller k3, so this rule
@@ -300,11 +296,12 @@ def greedy_en_certificate(p: TripleProblem) -> Certificate:
     the residuals n*anchor - (t3+k3) of the best and the second-best pick,
     the anchors lie (g+h)/(a+b) apart, so k3 - k3' = n(g+h)/(a+b) - d + d'.
     That is positive unless d = -d' >= n(g+h)/(2(a+b)).  Each pick is the
-    nearest integer clamped into a window that holds its anchor, so
-    |d| < 1, and n < 2(a+b)/(g+h).  The case has
+    nearest integer clamped into the k3 range of a window that holds its
+    anchor, so |d| < 1, and n < 2(a+b)/(g+h).  The case has
     (b-a)/(2n) < lam <= 1/(2(a+b)), so n > b^2 - a^2; both bounds together
-    leave b = a+1, g+h = 2a-1, hence (1, 2) with n in {4, 5}.  There the best window reaches x - 1/6
-    only if E_n >= (n/3 + n*lam)/(n+2) > 11/36, but E_n = 3/14.
+    leave b = a+1, g+h = 2a-1, hence (1, 2) with n in {4, 5}.  There the
+    best window reaches x - 1/6 only if E_n >= (n/3 + n*lam)/(n+2) > 11/36,
+    but E_n = 3/14.
 
     Raises NotInAsymptoticRegime when no alignment point exists in the
     final case (with a greedy_bound fallback attached), and on every branch
@@ -327,20 +324,20 @@ def greedy_en_certificate(p: TripleProblem) -> Certificate:
     s = a+j and n < abR/((a+b)(a-R-1)+b) <= aR on the type-2 row R+a+b,
     R < a.  The bounds clash: for j = 1, n < b(b-1) against
     n > b(b-1) + a(b-a); for j >= 2, n < b^2/2 against n > b^2; for R < a,
-    n < aR against n > b + ab.  So lam' < E_n, and _z_window, which does
+    n < aR against n > b + ab.  So lam' < E_n, and _window, which does
     not check E >= lam, takes the second-best point with no guard.  The final
     case fails only when neither window holds an alignment point, which no
     known input reaches; that raise stays until a proof that the two
     windows always hold one.
 
     Why negate instead of picking the window by sign, as greedy_bound
-    does: the two are not the same certificate.  _pick_alignment breaks a
-    half-integer tie toward the smaller k3 of the problem it is given, so
-    on the negated problem it rounds the original k3 up.  Picking the
+    does: the two are not the same certificate.  _aligned_step's pick
+    breaks a half-integer tie toward the smaller k3 of the problem it is
+    given, so on the negated problem it rounds the original k3 up.  Picking the
     window by sign with ties rounding down changed 62 of 30 000 random
     certificates (6 959 of them negative-sign), e.g. (1, 3, 204) at
     t = (0, 2/3, 1/2).  Reproducing all of them would need an orientation
-    parameter in _snap and _pick_alignment, because greedy_bound rounds
+    parameter in _snap and _aligned_step, because greedy_bound rounds
     ties down for either sign (mirroring it too changed 5 of 30 000 of its
     certificates): a new parameter for about 15 lines.
     """
@@ -357,10 +354,10 @@ def greedy_en_certificate(p: TripleProblem) -> Certificate:
     elif (a + b) * lam.numerator * ln.denominator \
             <= lam.denominator * (ln.denominator - (a + b) * ln.numerator):
         # lam <= 1/(a+b) - L_n: the L_n window is at least 1/n wide
-        cert = _aligned_step(q, ln, [(ba, +1)])
+        cert = _aligned_step(q, ln, [ba])
     else:
         sb = second_best_approx(q.pair(), ba)
-        cert = _aligned_step(q, en, [(sb, -1), (ba, +1)])
+        cert = _aligned_step(q, en, [sb, ba])
     if cert is None:  # only the E_n windows can lack an alignment point
         raise NotInAsymptoticRegime(
             f"no alignment point at E_n={en} for ({a}, {b}, {n})", greedy_bound(p))

@@ -24,8 +24,8 @@ from pathlib import Path
 from conftest import rand_coprime_pair, rand_fraction
 from kronlab.closed_form import triple_constants
 from kronlab.greedy_triple import (NotInAsymptoticRegime, TripleProblem,
-                                   _pick_alignment, greedy_bound,
-                                   greedy_en_certificate, z_windows)
+                                   _aligned_step, greedy_bound,
+                                   greedy_en_certificate)
 from kronlab.pair_solver import (PairProblem, best_pair_approx, negate_approx,
                                   second_best_approx)
 
@@ -100,10 +100,11 @@ def branch(row: dict) -> str:
     picks = []
     # the anchors in greedy_en_certificate's order: a tie of distance goes
     # to the first, which min keeps
-    for name, w in (("second-best", z_windows(sb, en, p)[1]), ("best", z_windows(ba, en, p)[0])):
-        pick = _pick_alignment(w, p)
-        if pick is not None:
-            picks.append((abs(n * w.anchor_x - (p.t3 + pick[0])), name))
+    for name, anchor in (("second-best", sb), ("best", ba)):
+        cert = _aligned_step(p, en, [anchor])
+        if cert is not None:
+            # the nudged third residual is at most E_n < 1/2, so k[2] is the pick
+            picks.append((abs(n * anchor.x - (p.t3 + cert.k[2])), name))
     return "E_n " + min(picks, key=lambda pick: pick[0])[1] + " window"
 
 

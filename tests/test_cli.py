@@ -726,6 +726,25 @@ def test_sweep_bad_range_and_io_failure(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["rows"]
 
 
+def test_uncreatable_sweep_out_fails_before_any_row(tmp_path, capsys, monkeypatch):
+    """An --out whose file cannot be created exits 1 with _emit's message
+    before a row is computed, for a sweep that would take minutes; a
+    writable --out leaves no temp file from the check."""
+    def no_row(*args, **kwargs):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(cli, "evaluate_sweep_row", no_row)
+    missing = tmp_path / "nodir" / "rows.csv"
+    code, out, err = run(capsys, "sweep", "1", "2", "--from", "100", "--to", "20000",
+                         "--verify", "--out", str(missing))
+    assert (code, out) == (1, "")
+    assert err == f"kronlab: error: [Errno 2] No such file or directory: '{missing}'\n"
+    # a creatable --out gets as far as the rows
+    with pytest.raises(AssertionError, match="a row was computed"):
+        main(["sweep", "1", "2", "--from", "96", "--to", "97", "--out", str(tmp_path / "r")])
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_evaluate_sweep_row_fields():
     row = evaluate_sweep_row(1, 2, 100, verify=False)
     assert (row.r, row.R, row.S) == (1, 1, 4)

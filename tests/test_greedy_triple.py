@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,9 +12,9 @@ from kronlab.closed_form import (alpha_formula, in_asymptotic_regime,
 from kronlab.exact_arith import bezout_coprime
 from kronlab.greedy_triple import (Certificate, NotInAsymptoticRegime,
                                    TripleProblem, ZWindow, _aligned_step,
-                                   _nudge, _pick_alignment, _snap, _z_window,
-                                   certificate_at, greedy_bound,
-                                   greedy_en_certificate, z_windows)
+                                   _snap, _z_window, certificate_at,
+                                   greedy_bound, greedy_en_certificate,
+                                   z_windows)
 from kronlab.oracle import SpectrumProblem, mu_exact
 from kronlab.pair_solver import (BalancedApprox, PairProblem, best_pair_approx,
                                   negate_approx, second_best_approx)
@@ -36,6 +37,19 @@ def _k3(p: TripleProblem, z: Fraction) -> int:
     k3 = p.n * z - p.t3
     assert k3.denominator == 1, z
     return int(k3)
+
+
+def _pick(p: TripleProblem, E: Fraction, anchor: BalancedApprox):
+    """(k3, |n*x - (t3+k3)|) of _aligned_step's pick in the window of the
+    anchor's sign at E < 1/2, or None when the window holds no alignment
+    point.  k3 is read from the certificate: the nudge leaves the third
+    residual at most E, so its nearest integer is k3."""
+    cert = _aligned_step(p, E, [anchor])
+    if cert is None:
+        return None
+    k3 = cert.k[2]
+    assert abs(p.n * cert.x_star - p.t3 - k3) <= E < HALF, (p, E, anchor)
+    return k3, abs(p.n * anchor.x - p.t3 - k3)
 
 
 def test_small_lambda_examples():
@@ -129,18 +143,21 @@ def test_certificate_cost_is_the_angular_norm_of_its_residuals():
 
 
 def test_modify_examples():
-    # _nudge, the modify step; third target already aligned at x: delta = 0
+    # the nudge of _aligned_step; third target already aligned at x: delta = 0
     p = TripleProblem(1, 2, 100, Fraction(0), HALF, Fraction(2, 3))
     ba = best_pair_approx(p.pair())
     z = ba.x
     q = TripleProblem(1, 2, 100, Fraction(0), HALF, 100 * z % 1)
-    cert = _nudge(q, ba, _k3(q, z))
+    cert = _aligned_step(q, ba.lam, [ba])
+    assert cert.k[2] == _k3(q, z)
     assert cert.x_star == ba.x and cert.cost == ba.lam
 
-    # z = x + 1/300: balanced against the slow (first) component
+    # z = x + 1/300, in the window at greedy_bound's E = 13/76: balanced
+    # against the slow (first) component
     z = ba.x + Fraction(1, 300)
     q = TripleProblem(1, 2, 100, Fraction(0), HALF, 100 * z % 1)
-    cert = _nudge(q, ba, _k3(q, z))
+    cert = _aligned_step(q, Fraction(13, 76), [ba])
+    assert cert.k[2] == _k3(q, z)
     assert cert.x_star == ba.x + Fraction(1, 606)
     assert cert.cost == Fraction(1, 6) + Fraction(1, 606)
     assert cert.cost == _recomputed_cost(q, cert)
@@ -156,13 +173,17 @@ def test_modify_endpoint_sharpness():
         ba = best_pair_approx(TripleProblem(a, b, n, t1, t2, Fraction(0)).pair())
         if 2 * n * ba.lam <= b - a:
             continue
-        E = _strategy_e(a, b, n, ba.lam)
-        pos, neg = z_windows(ba, E, TripleProblem(a, b, n, t1, t2, Fraction(0)))
-        w = pos if ba.sign > 0 else neg
-        for z in (w.lo, w.hi):
-            p = TripleProblem(a, b, n, t1, t2, n * z % 1)
-            cert = _nudge(p, ba, _k3(p, z))
-            assert cert.cost == E
+        # at greedy_bound's E the window is 1/n wide, so both ends are
+        # alignment points; halfway to lam it is narrower and holds one end
+        bound_e = _strategy_e(a, b, n, ba.lam)
+        for E in (bound_e, (ba.lam + bound_e) / 2):
+            w = _z_window(ba, E, TripleProblem(a, b, n, t1, t2, Fraction(0)), ba.sign)
+            for z in (w.lo, w.hi):
+                p = TripleProblem(a, b, n, t1, t2, n * z % 1)
+                cert = _aligned_step(p, E, [ba])
+                assert cert.cost == E
+                if w.width() < Fraction(1, n):
+                    assert cert.k[2] == _k3(p, z)
         checked += 1
 
 
@@ -362,7 +383,7 @@ def test_en_branch_windows_are_never_empty_for_b_up_to_12():
     """The E_n branch's windows, checked against the proof in
     greedy_en_certificate's docstring on a finite range: the second check
     of the proof that lets the branch build both windows with no guard
-    (_z_window does not check E >= lam).
+    (_window does not check E >= lam).
 
     The best point's window is empty only if E_n < lam <= 1/(2(a+b)), the
     pair bound, which the proof rules out for every triple.  The
@@ -400,7 +421,7 @@ def test_aligned_step_returns_none_when_no_window_holds_an_alignment_point():
         for sign in (+1, -1):
             w = _z_window(ba, ba.lam, p, sign)
             assert (w.lo, w.hi) == (ba.x - ba.lam / n, ba.x + ba.lam / n)
-        cert = _aligned_step(p, ba.lam, [(ba, +1), (ba, -1)])
+        cert = _aligned_step(p, ba.lam, [ba, replace(ba, sign=-ba.sign)])
         assert (None if cert is None else cert.x_star) == expected, shift
 
 
@@ -428,8 +449,8 @@ def test_en_case_without_an_alignment_point_raises_with_greedy_bound(monkeypatch
 
 def _en_case_picks(p: TripleProblem):
     """(second-best pick, best pick) of the E_n case of greedy_en_certificate
-    for p, each as _pick_alignment returns it, with p's sign normalised the
-    way the construction does it; None when p takes another case."""
+    for p, each as _pick reads it, with p's sign normalised the way the
+    construction does it; None when p takes another case."""
     ba = best_pair_approx(p.pair())
     if ba.sign < 0:
         p, ba = p.negated(), negate_approx(ba)
@@ -439,8 +460,8 @@ def _en_case_picks(p: TripleProblem):
         return None
     sb = second_best_approx(p.pair(), ba)
     assert sb.lam < tc.alpha, p  # the E_n windows need no guard
-    return (_pick_alignment(_z_window(sb, tc.alpha, p, -1), p),
-            _pick_alignment(_z_window(ba, tc.alpha, p, +1), p))
+    assert (sb.sign, ba.sign) == (-1, +1), p  # each anchor's window is its own sign's
+    return _pick(p, tc.alpha, sb), _pick(p, tc.alpha, ba)
 
 
 def test_en_distance_tie_goes_to_the_smaller_k3():
@@ -464,7 +485,7 @@ def test_en_distance_tie_goes_to_the_smaller_k3():
             continue
         inputs += 1
         second, best = picks
-        if second and best and second[1] * best[2] == best[1] * second[2]:
+        if second and best and second[1] == best[1]:
             ties += 1
             assert second[0] < best[0], (p, picks)
     assert (inputs, ties) == (2806, 461)
@@ -474,9 +495,9 @@ def test_en_distance_tie_pinned():
     # both picks lie 1/6 from their anchors; the second-best one, listed
     # first, has k3 = 1 against the best one's 6
     p = TripleProblem(1, 2, 16, Fraction(1, 4), 0, HALF)
-    (k3s, rs, dens), (k3b, rb, denb) = _en_case_picks(p)
+    (k3s, rs), (k3b, rb) = _en_case_picks(p)
     assert (k3s, k3b) == (1, 6)
-    assert Fraction(rs, dens) == Fraction(rb, denb) == Fraction(1, 6)
+    assert rs == rb == Fraction(1, 6)
     cert = greedy_en_certificate(p)
     assert (cert.x_star, cert.k, cert.cost) == (Fraction(1, 12), (0, 0, 1), Fraction(1, 6))
     assert not cert.negated
@@ -508,20 +529,22 @@ def test_pick_alignment_takes_an_exactly_aligned_endpoint():
         n = rng.randrange(b + 1, 80 * b)
         t1, t2 = rand_fraction(rng) - rng.randrange(3), rand_fraction(rng) + rng.randrange(-2, 2)
         ba = best_pair_approx(PairProblem(a, b, t1, t2))
-        for w in z_windows(ba, ba.lam + Fraction(1, 8 * n), TripleProblem(a, b, n, t1, t2, 0)):
+        E = ba.lam + Fraction(1, 8 * n)
+        windows = z_windows(ba, E, TripleProblem(a, b, n, t1, t2, 0))
+        for w, anchor in zip(windows, (replace(ba, sign=+1), replace(ba, sign=-1))):
             assert w.width() < Fraction(1, n)
             for end in (w.lo, w.hi):
                 k3 = rng.randrange(-3, 3)
                 p = TripleProblem(a, b, n, t1, t2, n * end - k3)  # n*end - t3 = k3
-                got, r, den = _pick_alignment(w, p)
-                assert got == k3 and Fraction(r, den) == n * abs(w.anchor_x - end)
+                assert _pick(p, E, anchor) == (k3, n * abs(w.anchor_x - end))
 
 
 def test_every_pick_lies_in_its_window_within_1_of_its_anchor():
     """What the nudge relies on without checking it: on every window the
     construction builds (greedy_bound's E, the L_n window and both E_n
-    windows, each wherever E >= lam), a _pick_alignment k3 puts
-    (t3+k3)/n in its window, and n*anchor - t3 is within 1 of k3."""
+    windows, each wherever E >= lam), the step's k3 puts (t3+k3)/n in its
+    window, and n*anchor - t3 is within 1 of k3.  Each window is the one of
+    its anchor's own sign."""
     rng = random.Random(3501)
     picks = 0
     for _ in range(400):
@@ -536,27 +559,60 @@ def test_every_pick_lies_in_its_window_within_1_of_its_anchor():
         sb = second_best_approx(p.pair(), ba)
         windows += [(p, ba, tc.ln, +1), (p, sb, tc.alpha, -1), (p, ba, tc.alpha, +1)]
         for q, anchor, E, sign in windows:
+            assert anchor.sign == sign, (q, E, sign)
             if E < anchor.lam:
                 continue
             w = _z_window(anchor, E, q, sign)
-            pick = _pick_alignment(w, q)
+            pick = _pick(q, E, anchor)
             if pick is None:
                 continue
-            k3, r, den = pick
+            k3, r = pick
             assert w.lo <= (q.t3 + k3) / n <= w.hi, (q, E, sign)
-            assert Fraction(r, den) == abs(n * w.anchor_x - q.t3 - k3) < 1, (q, E, sign)
+            assert r == abs(n * w.anchor_x - q.t3 - k3) < 1, (q, E, sign)
             picks += 1
     assert picks == 1239
+
+
+def test_step_reads_the_window_z_windows_returns():
+    """_aligned_step and z_windows read one _window: on random anchors of
+    either sign, the step's k3 is the nearest integer to n*x - t3 (halves
+    round down) clamped into [ceil(n*w.lo - t3), floor(n*w.hi - t3)], with
+    w the z_windows window of the anchor's sign, and the step returns None
+    exactly when that range is empty.  E runs from lam up to about three
+    windows of width 1/n, below 1/2."""
+    rng = random.Random(3601)
+    seen = dict.fromkeys(("empty", "up", "down", "nearest"), 0)
+    for _ in range(1500):
+        a, b = rand_coprime_pair(rng, 12)
+        n = rng.randrange(b + 1, 80 * b)
+        p = TripleProblem(a, b, n, *(rand_fraction(rng) - rng.randrange(-2, 2) for _ in range(3)))
+        lam = Fraction(rng.randrange(51), 100 * (a + b))
+        anchor = BalancedApprox(x=rand_fraction(rng) - rng.randrange(-2, 2), k1=0, k2=0,
+                                lam=lam, sign=rng.choice((-1, 1)))
+        E = min(lam + Fraction(rng.randrange(300), 100) * Fraction(a * b, n * (a + b)),
+                Fraction(49, 100))
+        w = z_windows(anchor, E, p)[0 if anchor.sign > 0 else 1]
+        lo_k, hi_k = math.ceil(n * w.lo - p.t3), math.floor(n * w.hi - p.t3)
+        pick = _pick(p, E, anchor)
+        if lo_k > hi_k:
+            assert pick is None, (p, anchor, E)
+            seen["empty"] += 1
+            continue
+        nearest = math.ceil(n * anchor.x - p.t3 - HALF)
+        k3 = min(max(nearest, lo_k), hi_k)
+        assert pick[0] == k3, (p, anchor, E)
+        seen["nearest" if k3 == nearest else "up" if k3 > nearest else "down"] += 1
+    assert seen == {"empty": 229, "up": 30, "down": 19, "nearest": 1222}
 
 
 def test_pick_alignment_half_tie_takes_the_smaller_k3():
     # n*anchor - t3 = -7/2, and the window holds both -4 and -3
     p = TripleProblem(1, 2, 100, 0, 0, Fraction(7, 2))
     ba = best_pair_approx(p.pair())
-    for w in z_windows(ba, Fraction(1, 50), p):
+    for w, anchor in zip(z_windows(ba, Fraction(1, 50), p),
+                         (replace(ba, sign=+1), replace(ba, sign=-1))):
         assert w.lo <= (p.t3 - 4) / 100 and (p.t3 - 3) / 100 <= w.hi
-        k3, r, den = _pick_alignment(w, p)
-        assert k3 == -4 and Fraction(r, den) == HALF
+        assert _pick(p, Fraction(1, 50), anchor) == (-4, HALF)
 
 
 def test_small_lambda_half_tie_rounds_down():
@@ -579,21 +635,24 @@ def test_certificate_negative_half_residuals_round_down():
     (3, 4, 41, Fraction(11, 6), Fraction(-2, 7)),
 ])
 def test_modify_gap_boundaries(a, b, n, t1, t2):
-    # _nudge at k3 = 0, with t3 = n*z putting the alignment point at z
+    # the step's nudge to k3 = 0, with t3 = n*z putting the alignment point at z
     ba = best_pair_approx(PairProblem(a, b, t1, t2))
     assert ba.lam > 0
     for s in (+1, -1):
-        # gap exactly lam: x is kept, and the third residual is lam too
+        # gap exactly lam, the end of the window at E = lam: x is kept, and
+        # the third residual is lam too
         z = ba.x + s * ba.lam / n
         p = TripleProblem(a, b, n, t1, t2, n * z)
-        cert = _nudge(p, ba, 0)
+        cert = _aligned_step(p, ba.lam, [ba])
+        assert cert.k[2] == 0
         assert cert.x_star == ba.x and cert.cost == ba.lam
-        # gap exactly 1: x moves by (1 - lam)/(f + n)
-        z = ba.x + Fraction(s, n)
+        # gap 2*lam, inside the window at E = 2*lam: x moves by lam/(f + n)
+        z = ba.x + 2 * s * ba.lam / n
         p = TripleProblem(a, b, n, t1, t2, n * z)
-        cert = _nudge(p, ba, 0)
+        cert = _aligned_step(p, 2 * ba.lam, [ba])
+        assert cert.k[2] == 0
         f = a if (s > 0) == (ba.sign > 0) else b
-        assert cert.x_star == ba.x + s * (1 - ba.lam) / (f + n)
+        assert cert.x_star == ba.x + s * ba.lam / (f + n)
         assert cert.cost == _recomputed_cost(p, cert)
 
 
@@ -610,5 +669,4 @@ def test_dispatch_thresholds_are_inclusive(a, b, n, t3):
     p = TripleProblem(a, b, n, 0, Fraction(a + b, a) * (Fraction(1, a + b) - ln), t3)
     ba = best_pair_approx(p.pair())
     assert ba.lam == Fraction(1, a + b) - ln and ba.sign > 0
-    k3 = _pick_alignment(_z_window(ba, ln, p, +1), p)[0]
-    assert greedy_en_certificate(p) == _nudge(p, ba, k3)
+    assert greedy_en_certificate(p) == _aligned_step(p, ln, [ba])

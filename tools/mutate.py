@@ -85,7 +85,8 @@ MUTANTS = {
          "first = max(lo, -((thr - c) // n1) + 1)"),
         ("window-start-floor", "first = max(lo, -((thr - c) // n1))",
          "first = max(lo, (c - thr) // n1)"),
-        ("window-end-minus-1", "hi = min(end, (c + thr) // n1 + 1)", "hi = min(end, (c + thr) // n1)"),
+        ("window-end-minus-1", "hi = min(end, (c + thr) // n1 + 1)",
+         "hi = min(end, (c + thr) // n1)"),
         ("window-end-ceil", "hi = min(end, (c + thr) // n1 + 1)",
          "hi = min(end, -(-(c + thr) // n1) + 1)"),
         ("window-width-thr-minus-1", _WINDOW, _WINDOW.replace("thr", "(thr - 1)")),
@@ -170,22 +171,25 @@ MUTANTS = {
         ("small-lambda-threshold-strict", "lam.numerator <= (p.b - p.a) * lam.denominator",
          "lam.numerator < (p.b - p.a) * lam.denominator"),
         ("ln-threshold-strict", "<= lam.denominator * (ln", "< lam.denominator * (ln"),
-        ("window-end-factors-swapped", "(p.b, p.a) if sign > 0 else (p.a, p.b)",
-         "(p.a, p.b) if sign > 0 else (p.b, p.a)"),
+        ("window-end-factors-swapped", "(b, a) if sign > 0 else (a, b)",
+         "(a, b) if sign > 0 else (b, a)"),
         ("z-windows-E-below-lam-admitted", "if E < ba.lam:", "if False:"),
         ("z-windows-E-at-lam-refused", "if E < ba.lam:", "if E <= ba.lam:"),
-        ("nudge-factors-swapped", "f = (a + n) if slow_side else (b + n)",
-         "f = (b + n) if slow_side else (a + n)"),
+        ("anchor-sign-flipped", "_window(ba, E, p, ba.sign)", "_window(ba, E, p, -ba.sign)"),
+        ("nudge-factors-swapped", "f = p.a + n if (diff > 0) == (ba.sign > 0) else p.b + n",
+         "f = p.b + n if (diff > 0) == (ba.sign > 0) else p.a + n"),
         ("nudge-step-sign-flipped", "step = gap - lam_ if diff > 0 else lam_ - gap",
          "step = lam_ - gap if diff > 0 else gap - lam_"),
         ("nudge-keeps-x-only-below-lam", "if gap <= lam_:", "if gap < lam_:"),
-        ("pick-low-end-floor", "lo_k = -(-lo_num // lo_den)", "lo_k = lo_num // lo_den"),
-        ("pick-high-end-ceil", "hi_k = hi_num // hi_den", "hi_k = -(-hi_num // hi_den)"),
-        ("pick-distance-ignored", "r * best[2] < best[1] * den", "k3 < best[0]"),
-        ("pick-tie-takes-later-anchor", "r * best[2] < best[1] * den",
-         "r * best[2] <= best[1] * den"),
-        ("en-anchor-order-reversed", "[(sb, -1), (ba, +1)])", "[(ba, +1), (sb, -1)])"),
-        ("en-no-second-best-anchor", "[(sb, -1), (ba, +1)])", "[(ba, +1)])"),
+        ("pick-low-end-floor", "lo_k, hi_k = -(-(s + q * lo) // den),",
+         "lo_k, hi_k = (s + q * lo) // den,"),
+        ("pick-high-end-ceil", "(s + q * hi) // den", "-(-(s + q * hi) // den)"),
+        ("pick-distance-ignored",
+         "if best is None or abs(diff) * best[1] < abs(best[0]) * den:", "if best is None:"),
+        ("pick-tie-takes-later-anchor", "abs(diff) * best[1] < abs(best[0]) * den",
+         "abs(diff) * best[1] <= abs(best[0]) * den"),
+        ("en-anchor-order-reversed", "[sb, ba])", "[ba, sb])"),
+        ("en-no-second-best-anchor", "[sb, ba])", "[ba])"),
         ("en-cost-check-strict", "if cert.cost > en:", "if cert.cost >= en:"),
         ("greedy-bound-e-numerator", "+ a * b * lam.denominator,", ","),
         ("negation-keeps-k", "k=tuple(-kj for kj in cert.k)", "k=cert.k"),
@@ -251,8 +255,10 @@ MUTANTS = {
         ("leftover-arguments-reported-by-command", "parser.error(f\"unrecognized",
          "commands[name].error(f\"unrecognized"),
         ("command-guard-dropped", "if argv and argv[0] in commands:", "if argv:"),
-        ("out-error-names-temp-file", "raise OSError(exc.errno, exc.strerror, out_path) from None",
-         "raise"),
+        ("out-checked-only-after-the-rows", "    _check_out(args.out)\n", ""),
+        ("out-error-names-temp-file",
+         "beside it\n        raise OSError(exc.errno, exc.strerror, out_path) from None",
+         "beside it\n        raise"),
     ]),
 }
 
@@ -269,7 +275,8 @@ EQUIVALENT = {
     "half-table-shift-subtracted":
         "S - (a+b) and S + (a+b) are the same residue mod 2(a+b)",
     "nudge-keeps-x-only-below-lam":
-        "at gap = lam the nudge (gap - lam)/f is 0, so x_star = x either way",
+        "at gap = lam the step (gap - lam_)/f is 0, so x_star = (x_*f + 0)/(den*f) = x "
+        "either way",
 }
 
 
