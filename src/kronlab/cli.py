@@ -32,6 +32,7 @@ command, a leading option or "--") goes to the top-level parser.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import math
 import os
@@ -200,11 +201,14 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _check_out(out_path: str | None) -> None:
-    """Create and remove the temp file _emit writes beside out_path, so that
-    an --out that cannot be created fails, with _emit's message, before a
-    command spends its time on the report."""
+    """Refuse an existing directory, onto which _emit's rename would fail,
+    then create and remove the temp file _emit writes beside out_path, so
+    that an --out that cannot be written fails, with _emit's message, before
+    a command spends its time on the report."""
     if out_path is None:
         return
+    if os.path.isdir(out_path):
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), out_path)
     tmp = f"{out_path}.tmp.{os.getpid()}"
     try:
         open(tmp, "w").close()

@@ -116,6 +116,31 @@ Y = M/2 (included: x = 1/2 is its own mirror).  Value, x_star,
 k_star and the tie rule are unchanged.  Other targets are scanned over all
 of [0, 1).
 
+The seed.  Walked from the incumbent the (n_1, n_2) crossing leaves, a
+long crossing keeps wide windows: that crossing's best point balances
+the two smallest terms only, and its value, up to 1/2, comes from the
+others.  So where the largest crossing takes windows (d >= 3 and
+8*n_2 <= n_{d-1} + n_d, that is 8*n_2*D <= M for its M), the scan first
+evaluates a few points of its own choosing.  It takes x0 = Y0/M0 on the
+(n_1, n_2) crossing whose n_1 term is least: the first lift of the member
+of n_1's class nearest 0 (the nonnegative one on a tie), from the same gcd
+and modular inverse as the residue walk.  On each later crossing, in its
+own grid, it takes the two points nearest x0, the one at or below x0 and
+the next, reduced into [0, M): 4 points on a triple, 2*(d(d-1)/2 - 1) in
+all.  These go to the one evaluation loop first, each crossing's pair on
+that crossing's grid, and then every progression is walked as it would be
+unseeded.  Near x0 the two smallest terms are about as small as at x0,
+and each later crossing balances its own pair there, so a seed is
+usually close to the minimum; a verified sweep row walks about 6 points
+besides its 12 seed points, at any n.  The result is unchanged: a seed is
+F at a candidate, so at least the minimum, and thr never falls below the
+minimum; the walk still visits every point whose n_1 term is within thr,
+every bound inclusive; and the tie rule keeps the smallest minimiser in
+any order, so a seed that ties the minimum at a larger x gives way to it.
+Under halving a seed may lie above 1/2, where no walk goes; if it ties the
+minimum, its mirror 1 - x is a minimiser at most 1/2, which the walk
+visits and which wins the tie.
+
 mu_exact also counts the distinct candidates (candidates_examined) over the
 full progressions of all three families, walked or not, halved or not, so
 the count is the size of the candidate set.  It counts without building
@@ -210,18 +235,33 @@ def _grid(targets: tuple[Fraction, ...]) -> tuple[int, list[int]]:
     return D, [t.numerator * (D // t.denominator) for t in targets]
 
 
+def _crossings(spectrum: tuple[int, ...], D: int, scaled: Sequence[int]
+               ) -> list[tuple[int, range]]:
+    """The crossings of each pair at the targets t_j = scaled[j]/D, as
+    (M, range of Y) progressions, x = Y/M with M = (n_i + n_j)*D."""
+    return [((ni + nj) * D, range((si + sj) % D, (ni + nj) * D, D))
+            for (ni, si), (nj, sj) in itertools.combinations(zip(spectrum, scaled), 2)]
+
+
+def _extrema(spectrum: tuple[int, ...], D: int, scaled: Sequence[int]
+             ) -> list[tuple[int, range]]:
+    """The valleys and peaks of each n_j at the targets t_j = scaled[j]/D,
+    as (M, range of Y) progressions, x = Y/M with M = 2*n_j*D."""
+    return [(2 * nj * D, range(2 * sj % D, 2 * nj * D, D))
+            for nj, sj in zip(spectrum, scaled)]
+
+
 def _scan(spectrum: tuple[int, ...], D: int, scaled: Sequence[int]
           ) -> tuple[int, int, int, list[tuple[int, range]]]:
-    """(best, best_Y, best_M, progressions): the minimum best/best_M of F at
+    """(best, best_Y, best_M, crossings): the minimum best/best_M of F at
     the targets t_j = scaled[j]/D on the candidates, its smallest minimiser
-    best_Y/best_M, and the candidate progressions as (M, range of Y) pairs,
-    x = Y/M.  D may be any common denominator of the targets (_grid takes
-    their lcm, binary_values 2): each progression is the same set of x on
-    any of them.  Raises ValueError when candidate_budget(spectrum) exceeds
-    MAX_CANDIDATE_BUDGET, before it allocates anything.
+    best_Y/best_M, and the crossings it built (none when d = 1), which
+    mu_exact counts with the valleys and peaks.  D may be any common
+    denominator of the targets (_grid takes their lcm, binary_values 2):
+    each progression is the same set of x on any of them.  Raises
+    ValueError when candidate_budget(spectrum) exceeds MAX_CANDIDATE_BUDGET,
+    before it allocates anything.
 
-    The progressions are the crossings of each pair, then the valleys and
-    peaks of each n_j, each on its own grid (see the module docstring).
     Only the crossings are walked when there are any (d >= 2), since they
     hold every minimiser; the valleys and peaks are walked when d = 1.  The
     walked progressions are scanned one after another, not merged, so a
@@ -230,16 +270,18 @@ def _scan(spectrum: tuple[int, ...], D: int, scaled: Sequence[int]
     8*n_2*D <= M, in increasing Y, in the windows of n_1 and within each in
     the sub-windows of n_2; elsewhere by the residue r of n_1's term,
     outward from r = 0 until |r| exceeds the incumbent, each r with the Y
-    that one modular inverse gives it.  The order of the points cannot
-    change the result, which the tie rule fixes as the smallest
-    (value, x).  With half-integer targets each is walked only up to
-    Y = M/2; the progressions returned are always all the full ones.
+    that one modular inverse gives it.  Where the largest crossing takes
+    windows (d >= 3 and 8*n_2 <= n_{d-1} + n_d), the scan first seeds its
+    own incumbent: it takes x0, the point of the (n_1, n_2) crossing whose
+    n_1 term is least, and hands the evaluation loop the two points of every
+    later crossing nearest x0, before any walk (see the module docstring).
+    The order of the points cannot change the result, which the tie rule
+    fixes as the smallest (value, x).  With half-integer targets each
+    progression is walked only up to Y = M/2.
     """
     check_candidate_budget(spectrum)
-    crossings = [((ni + nj) * D, range((si + sj) % D, (ni + nj) * D, D))
-                 for (ni, si), (nj, sj) in itertools.combinations(zip(spectrum, scaled), 2)]
-    extrema = [(2 * nj * D, range(2 * sj % D, 2 * nj * D, D))
-               for nj, sj in zip(spectrum, scaled)]
+    crossings = _crossings(spectrum, D, scaled)
+    walked = crossings or _extrema(spectrum, D, scaled)
     # Largest frequency first: it moves fastest, so its term alone exceeds
     # the incumbent for most points walked, which are rejected before the
     # loop.
@@ -307,12 +349,36 @@ def _scan(spectrum: tuple[int, ...], D: int, scaled: Sequence[int]
             if first < end:
                 yield range(first, end, lift)
 
-    for M, progression in crossings or extrema:
+    # (M, ranges of Y) in the order evaluated: each walk starts only when the
+    # loop reaches it, so it reads the thr of its own pass
+    passes = [(M, walk(M, progression.start, M // 2 + 1 if halve else M))
+              for M, progression in walked]
+    if len(spectrum) >= 3 and 8 * n2 <= spectrum[-2] + spectrum[-1]:
+        # The seed, handed over before every walk.  x0 = Y0/M0 is the first
+        # lift of the member r of n1's class nearest 0 (the nonnegative one
+        # on a tie) on the (n1, n2) crossing, met as in the residue walk.
+        # Each later crossing gives its two points nearest x0, the one at or
+        # below it and the next, reduced into [0, M).
+        (M0, pair), *later = walked
+        m = M0 // D
+        g = math.gcd(n1, m)
+        c0 = n1 * pair.start - scaled[0] * m
+        r = c0 % (D * g)
+        if 2 * r > D * g:
+            r -= D * g
+        Y0 = pair.start + (r - c0) // (D * g) * pow(n1 // g, -1, m // g) % (m // g) * D
+        seeds = []
+        for M, progression in later:
+            s = progression.start
+            lo = s + (Y0 * M - s * M0) // (D * M0) * D
+            seeds.append((M, [(lo % M, (lo + D) % M)]))
+        passes = seeds + passes
+    for M, ranges in passes:
         scale = M // D  # t_k*M = (t_k*D)*scale
         (n0, o0), *rest = [(nk, sk * scale) for nk, sk in order]
         half = M // 2
         thr = best * M // best_M
-        for ys in walk(M, progression.start, half + 1 if halve else M):
+        for ys in ranges:
             for Y in ys:
                 worst = (n0 * Y - o0) % M
                 if worst > half:
@@ -331,7 +397,7 @@ def _scan(spectrum: tuple[int, ...], D: int, scaled: Sequence[int]
                     if worst * best_M < best * M or Y * best_M < best_Y * M:
                         best, best_Y, best_M = worst, Y, M
                         thr = worst
-    return best, best_Y, best_M, crossings + extrema
+    return best, best_Y, best_M, crossings
 
 
 def mu_exact(p: SpectrumProblem) -> OracleResult:
@@ -348,17 +414,19 @@ def mu_exact(p: SpectrumProblem) -> OracleResult:
     candidate_budget(spectrum) exceeds MAX_CANDIDATE_BUDGET.
     """
     spectrum, targets = p.spectrum, p.targets
-    best, best_Y, best_M, progressions = _scan(spectrum, *_grid(targets))
+    D, scaled = _grid(targets)
+    best, best_Y, best_M, crossings = _scan(spectrum, D, scaled)
     k_star = tuple(_nearest_ratio(nj * best_Y * tj.denominator - tj.numerator * best_M,
                                   best_M * tj.denominator)[0]
                    for nj, tj in zip(spectrum, targets))
+    candidates = _distinct_count(crossings + _extrema(spectrum, D, scaled))
     return OracleResult(value=Fraction(best, best_M), x_star=Fraction(best_Y, best_M),
-                        k_star=k_star, candidates_examined=_distinct_count(progressions))
+                        k_star=k_star, candidates_examined=candidates)
 
 
 def _distinct_count(progressions: list[tuple[int, range]]) -> int:
-    """The number of distinct x = Y/M over the (M, range of Y) progressions
-    _scan returns, each counted in the first progression that holds it
+    """The number of distinct x = Y/M over the (M, range of Y) progressions,
+    each counted in the first progression that holds it
     (see the module docstring)."""
     total = 0
     for i, (M, prog) in enumerate(progressions):

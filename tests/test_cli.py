@@ -717,7 +717,7 @@ def test_sweep_bad_range_and_io_failure(tmp_path, capsys):
     assert err == f"kronlab: error: [Errno 2] No such file or directory: '{missing}'\n"
     assert not missing.exists()
     assert not any(p.name.startswith("rows.csv.tmp") for p in tmp_path.iterdir())
-    # a failed rename onto a directory names the directory too
+    # an existing directory, onto which the rename would fail, is named too
     directory = tmp_path / "rows"
     directory.mkdir()
     code, _, err = run(capsys, "sweep", "1", "2", "--from", "96", "--to", "97",
@@ -727,9 +727,10 @@ def test_sweep_bad_range_and_io_failure(tmp_path, capsys):
 
 
 def test_uncreatable_sweep_out_fails_before_any_row(tmp_path, capsys, monkeypatch):
-    """An --out whose file cannot be created exits 1 with _emit's message
-    before a row is computed, for a sweep that would take minutes; a
-    writable --out leaves no temp file from the check."""
+    """An --out whose file cannot be created, or that names an existing
+    directory, exits 1 with _emit's message before a row is computed, for a
+    sweep that would take minutes; a writable --out leaves no temp file from
+    the check."""
     def no_row(*args, **kwargs):
         raise AssertionError("a row was computed")
 
@@ -739,10 +740,38 @@ def test_uncreatable_sweep_out_fails_before_any_row(tmp_path, capsys, monkeypatc
                          "--verify", "--out", str(missing))
     assert (code, out) == (1, "")
     assert err == f"kronlab: error: [Errno 2] No such file or directory: '{missing}'\n"
+    # the temp file beside a directory can be created; the rename onto it
+    # cannot
+    directory = tmp_path / "rows"
+    directory.mkdir()
+    code, out, err = run(capsys, "sweep", "1", "2", "--from", "100", "--to", "20000",
+                         "--verify", "--out", str(directory))
+    assert (code, out) == (1, "")
+    assert err == f"kronlab: error: [Errno 21] Is a directory: '{directory}'\n"
+    directory.rmdir()
     # a creatable --out gets as far as the rows
     with pytest.raises(AssertionError, match="a row was computed"):
         main(["sweep", "1", "2", "--from", "96", "--to", "97", "--out", str(tmp_path / "r")])
     assert list(tmp_path.iterdir()) == []
+
+
+def test_emit_failure_names_the_out_path(tmp_path, capsys, monkeypatch):
+    """A write that fails after the check passed, here because --out became
+    a directory while the rows were computed, names the --out path, not the
+    temp file beside it, and leaves no temp file."""
+    out = tmp_path / "rows"
+    row = cli.evaluate_sweep_row
+
+    def row_then_mkdir(*args, **kwargs):
+        out.mkdir(exist_ok=True)
+        return row(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate_sweep_row", row_then_mkdir)
+    code, out_text, err = run(capsys, "sweep", "1", "2", "--from", "96", "--to", "97",
+                              "--out", str(out))
+    assert (code, out_text) == (1, "")
+    assert err == f"kronlab: error: [Errno 21] Is a directory: '{out}'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rows"]
 
 
 def test_evaluate_sweep_row_fields():

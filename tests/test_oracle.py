@@ -17,6 +17,7 @@ from kronlab.oracle import (MAX_BINARY_SIZE, MAX_CANDIDATE_BUDGET,
                             MAX_GRID_TARGETS, MAX_GRID_WORK, SpectrumProblem,
                             alpha_grid_lower_bound, beta_exact, binary_values,
                             candidate_budget, mu_exact, mu_value)
+from breakpoint_reference import mu_breakpoints
 from oracle_reference import _candidates, mu_exact_reference, nearest_int, nearest_int_distance
 
 HALF = Fraction(1, 2)
@@ -25,6 +26,13 @@ HALF = Fraction(1, 2)
 def scan_problem(p):
     """oracle._scan at p's targets, on the lcm of their denominators."""
     return oracle._scan(p.spectrum, *oracle._grid(p.targets))
+
+
+def progressions(p):
+    """p's candidate progressions as (M, range of Y) pairs, x = Y/M: the
+    crossings of each pair, then the valleys and peaks of each n_j."""
+    D, scaled = oracle._grid(p.targets)
+    return oracle._crossings(p.spectrum, D, scaled) + oracle._extrema(p.spectrum, D, scaled)
 
 
 def mu_scan(spectrum, targets):
@@ -95,7 +103,9 @@ def walks(monkeypatch):
     sub-window of the window walk and one per residue of the residue walk,
     the lifts of that residue.  The progressions _scan builds are never
     iterated, neither by the scan nor by mu_exact's candidate count, which
-    reads only their starts and steps, so they add nothing."""
+    reads only their starts and steps, so they add nothing.  The seed's two
+    points of each later crossing are handed over as a pair, not a range, so
+    they are not counted either: 4 of them per seeded scan of a triple."""
     lengths = []
 
     class CountingRange:
@@ -114,25 +124,28 @@ def walks(monkeypatch):
 
 
 @pytest.mark.parametrize("triple, points, ranges", [
-    ((3, 7, 1001), 123, 11), ((1, 2, 1001), 425, 9), ((2, 5, 1001), 383, 15),
-    ((1, 2, 10001), 4175, 9)],
-    ids=["3-7-1001", "1-2-1001", "2-5-1001", "1-2-10001"])
+    ((3, 7, 1001), 6, 6), ((1, 2, 1001), 6, 6), ((2, 5, 1001), 5, 5),
+    ((1, 2, 10001), 6, 6), ((1, 2, 100001), 6, 6)],
+    ids=["3-7-1001", "1-2-1001", "2-5-1001", "1-2-10001", "1-2-100001"])
 def test_verified_row_walks_only_the_windows(walks, triple, points, ranges):
     """The scan walks only the Y whose smallest frequencies' terms can still
     tie the incumbent: the n-crossings in the windows of n_1 and n_2, the
-    short (a, b) crossing by the residues of n_1.  One verified row of
-    (3, 7, 1001) scans three binary targets (none for the all-zero one) and
-    visits 123 points of the 3,036 that their whole crossing progressions
-    hold up to x = 1/2; (1, 2, 1001) visits 425 of 3,016, (2, 5, 1001) 383
-    of 3,028, and (1, 2, 10001), where mu is large and the n_2 level pays
-    most, 4,175 of 30,016.  A window too wide, a threshold never lowered, a
-    walk of the wrong kind or residues walked out of order change the count,
-    not the result; on (2, 5, 1001) so does a window of n_1 that starts one
-    Y early.  The ranges handed to the evaluation loop
-    are pinned too: a sub-window that holds no point is not one of them, nor
-    is a residue whose first lift lies past the end (under halving, one of r
-    and -r usually has none), so (3, 7, 1001) hands over 11 ranges where 29
-    were built."""
+    short (a, b) crossing by the residues of n_1.  It seeds its incumbent
+    first, from the two points of each n-crossing nearest the (a, b)
+    crossing's point of least n_1 term, so every window shrinks to about
+    one point.  One verified row of (3, 7, 1001) scans three binary targets
+    (none for the all-zero one) and walks 6 points of the 3,036 that their
+    whole crossing progressions hold up to x = 1/2, besides the 12 seed
+    points; the unseeded scan walked 123.  (1, 2, 1001), (2, 5, 1001),
+    (1, 2, 10001) and (1, 2, 100001) walk 6, 5, 6 and 6, where it walked
+    425, 383, 4,175 and 41,675: the count no longer grows with n.  A seed
+    dropped or misplaced, a window too wide, a threshold never lowered, a
+    walk of the wrong kind or residues walked out of order change the
+    count, not the result.  The ranges handed to the evaluation loop are
+    pinned too: a sub-window that holds no point is not one of them, nor is
+    a residue whose first lift lies past the end (under halving, one of r
+    and -r usually has none), so (3, 7, 1001) hands over 6 ranges where 15
+    were built, 9 of them the progressions themselves."""
     assert cli._verified(triple_constants(*triple)) != cli.UNVERIFIED
     assert sum(walks) == points
     assert len(walks) == ranges
@@ -157,6 +170,37 @@ def test_mu_walks_only_the_residues(walks, spectrum, targets, points):
     assert sum(walks) == points
 
 
+@pytest.mark.parametrize("spectrum, targets, points, ranges", [
+    ((1, 2, 3, 1863), (0, Fraction(2, 3), 0, Fraction(1, 4)), 972, 11),
+    ((5, 6, 9, 1797), (0, HALF, Fraction(2, 3), Fraction(2, 3)), 7, 7),
+    ((8, 9, 11, 1740), (HALF, 0, Fraction(1, 5), HALF), 154, 19)],
+    ids=["1-2-3-1863", "5-6-9-1797", "8-9-11-1740"])
+def test_seeded_walk_keeps_wide_windows(walks, spectrum, targets, points, ranges):
+    """Three small frequencies and a large top one: the seed applies, but
+    the minimum is large and the windows of n_1 and n_2 stay wide, so the
+    window and sub-window bounds still decide the count.  (1, 2, 3, 1863)
+    at its minimum 747/3730 walks the 972 points the unseeded scan walked;
+    on (5, 6, 9, 1797) the seed cuts 216 to 7.  The seed's x0 takes the
+    nonnegative member of n_1's class on a tie, as the residue walk does:
+    the negative one would walk 216 and 47 points on the last two."""
+    r = mu_exact(SpectrumProblem(spectrum, targets))
+    assert r == mu_exact_reference(SpectrumProblem(spectrum, targets))
+    walks.clear()
+    mu_value(spectrum, targets)
+    assert sum(walks) == points
+    assert len(walks) == ranges
+
+
+def test_residue_walk_takes_the_nonnegative_member_first(walks):
+    """On a tie |r| = |-r| the residue walk hands over the lifts of r >= 0
+    first.  On (22, 55) at (3/2, -1/2), M = 154 and g = gcd(22, 77) = 11:
+    the minimum 11/154 lies on the members 11 and -11 of the class, with 6
+    and 5 lifts up to x = 1/2, in that order.  The order changes no count,
+    only the sequence of ranges."""
+    assert mu_value((22, 55), (Fraction(3, 2), Fraction(-1, 2))) == Fraction(1, 14)
+    assert walks == [6, 5]
+
+
 def test_windowed_walk_equals_fraction_reference(walks):
     """On acceptance pairs with n from 100 to 1,100 every crossing with n
     has 8*n_2*D <= M, so the scan walks windows there, fewer points than
@@ -175,10 +219,10 @@ def test_windowed_walk_equals_fraction_reference(walks):
         p = SpectrumProblem(spectrum, targets)
         assert mu_exact(p) == mu_exact_reference(p), p
         walks.clear()
-        *_, progressions = scan_problem(p)
+        scan_problem(p)
         halve = all(t.denominator <= 2 for t in p.targets)
         plain = sum(len(range(prog.start, M // 2 + 1 if halve else M, prog.step))
-                    for M, prog in progressions[:3])
+                    for M, prog in progressions(p)[:3])
         assert sum(walks) < plain, p
 
 
@@ -209,13 +253,14 @@ def _second_level_problem(rng, i):
                            tuple(rand_fraction(rng, 6) + rng.randrange(-1, 2) for _ in range(4)))
 
 
-def _admitted_by_n1(p, progressions, best, best_M):
+def _admitted_by_n1(p, best, best_M):
     """How many points of the walked progressions have an n_1 term within
     the minimum best/best_M: every walk must visit each of them."""
     n1, t1 = p.spectrum[0], p.targets[0]
     halve = all(t.denominator <= 2 for t in p.targets)
     count = 0
-    for M, prog in progressions[:math.comb(len(p.spectrum), 2)] or progressions:
+    every = progressions(p)
+    for M, prog in every[:math.comb(len(p.spectrum), 2)] or every:
         o1 = t1.numerator * M // t1.denominator
         for Y in range(prog.start, M // 2 + 1 if halve else M, prog.step):
             r = (n1 * Y - o1) % M
@@ -238,10 +283,10 @@ def test_second_level_walk_equals_fraction_reference(walks):
         p = _second_level_problem(rng, i)
         assert mu_exact(p) == mu_exact_reference(p), p
         walks.clear()
-        best, _, best_M, progressions = scan_problem(p)
+        best, _, best_M, _ = scan_problem(p)
         assert 8 * p.spectrum[1] <= p.spectrum[-2] + p.spectrum[-1], p  # on the largest M
         walked[i % 4] += sum(walks)
-        admitted[i % 4] += _admitted_by_n1(p, progressions, best, best_M)
+        admitted[i % 4] += _admitted_by_n1(p, best, best_M)
     assert all(w < n for w, n in zip(walked, admitted)), (walked, admitted)
 
 
@@ -288,12 +333,13 @@ def test_residue_walk_equals_fraction_reference(walks):
         p = _residue_walk_problem(rng, i)
         assert mu_exact(p) == mu_exact_reference(p), p
         walks.clear()
-        best, _, best_M, progressions = scan_problem(p)
+        best, _, best_M, _ = scan_problem(p)
         D = math.lcm(*(t.denominator for t in p.targets))
         n1, n2 = p.spectrum[0], p.spectrum[min(1, len(p.spectrum) - 1)]
-        walked = progressions[:math.comb(len(p.spectrum), 2)] or progressions
+        every = progressions(p)
+        walked = every[:math.comb(len(p.spectrum), 2)] or every
         assert all(8 * n2 * D > M for M, _ in walked), p
-        admitted = _admitted_by_n1(p, progressions, best, best_M)
+        admitted = _admitted_by_n1(p, best, best_M)
         assert sum(walks) == admitted if len(p.spectrum) <= 2 else sum(walks) >= admitted, p
         kinds.add((len(p.spectrum), all(t.denominator <= 2 for t in p.targets),
                    any(math.gcd(n1, M // D) > 1 for M, _ in walked)))
@@ -392,12 +438,10 @@ def test_smallest_x_tie_break_across_progressions(spectrum, targets, x_star):
     r = mu_exact(p)
     assert r.x_star == x_star and r == mu_exact_reference(p)
     # each progression is (M, range of Y) on its own grid x = Y/M
-    *_, progressions = scan_problem(p)
-
     def F(x):
         return max(nearest_int_distance(nj * x - tj) for nj, tj in zip(p.spectrum, p.targets))
 
-    first = next(Fraction(Y, M) for M, progression in progressions for Y in progression
+    first = next(Fraction(Y, M) for M, progression in progressions(p) for Y in progression
                  if F(Fraction(Y, M)) == r.value)
     assert first > x_star
     if all(t.denominator <= 2 for t in p.targets):
@@ -531,6 +575,56 @@ def test_mu_exact_equals_reference_on_binary_targets():
             best = max(references.values())
             argmax = min(t for t, v in references.items() if v == best)
             assert beta_exact((a, b, n)) == (best, argmax)
+
+
+def test_scan_equals_breakpoint_reference():
+    """mu_value, mu_exact (value and x_star) and binary_values against
+    mu_breakpoints, which evaluates F at every kink of a term and every
+    crossing of two terms, in both signs, with no halving, toggle, window or
+    pruning: it shares none of the oracle's lemmas, unlike the Fraction
+    reference, which scans the oracle's own candidate families.  Random
+    problems of d = 1 to 5 with signed targets, and triples with n up to
+    3,000, where the scan seeds itself, at binary and general targets."""
+    rng = random.Random(37)
+    for i in range(100):
+        spectrum = tuple(sorted(rng.sample(range(1, 120), 1 + i % 5)))
+        targets = tuple(rand_fraction(rng, 12) + rng.randrange(-2, 2) for _ in spectrum)
+        r = mu_exact(SpectrumProblem(spectrum, targets))
+        assert (r.value, r.x_star) == mu_breakpoints(spectrum, targets), (spectrum, targets)
+        assert mu_value(spectrum, targets) == r.value
+    for i in range(20):
+        a, b = rand_coprime_pair(rng, 9)
+        spectrum = (a, b, rng.randrange(8 * b, 3001))
+        if i % 4 == 0:
+            binary = itertools.product((Fraction(0), HALF), repeat=3)
+            assert binary_values(spectrum) == [mu_breakpoints(spectrum, t)[0] for t in binary]
+            continue
+        targets = tuple(rand_fraction(rng, 12) + rng.randrange(-2, 2) for _ in spectrum)
+        r = mu_exact(SpectrumProblem(spectrum, targets))
+        assert (r.value, r.x_star) == mu_breakpoints(spectrum, targets), (spectrum, targets)
+
+
+@pytest.mark.parametrize("spectrum, targets, x_star", [
+    ((5, 7, 67), (HALF, 0, 0), Fraction(41, 144)),
+    ((1, 3, 97), (HALF, 0, HALF), Fraction(3, 8)),
+    ((5, 6, 97), (0, 0, HALF), Fraction(1, 206)),
+    ((3, 4, 11, 55), (Fraction(1, 3), Fraction(1, 3), 0, HALF), Fraction(1, 12))],
+    ids=["5-7-67", "1-3-97", "5-6-97", "3-4-11-55"])
+def test_seed_tied_at_a_larger_x_gives_way(spectrum, targets, x_star):
+    """A seed is F at a candidate, so never below the minimum, but it may
+    tie it at a larger x; the tie rule then keeps the smallest minimiser.
+    Under halving, a seed above 1/2 loses to its mirror, which the walk
+    reaches: on (5, 7, 67) the (5, 67) crossing's seed 103/144 ties the
+    minimum 11/144 and x_star is its mirror 41/144, and on (1, 3, 97) the
+    seed 5/8 ties 1/8 at the mirror of 3/8.  On (5, 6, 97), x0 = 0 lies
+    below the first point of the (6, 97) crossing, so the point at or below
+    it is the last one, 205/206 once reduced into [0, 1): it ties the
+    minimum 3/103, and its unreduced Y = -1 would have taken x_star below
+    0.  (3, 4, 11, 55) ties the minimum 1/12 at the seed 13/132 off the
+    half-integer targets."""
+    p = SpectrumProblem(spectrum, targets)
+    r = mu_exact(p)
+    assert r.x_star == x_star and r == mu_exact_reference(p)
 
 
 def test_problem_validation():

@@ -46,6 +46,10 @@ _SUB_WINDOW = ("c = o2 - (o2 + thr - n2 * first) // M * M\n"
                "                    sub += (start - sub) % D\n"
                "                    sub_hi = min(hi, (c + thr) // n2 + 1)")
 
+#: The progressions the oracle walks: the crossings, or the valleys and
+#: peaks when there are none.
+_WALKED = "walked = crossings or _extrema(spectrum, D, scaled)"
+
 #: source file -> (its test modules, [(name, old, new)]): each ``old``
 #: occurs exactly once in its file.
 MUTANTS = {
@@ -62,8 +66,8 @@ MUTANTS = {
          "best_Y, best_M = worst, Y, M"),
         ("half-integer-test-thirds", "2 * sj % D == 0", "6 * sj % D == 0"),
         ("half-integer-test-integers", "2 * sj % D == 0", "sj % D == 0"),
-        ("half-range-excludes-midpoint", "half + 1 if halve else M", "half if halve else M"),
-        ("halve-every-target", "if halve else M)", "if halve else half + 1)"),
+        ("half-range-excludes-midpoint", "M // 2 + 1 if halve else M", "M // 2 if halve else M"),
+        ("halve-every-target", "if halve else M))", "if halve else M // 2 + 1))"),
         ("prune-first-term-on-ties", "if worst > thr:\n                    continue",
          "if worst >= thr:\n                    continue"),
         ("prune-other-terms-on-ties", "if worst > thr:\n                            break",
@@ -113,10 +117,18 @@ MUTANTS = {
         ("residue-stop-late", "if abs(r) > thr or", "if abs(r) > thr + 1 or"),
         ("residue-tie-negative-first", "if pos <= -neg:", "if pos < -neg:"),
         ("residue-walk-one-side", "if pos <= -neg:", "if True:"),
-        ("walk-crossings-only", "in crossings or extrema:", "in crossings:"),
-        ("walk-extrema-only", "in crossings or extrema:", "in extrema:"),
-        ("walk-extrema-too", "in crossings or extrema:", "in crossings + extrema:"),
-        ("count-walked-only", "best_M, crossings + extrema", "best_M, crossings or extrema"),
+        ("walk-crossings-only", _WALKED, "walked = crossings"),
+        ("walk-extrema-only", _WALKED, "walked = _extrema(spectrum, D, scaled)"),
+        ("walk-extrema-too", _WALKED, _WALKED.replace(" or ", " + ")),
+        ("count-walked-only", "_distinct_count(crossings + _extrema(",
+         "_distinct_count(crossings or _extrema("),
+        ("seed-dropped-on-triples", "if len(spectrum) >= 3 and", "if len(spectrum) > 3 and"),
+        ("seed-tie-negative-first", "if 2 * r > D * g:", "if 2 * r >= D * g:"),
+        ("seed-x0-on-wrong-denominator", "lo = s + (Y0 * M - s * M0) // (D * M0) * D",
+         "lo = s + (Y0 - s) // D * D"),
+        ("seed-unreduced", "(lo % M, (lo + D) % M)", "(lo, lo + D)"),
+        ("seed-on-the-first-crossing-grid", "seeds.append((M, [", "seeds.append((M0, ["),
+        ("seed-after-the-walks", "passes = seeds + passes", "passes = passes + seeds"),
         ("count-no-divisibility-check",
          "            if rhs % (D * g):\n                continue\n", ""),
         ("count-step-whole-coset", "step = m // g", "step = m"),
@@ -256,6 +268,7 @@ MUTANTS = {
          "commands[name].error(f\"unrecognized"),
         ("command-guard-dropped", "if argv and argv[0] in commands:", "if argv:"),
         ("out-checked-only-after-the-rows", "    _check_out(args.out)\n", ""),
+        ("out-directory-accepted", "if os.path.isdir(out_path):", "if False:"),
         ("out-error-names-temp-file",
          "beside it\n        raise OSError(exc.errno, exc.strerror, out_path) from None",
          "beside it\n        raise"),
@@ -264,9 +277,10 @@ MUTANTS = {
 
 #: Mutants that change no result, with the reason.  Those that change only
 #: the oracle's work (a wider window, a stale thr, more progressions or
-#: points walked, residues walked in another order) are not listed:
-#: tests/test_oracle.py pins the points that four verified rows and two mu
-#: problems walk, which kills them.
+#: points walked, residues walked in another order, another seed) are not
+#: listed: tests/test_oracle.py pins the points that five verified rows,
+#: three seeded d = 4 problems and two unseeded mu problems walk, and the
+#: order of the ranges on a residue tie, which kills them.
 EQUIVALENT = {
     "beta-check-one-sided":
         "beta is row R or R+a+b, one of the two case tables, so values holding both "
