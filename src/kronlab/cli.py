@@ -15,11 +15,13 @@ check beta and both case tables; the witness must cost alpha, read from the
 same values when R != a and from one more scan when R = a.
 
 Reports are deterministic: identical invocations produce byte-identical
-output.  A command builds its report from exact values (Fractions, ints,
-lists and the SweepRow, Certificate and CongruenceData records) and _report
-alone renders it: JSON rationals and records in one place, text and CSV as
-joined lines.  This module is the one home of every report format; the
-library below it computes exact values only.
+output.  A command builds its report model once: the dict of exact values
+(Fractions, ints, lists, dicts and the SweepRow and CongruenceData records)
+that its JSON report is.  _report renders that model in the one format asked
+for: JSON through _json, or the command's text or CSV lines through the
+renderer it hands over (_mu_text, _constants_text, _sweep_csv).  This module
+is the one home of every report format; the library below it computes exact
+values only.
 
 main(argv) is the in-process entry point and returns the exit code.  The
 parsers are built on the first call and reused by every later one in the
@@ -41,7 +43,7 @@ from dataclasses import dataclass, fields as dataclass_fields, is_dataclass
 from decimal import ROUND_HALF_EVEN, Context
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .closed_form import (TripleConstants, canonical_binary_pair,
                           in_asymptotic_regime, triple_constants)
@@ -50,8 +52,10 @@ from .greedy_triple import NotInAsymptoticRegime, TripleProblem, greedy_en_certi
 from .oracle import (SpectrumProblem, alpha_grid_lower_bound, binary_values,
                      check_candidate_budget, mu_exact, mu_value)
 
-#: sweep refuses ranges of more rows than this, before it evaluates any: a
-#: row costs about 750 B, so the largest accepted sweep holds about 0.9 GB.
+#: sweep refuses ranges of more rows than this, before it evaluates any.  A
+#: report's memory peaks at about 700 B per row as CSV and 1.5 kB per row
+#: as --json (tracemalloc, 2*10^4 rows written with --out), so the largest
+#: accepted sweep holds about 0.7 GB, or 1.5 GB with --json.
 MAX_SWEEP_ROWS = 10**6
 
 #: --precision refuses more significant digits than this, before any
@@ -104,6 +108,7 @@ def decimal_approx(q: Fraction, precision: int = DEFAULT_PRECISION) -> str:
 
 
 def rational_to_json(q: Fraction, precision: int = DEFAULT_PRECISION) -> dict:
+    """The JSON object of a rational: the form _json writes for a Fraction."""
     return {
         "num": str(q.numerator),
         "den": str(q.denominator),
@@ -123,17 +128,6 @@ def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
-
-
-def _witness_field(t: tuple, expected: Fraction) -> tuple[dict, str]:
-    """Report field of the witness target t and the cost the closed forms give it."""
-    t1, t2, t3 = t
-    t3_mod1 = t3 - math.floor(t3)
-    doc = {"t1": t1, "t2": t2, "t3_raw": t3, "t3_mod1": t3_mod1, "expected_mu": expected}
-    return {"witness": doc}, (
-        f"witness: t1={rational_to_csv(t1)} t2={rational_to_csv(t2)} "
-        f"t3={rational_to_csv(t3)} (mod 1: {rational_to_csv(t3_mod1)}), "
-        f"expected mu = {rational_to_csv(expected)}")
 
 
 def _verified(tc: TripleConstants) -> str:
@@ -221,21 +215,17 @@ def _fmt(q: Fraction, precision: int) -> str:
     return f"{q.numerator}/{q.denominator} (~{decimal_approx(q, precision)})"
 
 
-def _rational(key: str, label: str, q: Fraction, precision: int) -> tuple[dict, str]:
-    """Report field of one rational: JSON item ``key``, text line ``label = ...``."""
-    return {key: q}, f"{label} = {_fmt(q, precision)}"
-
-
 def _json(value, precision: int, indent: str = "\n") -> str:
     """JSON text of an exact report value, byte for byte what the standard
     library's encoder writes with indent=2 and ASCII escaping; ``indent`` is
     the newline and indentation that precede the value's closing bracket.
 
     Dispatches on the exact type: str (through json's ASCII escaper), int,
-    bool and None as themselves; a Fraction as rational_to_json at
-    ``precision``; a dataclass as its fields in order; a dict (str keys),
-    list or tuple two spaces deeper per level, "{}" or "[]" when empty.
-    Raises TypeError on anything else, a float or a set included."""
+    bool and None as themselves; a Fraction as the object rational_to_json
+    gives at ``precision``, written in one step, since its strings need no
+    escaping; a dataclass as its fields in order; a dict (str keys), list or
+    tuple two spaces deeper per level, "{}" or "[]" when empty.  Raises
+    TypeError on anything else, a float or a set included."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
@@ -247,11 +237,12 @@ def _json(value, precision: int, indent: str = "\n") -> str:
         return "false"
     if value is None:
         return "null"
-    if kind is Fraction:
-        value, kind = rational_to_json(value, precision), dict
-    elif is_dataclass(kind):
-        value, kind = vars(value), dict
     inner = indent + "  "
+    if kind is Fraction:
+        return (f'{{{inner}"num": "{value.numerator}",{inner}"den": "{value.denominator}",'
+                f'{inner}"approx": "{decimal_approx(value, precision)}"{indent}}}')
+    if is_dataclass(kind):
+        value, kind = vars(value), dict
     sep = "," + inner
     if kind is dict:
         if not value:
@@ -267,23 +258,64 @@ def _json(value, precision: int, indent: str = "\n") -> str:
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def _report(args, fields: list[tuple[dict, str]]) -> None:
-    """Emit a command's report from its ordered fields, each a pair of JSON
-    items and text lines: with --json the items merged into one object,
-    otherwise the lines.
+def _report(args, doc: dict, lines: Callable[[dict, int], Iterator[str]]) -> None:
+    """Emit a command's report model ``doc``, the dict of exact values its
+    JSON report is: with --json as _json writes it, otherwise as the text
+    or CSV lines that ``lines(doc, precision)`` renders from it.
 
-    This is the one place a report is serialized.  The JSON items hold
-    exact values, and _json writes them in one pass: each Fraction as
-    rational_to_json at --precision, each dataclass as its fields in order,
-    in the standard library's indent=2 layout, refusing anything else JSON
-    has no form for."""
+    This is the one place a report is serialized, and only the format asked
+    for is rendered: a JSON report formats no text line, and a text or CSV
+    report writes no JSON."""
     if args.json:
-        doc = {}
-        for items, _ in fields:
-            doc.update(items)
-        _emit(_json(doc, args.precision) + "\n", args.out)
+        text = _json(doc, args.precision) + "\n"
     else:
-        _emit("".join(f"{line}\n" for _, line in fields), args.out)
+        text = "".join(f"{line}\n" for line in lines(doc, args.precision))
+    _emit(text, args.out)
+
+
+def _mu_text(doc: dict, precision: int) -> Iterator[str]:
+    """The text lines of a mu report."""
+    yield f"spectrum: {','.join(map(str, doc['spectrum']))}"
+    yield f"targets: {', '.join(map(rational_to_csv, doc['targets']))}"
+    yield f"mu = {_fmt(doc['mu'], precision)}"
+    yield f"x_star = {_fmt(doc['x_star'], precision)}"
+    yield f"k_star = {doc['k_star']}"
+    yield f"candidates examined = {doc['candidates_examined']}"
+    cert = doc.get("certificate")
+    if cert:
+        yield (f"certificate: x_star = {_fmt(cert['x_star'], precision)}, "
+               f"cost = {_fmt(cert['cost'], precision)}, method = {cert['method']}"
+               + (", negated" if cert["negated"] else ""))
+        if "note" in cert:
+            yield f"note: {cert['note']} (bound certificate shown)"
+
+
+def _constants_text(doc: dict, precision: int) -> Iterator[str]:
+    """The text lines of a constants report."""
+    cd, witness = doc["congruence"], doc["witness"]
+    yield f"triple: a={doc['a']} b={doc['b']} n={doc['n']}"
+    yield (f"congruences: r={cd.r} T={cd.T} R={cd.R} r2={cd.r2} S={cd.S} "
+           f"g={cd.g} h={cd.h} parity={cd.parity_case}")
+    yield f"alpha = {_fmt(doc['alpha'], precision)}"
+    yield f"beta  = {_fmt(doc['beta'], precision)}"
+    yield f"L_n   = {_fmt(doc['ln'], precision)}"
+    yield f"gap (alpha > beta) = {'true' if doc['gap'] else 'false'}"
+    yield f"asymptotic regime = {'yes' if doc['in_asymptotic_regime'] else 'no (small n)'}"
+    yield ("witness: t1={} t2={} t3={} (mod 1: {}), expected mu = {}".format(
+        *map(rational_to_csv, witness.values())))
+    if "verified" in doc:
+        yield f"verified: {doc['verified']}"
+    if "grid" in doc:
+        grid = doc["grid"]
+        yield (f"grid lower bound (D={grid['D']}): {_fmt(grid['value'], precision)} "
+               f"at t=({', '.join(map(rational_to_csv, grid['argmax']))})")
+
+
+def _sweep_csv(doc: dict, precision: int) -> Iterator[str]:
+    """The CSV lines of a sweep report: the header, then one line per row."""
+    yield ",".join(CSV_COLUMNS)
+    for row in doc["rows"]:
+        yield ",".join(map(_csv_cell, vars(row).values()))
 
 
 def _parse_spectrum(text: str) -> tuple[int, ...]:
@@ -302,34 +334,19 @@ def cmd_mu(args) -> int:
             raise ValueError("--greedy needs a 3-element spectrum with coprime a, b")
         triple = TripleProblem(*spectrum, *targets)
     result = mu_exact(problem)
-    precision = args.precision
-    fields = [
-        ({"spectrum": list(spectrum)}, f"spectrum: {','.join(str(nj) for nj in spectrum)}"),
-        ({"targets": list(targets)}, f"targets: {', '.join(rational_to_csv(t) for t in targets)}"),
-        _rational("mu", "mu", result.value, precision),
-        _rational("x_star", "x_star", result.x_star, precision),
-        ({"k_star": list(result.k_star)}, f"k_star = {list(result.k_star)}"),
-        ({"candidates_examined": result.candidates_examined},
-         f"candidates examined = {result.candidates_examined}"),
-    ]
+    doc = {"spectrum": list(spectrum), "targets": list(targets), "mu": result.value,
+           "x_star": result.x_star, "k_star": list(result.k_star),
+           "candidates_examined": result.candidates_examined}
     if args.greedy:
-        regime_note = None
         try:
-            cert = greedy_en_certificate(triple)
+            cert, note = greedy_en_certificate(triple), {}
         except NotInAsymptoticRegime as exc:
-            cert, regime_note = exc.certificate, str(exc)
+            cert, note = exc.certificate, {"note": str(exc)}
         if cert.cost < result.value:
             raise InvariantBreach(
                 f"certificate cost {cert.cost} below oracle value {result.value}")
-        cert_doc = cert
-        text = (f"certificate: x_star = {_fmt(cert.x_star, precision)}, "
-                f"cost = {_fmt(cert.cost, precision)}, method = {cert.method}"
-                + (", negated" if cert.negated else ""))
-        if regime_note:
-            cert_doc = {**vars(cert), "note": regime_note}
-            text += f"\nnote: {regime_note} (bound certificate shown)"
-        fields.append(({"certificate": cert_doc}, text))
-    _report(args, fields)
+        doc["certificate"] = {**vars(cert), **note}
+    _report(args, doc, _mu_text)
     return 0
 
 
@@ -341,28 +358,16 @@ def cmd_constants(args) -> int:
     # the grid refuses an oversized D before the oracle checks run
     grid = None if args.grid is None else alpha_grid_lower_bound((a, b, n), args.grid)
     verified = _verified(tc) if args.verify else None
-    precision = args.precision
-    fields = [
-        ({"a": a, "b": b, "n": n}, f"triple: a={a} b={b} n={n}"),
-        ({"congruence": cd},
-         f"congruences: r={cd.r} T={cd.T} R={cd.R} r2={cd.r2} S={cd.S} "
-         f"g={cd.g} h={cd.h} parity={cd.parity_case}"),
-        _rational("alpha", "alpha", tc.alpha, precision),
-        _rational("beta", "beta ", tc.beta, precision),
-        _rational("ln", "L_n  ", tc.ln, precision),
-        ({"gap": tc.gap}, f"gap (alpha > beta) = {'true' if tc.gap else 'false'}"),
-        ({"in_asymptotic_regime": regime},
-         f"asymptotic regime = {'yes' if regime else 'no (small n)'}"),
-        _witness_field(*tc.witness()),
-    ]
+    (t1, t2, t3), expected = tc.witness()
+    doc = {"a": a, "b": b, "n": n, "congruence": cd, "alpha": tc.alpha, "beta": tc.beta,
+           "ln": tc.ln, "gap": tc.gap, "in_asymptotic_regime": regime,
+           "witness": {"t1": t1, "t2": t2, "t3_raw": t3, "t3_mod1": t3 - math.floor(t3),
+                       "expected_mu": expected}}
     if args.verify:
-        fields.append(({"verified": verified}, f"verified: {verified}"))
+        doc["verified"] = verified
     if grid is not None:
-        value, argmax = grid
-        fields.append(({"grid": {"D": args.grid, "value": value, "argmax": list(argmax)}},
-                       f"grid lower bound (D={args.grid}): {_fmt(value, precision)} "
-                       f"at t=({', '.join(rational_to_csv(t) for t in argmax)})"))
-    _report(args, fields)
+        doc["grid"] = {"D": args.grid, "value": grid[0], "argmax": list(grid[1])}
+    _report(args, doc, _constants_text)
     if verified == UNVERIFIED and regime:
         raise VerificationMismatch(
             f"formula disagrees with oracle for ({a}, {b}, {n}) inside the regime")
@@ -410,9 +415,7 @@ def cmd_sweep(args) -> int:
     _check_out(args.out)
     rows = parallel_map(functools.partial(evaluate_sweep_row, a, b, verify=args.verify),
                         range(args.n_from, args.n_to + 1), args.jobs)
-    _report(args, [({"pair": [a, b]}, ",".join(CSV_COLUMNS)),
-                   ({"rows": rows},
-                    "\n".join(",".join(map(_csv_cell, vars(row).values())) for row in rows))])
+    _report(args, {"pair": [a, b], "rows": rows}, _sweep_csv)
 
     bad = [row for row in rows
            if row.verified == UNVERIFIED and args.verify

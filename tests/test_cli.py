@@ -652,6 +652,46 @@ def test_json_writer_writes_the_bytes_of_the_encoder_it_replaced():
         json.dumps({1, 2}, indent=2, default=_reference_render(12))
 
 
+def test_json_mu_report_renders_each_rational_once(capsys, monkeypatch):
+    """A mu --json report formats each rational it holds once, for its
+    "approx", and no text line; --greedy adds the certificate's two."""
+    rendered = []
+
+    def counting(q, precision=cli.DEFAULT_PRECISION):
+        rendered.append(q)
+        return decimal_approx(q, precision)
+
+    monkeypatch.setattr(cli, "decimal_approx", counting)
+    for greedy in ((), ("--greedy",)):
+        rendered.clear()
+        code, out, _ = run(capsys, "mu", "--set", "2,5,300", "--t", "1/7,2/3,5/11",
+                           "--json", *greedy)
+        found = _json_rationals(json.loads(out))
+        assert code == 0 and len(found) == 5 + 2 * len(greedy)
+        assert Counter(rendered) == Counter(q for q, _ in found.values())
+
+
+def test_json_sweep_report_formats_no_csv_cell(capsys, monkeypatch):
+    def no_csv(value):
+        raise AssertionError("a CSV cell was formatted")
+
+    monkeypatch.setattr(cli, "_csv_cell", no_csv)
+    code, out, _ = run(capsys, "sweep", "1", "2", "--from", "96", "--to", "104", "--json")
+    assert code == 0 and len(json.loads(out)["rows"]) == 9
+
+
+def test_text_and_csv_reports_write_no_json(capsys, monkeypatch):
+    def no_json(value, precision, indent="\n"):
+        raise AssertionError("JSON was written")
+
+    monkeypatch.setattr(cli, "_json", no_json)
+    for argv in (["mu", "--set", "2,5,12", "--t", "0,0,1/2", "--greedy"],
+                 ["constants", "1", "2", "100", "--verify", "--grid", "3"],
+                 ["sweep", "1", "2", "--from", "96", "--to", "104"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.count("\n") >= 8, argv
+
+
 def test_decimal_rendering_half_even_and_precision():
     assert decimal_approx(Fraction(1, 4), 12) == "0.25"
     assert decimal_approx(Fraction(1, 8), 2) == "0.12"   # 0.125 rounds half-even

@@ -240,8 +240,16 @@ MUTANTS = {
         ("json-empty-dict-split", 'return "{}"', 'return "{\\n}"'),
         ("json-bool-python-literal", 'is True:\n        return "true"',
          'is True:\n        return "True"'),
-        ("json-rational-default-precision", "rational_to_json(value, precision), dict",
-         "rational_to_json(value), dict"),
+        ("json-rational-default-precision", "decimal_approx(value, precision)",
+         "decimal_approx(value)"),
+        ("json-rational-num-den-swapped",
+         '"num": "{value.numerator}",{inner}"den": "{value.denominator}"',
+         '"num": "{value.denominator}",{inner}"den": "{value.numerator}"'),
+        ("json-report-renders-text-too", "    if args.json:\n        text = _json(",
+         '    text = "".join(lines(doc, args.precision))\n'
+         "    if args.json:\n        text = _json("),
+        ("text-report-writes-json-too", '        text = "".join(f"{line}\\n"',
+         '        _json(doc, args.precision)\n        text = "".join(f"{line}\\n"'),
         ("beta-check-one-sided", "if max(values) != tc.beta", "if max(values) > tc.beta"),
         ("case-table-check-dropped",
          " or tables != [tc.binary(0).value, tc.binary(HALF).value]", ""),
